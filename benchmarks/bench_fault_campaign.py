@@ -1,16 +1,20 @@
 """Robustness extension: fault-campaign throughput and checked-mode overhead.
 
-Three questions an operator asks before enabling the robustness layer:
+Four questions an operator asks before enabling the robustness layer:
 
 1. how fast do campaigns run (faults simulated per second), i.e. what
    does a nightly exhaustive stuck-at sweep cost?
 2. how much denser do sweeps pack under the wide-lane vector engine —
    faults per sweep versus the compiled 63-slot quantum, with the
    classification identity that makes the density trustworthy?
-3. what does online checking cost per conversion — bijectivity alone,
+3. which engine should ``auto`` pick for campaigns — compiled against
+   vector sweeps and wall time on the n=8 stuck-at and SEU campaigns,
+   with identical classification?
+4. what does online checking cost per conversion — bijectivity alone,
    and with the rank∘unrank oracle — relative to the bare converter?
 """
 
+import statistics
 import time
 
 from conftest import write_report
@@ -21,6 +25,8 @@ from repro.robustness.checkers import CheckedConverter
 
 N_CAMPAIGN = 5
 N_WIDE = 6
+N_ENGINES = 8
+ENGINE_TRIALS = 7
 N_CHECKED = 8
 BATCH = 2048
 MIN_FAULTS_PER_SWEEP_RATIO = 8.0
@@ -28,14 +34,15 @@ MIN_FAULTS_PER_SWEEP_RATIO = 8.0
 
 def test_stuck_campaign_throughput(benchmark, results_dir):
     spec = CampaignSpec(circuit="converter", n=N_CAMPAIGN, model="stuck")
-    total = len(fault_list(spec))
 
     def run():
         return run_campaign(spec)
 
+    # the process's first campaign on this spec: planning included
     t0 = time.perf_counter()
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     wall = time.perf_counter() - t0
+    total = len(fault_list(spec))
     assert result.total == total
     assert result.benign + result.detected + result.silent == total
     # benchmark.stats is None under --benchmark-disable (smoke mode)
@@ -128,6 +135,80 @@ def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
             "silent": res_v.silent,
         },
     )
+
+
+def test_campaign_engine_choice(benchmark, results_dir):
+    """Compiled against vector on the n=8 stuck-at and SEU campaigns.
+
+    Each engine's wall time is the median of ``ENGINE_TRIALS`` repeated
+    campaigns after one warm-up run (kernels compiled, plan memoised),
+    which is how a long-lived process sees them.  The sweep counts are
+    exact: a compiled SEU campaign is one pass of the stream length.
+    """
+    rows = []
+    data = {"n": N_ENGINES, "trials": ENGINE_TRIALS}
+    for model in ("stuck", "seu"):
+        runs = {}
+        for engine in ("compiled", "vector"):
+            spec = CampaignSpec(
+                circuit="converter", n=N_ENGINES, model=model, engine=engine
+            )
+            run_campaign(spec)
+            walls = []
+            for _ in range(ENGINE_TRIALS):
+                res = run_campaign(spec)
+                walls.append(res.wall_s)
+            runs[engine] = (res, walls)
+        (res_c, walls_c), (res_v, walls_v) = runs["compiled"], runs["vector"]
+        assert (res_c.benign, res_c.detected, res_c.silent) == (
+            res_v.benign,
+            res_v.detected,
+            res_v.silent,
+        )
+        assert res_c.examples == res_v.examples
+        assert res_c.total == res_v.total
+        if model == "seu":
+            assert res_c.sweeps == res_c.test_vectors + N_ENGINES - 1
+        wall_c, wall_v = statistics.median(walls_c), statistics.median(walls_v)
+        # engine="auto" runs campaigns on compiled; that choice must hold
+        assert wall_c <= wall_v, (
+            f"{model}: vector {1e3 * wall_v:.1f} ms beats compiled "
+            f"{1e3 * wall_c:.1f} ms, so auto picks the slower campaign engine"
+        )
+        rows.append(
+            f"  {model:<5} {res_c.total:5d} faults  compiled {res_c.sweeps:3d} "
+            f"sweeps {1e3 * wall_c:7.1f} ms   vector {res_v.sweeps:3d} sweeps "
+            f"{1e3 * wall_v:7.1f} ms   vector/compiled {wall_v / wall_c:5.2f}x"
+        )
+        data[model] = {
+            "faults": res_c.total,
+            "compiled_sweeps": res_c.sweeps,
+            "vector_sweeps": res_v.sweeps,
+            "compiled_wall_s": wall_c,
+            "vector_wall_s": wall_v,
+            "compiled_wall_iqr_s": _iqr(walls_c),
+            "vector_wall_iqr_s": _iqr(walls_v),
+            "vector_over_compiled_x": wall_v / wall_c,
+            "benign": res_c.benign,
+            "detected": res_c.detected,
+            "silent": res_c.silent,
+        }
+    spec = CampaignSpec(circuit="converter", n=N_ENGINES, model="seu")
+    benchmark.pedantic(lambda: run_campaign(spec), rounds=1, iterations=1)
+    write_report(
+        results_dir,
+        "fault_campaign_engines",
+        f"Campaign engine choice (converter n={N_ENGINES}, exhaustive, "
+        f"workers=1, median of {ENGINE_TRIALS} warm campaigns), identical "
+        f"classification on both engines\n" + "\n".join(rows),
+        benchmark=benchmark,
+        data=data,
+    )
+
+
+def _iqr(values: list[float]) -> float:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q3 - q1
 
 
 def test_checked_mode_overhead(benchmark, results_dir):

@@ -891,9 +891,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine", default="auto",
         help="simulation backend: auto, interp, compiled or vector "
-        "(default: auto — fault-parallel compiled sweeps for stuck/seu "
-        "models, interpreter otherwise; vector packs thousands of "
-        "faults per sweep)",
+        "(default: auto — fault-parallel compiled passes for stuck/seu "
+        "models, interpreter otherwise; compiled packs 63 faults per "
+        "combinational sweep and up to 4095 per sequential pass, vector "
+        "4096 per pass)",
     )
     p.set_defaults(fn=_cmd_faults)
 

@@ -52,8 +52,8 @@ fingerprint is
 the SHA-256 of the canonical serialised form
 (:func:`repro.hdl.serialize.netlist_fingerprint`), so mutating a netlist
 through the builder API invalidates its kernel on the next call, while
-structurally identical netlists — e.g. the same circuit rebuilt inside a
-campaign worker — share one compilation.
+structurally identical netlists — e.g. the same circuit built by two
+independent callers — share one compilation.
 
 Fault patching
 --------------
@@ -65,8 +65,8 @@ A *patchable* kernel additionally emits, after every wire assignment::
 ``P`` maps wire → ``(keep, force)`` packed integer masks: lanes cleared
 in ``keep`` are overridden with the corresponding bit of ``force``.  That
 expresses *per-lane* stuck-at faults — the basis of fault-parallel
-campaigns, where :class:`PackedFaultPlan` packs one fault per lane next
-to a golden lane and a single sweep evaluates 63 faults at once.  The
+campaigns, where :class:`PackedFaultPlan` gives each fault its own lanes
+next to golden lanes and a single sweep evaluates many faults at once.  The
 patch hook costs one dict probe per wire, so the unpatched kernel is
 compiled without it.
 """
@@ -106,9 +106,10 @@ KERNEL_CACHE_LIMIT = 128
 
 #: Payload lanes per packed sweep quantum.  63 payload lanes plus one
 #: spare keep every packed wire value inside a single 64-bit word — the
-#: cheapest big-int a sweep can carry.  Fault-parallel campaigns spend
-#: the spare lane on the golden (fault-free) slot; the serving layer's
-#: micro-batcher coalesces up to this many requests into one sweep.
+#: cheapest big-int a sweep can carry.  Combinational fault-parallel
+#: campaigns pack 63 fault slots plus the golden (fault-free) slot per
+#: sweep; the serving layer's micro-batcher coalesces up to this many
+#: requests into one sweep.
 SWEEP_LANES = 63
 
 _COMPILE_WALL = _metrics.REGISTRY.histogram(

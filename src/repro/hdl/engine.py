@@ -17,8 +17,9 @@ of what an engine can host:
 field               meaning
 ==================  ====================================================
 ``sweep_lanes``     payload-lane quantum per sweep — the batch size the
-                    serving micro-batcher coalesces to and the slot
-                    budget fault-parallel campaigns pack against
+                    serving micro-batcher coalesces to; fault-parallel
+                    campaigns derive their pass widths from it (a
+                    compiled sequential pass is not capped at it)
 ``probes``          can attach a :class:`~repro.obs.probes.SimProbe`
                     (requires a materialised wire-value table)
 ``patch_masks``     per-lane stuck-at masks — uniform stuck overlays and

@@ -31,8 +31,9 @@ one vectorised ufunc per gate:
 
 The engine registers as ``backend="vector"`` with a
 4096-lane sweep quantum (:data:`VECTOR_SWEEP_LANES`): fault-parallel
-campaigns pack thousands of faults next to one golden lane per sweep
-instead of 63, and the serving layer admits batches to match.  ``auto``
+campaigns pack thousands of faults next to one golden slot per sweep
+(the compiled engine packs 63 per combinational sweep), and the serving
+layer admits batches to match.  ``auto``
 never picks it — NumPy ufunc dispatch costs more than a one-word bigint
 op at small batches — it is an explicit opt-in for wide sweeps.
 """

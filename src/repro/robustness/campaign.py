@@ -16,16 +16,20 @@ fault by comparing against the golden (fault-free) run:
 
 The campaign is itself sharded over the fault list via
 :func:`~repro.parallel.sharding.hardened_map_reduce`, so a slow or
-crashed worker costs a resubmitted shard, not the campaign.  Fault
-lists are rebuilt deterministically inside each worker from the
-campaign spec — nothing heavyweight crosses the pickle boundary.
+crashed worker costs a resubmitted shard, not the campaign.  Only the
+spec crosses the pickle boundary: every shard looks its netlist, fault
+sites and test vectors up in a per-process memo of that immutable plan
+(:func:`_plan`).  The top level fills it before sharding, so inline
+shards and fork-started workers plan nothing, and neither does a
+repeated campaign; a spawn-started worker rebuilds it from the spec.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,6 +96,12 @@ class CampaignSpec:
             raise CampaignConfigError("campaigns need n >= 2")
         if self.samples is not None and self.samples < 1:
             raise CampaignConfigError("samples must be >= 1 (or omitted)")
+        if self.test_count < 2:
+            raise CampaignConfigError(
+                "test_count must be >= 2 (indices 0 and n!-1 are always tested)"
+            )
+        if self.stream_length < 1:
+            raise CampaignConfigError("stream_length must be >= 1")
         if self.engine not in BACKENDS:
             raise CampaignConfigError(f"engine must be one of {BACKENDS}")
 
@@ -175,17 +185,24 @@ class CampaignResult:
 
 
 # --------------------------------------------------------------------- #
-# deterministic circuit / fault-list construction (worker-side too)
+# the campaign plan: deterministic in the spec, memoised per process
+
+#: Netlists and campaign plans each memo keeps (least recently used
+#: evicted first).  Entries are immutable and shared read-only: a
+#: netlist is never mutated by a campaign, fault sites are frozen
+#: dataclasses, and plans are tuples.
+_PLAN_MEMO = 32
 
 
-def _build_netlist(spec: CampaignSpec) -> Netlist:
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _build_netlist(circuit: str, n: int, pipelined: bool, optimized: bool) -> Netlist:
+    # imported per call (memo miss) so a wrapper around
+    # flow.build_circuit sees every build
     from repro.flow import build_circuit
     from repro.hdl.passes import PassManager
 
-    # SEUs need registers to hit: use the pipelined converter datapath.
-    pipelined = spec.circuit == "converter" and spec.model == "seu"
-    nl = build_circuit(spec.circuit, spec.n, pipelined=pipelined)
-    if spec.optimized:
+    nl = build_circuit(circuit, n, pipelined=pipelined)
+    if optimized:
         # Fault sites on the shipped (optimised) netlist: the same pass
         # pipeline the synthesis flow applies, so coverage numbers match
         # the circuit whose resources Tables III/IV report.
@@ -197,33 +214,55 @@ def _test_indices(spec: CampaignSpec) -> list[int]:
     """Converter test vectors: exhaustive for small n!, else seeded sample.
 
     The corner indices 0 and n!−1 are always included — they exercise
-    the all-zeros and all-maximal comparator patterns.
+    the all-zeros and all-maximal comparator patterns.  Past n = 20, n!
+    no longer fits an int64 draw, so indices come from exact rejection
+    sampling over the generator's random bytes.
     """
     limit = factorial(spec.n)
     if limit <= spec.test_count:
         return list(range(limit))
     rng = np.random.default_rng(spec.seed)
-    picks = rng.integers(0, limit, size=spec.test_count - 2, dtype=np.int64)
-    return [0, limit - 1] + [int(x) for x in picks]
+    count = spec.test_count - 2
+    if limit - 1 <= np.iinfo(np.int64).max:
+        picks = [int(x) for x in rng.integers(0, limit, size=count, dtype=np.int64)]
+    else:
+        bits = (limit - 1).bit_length()
+        nbytes, mask = (bits + 7) // 8, (1 << bits) - 1
+        picks = []
+        while len(picks) < count:
+            value = int.from_bytes(rng.bytes(nbytes), "little") & mask
+            if value < limit:
+                picks.append(value)
+    return [0, limit - 1] + picks
 
 
-def _seu_cycles(spec: CampaignSpec, nl: Netlist) -> tuple[int, ...]:
+def _seu_cycles(spec: CampaignSpec, indices: Sequence[int]) -> tuple[int, ...]:
     """Upset cycles: early, mid-stream and late — the pipeline (or LFSR
     warm-up) behaves differently at each."""
     if spec.circuit == "converter":
-        horizon = len(_test_indices(spec)) + max(0, spec.n - 1)
+        horizon = len(indices) + max(0, spec.n - 1)
     else:
         horizon = spec.stream_length
     return tuple(sorted({1, horizon // 2, max(1, horizon - 2)}))
 
 
-def fault_list(spec: CampaignSpec) -> list[Fault]:
-    """The campaign's fault universe, deterministic in ``spec`` alone."""
-    nl = _build_netlist(spec)
+class _Plan(NamedTuple):
+    netlist: Netlist
+    faults: tuple[Fault, ...]
+    indices: tuple[int, ...]  #: converter test vectors (none on the shuffle)
+
+
+@functools.lru_cache(maxsize=_PLAN_MEMO)
+def _plan(spec: CampaignSpec) -> _Plan:
+    """The attacked netlist, fault sites and test vectors of a campaign."""
+    # SEUs need registers to hit: use the pipelined converter datapath.
+    pipelined = spec.circuit == "converter" and spec.model == "seu"
+    nl = _build_netlist(spec.circuit, spec.n, pipelined, spec.optimized)
+    indices = tuple(_test_indices(spec)) if spec.circuit == "converter" else ()
     if spec.model == "stuck":
         sites: list[Fault] = list(stuck_fault_sites(nl))
     elif spec.model == "seu":
-        sites = list(seu_fault_sites(nl, _seu_cycles(spec, nl)))
+        sites = list(seu_fault_sites(nl, _seu_cycles(spec, indices)))
     else:
         budget = spec.samples if spec.samples is not None else 256
         sites = list(bridging_fault_sites(nl, budget, seed=spec.seed))
@@ -231,123 +270,149 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
         rng = np.random.default_rng(spec.seed)
         keep = rng.choice(len(sites), size=spec.samples, replace=False)
         sites = [sites[int(i)] for i in sorted(keep)]
-    return sites
+    return _Plan(nl, tuple(sites), indices)
 
 
-#: Lane budget per fault slot in a fault-parallel sweep: the slot count
-#: is capped so combinational campaigns with huge test-vector sets do
+def fault_list(spec: CampaignSpec) -> list[Fault]:
+    """The campaign's fault universe, deterministic in ``spec`` alone.
+
+    A fresh list on every call, so a caller may change it freely; the
+    sites behind it are planned once per process (see :func:`_plan`).
+    """
+    return list(_plan(spec).faults)
+
+
+#: Lane budget per fault slot in a combinational fault-parallel sweep:
+#: the slot count is capped so campaigns with huge test-vector sets do
 #: not explode one sweep's memory.  The packed engine's capability sets
-#: the slot ceiling — 63 faults + 1 golden slot into 4096 lanes on the
-#: compiled engine (one 64-bit word per packed lane-set), 4096 faults +
-#: 1 golden on the vector engine.
+#: the slot ceiling: 63 faults + 1 golden slot into 4096 lanes on the
+#: compiled engine, 4096 faults + 1 golden on the vector engine.  A
+#: sequential pass gives each slot one lane; there the compiled engine
+#: takes the same 4096-lane budget (4095 faults + 1 golden), since its
+#: bigint lanes have no width limit, and the vector engine its 4097
+#: slots.
 _LANES_PER_SLOT = 64
 
 
-class _Evaluator:
-    """Runs the circuit under a fault overlay and returns ``(B, n)`` rows.
+def _rows(outs: Mapping[str, np.ndarray], n: int) -> np.ndarray:
+    """Output buses ``out0..out{n-1}`` of one sweep as ``(lanes, n)`` int64."""
+    return np.stack(
+        [np.asarray(outs[f"out{t}"], dtype=np.int64) for t in range(n)], axis=1
+    )
 
-    Two evaluation modes share one classification path:
+
+class _Evaluator:
+    """Runs one campaign's (or shard's) sweeps; returns output rows.
+
+    Two evaluation modes share one classification rule
+    (:func:`_classify`):
 
     * **per-fault** (:meth:`run`) — one simulation per overlay, on
       whichever backend ``spec.engine`` selects;
     * **fault-parallel** (:meth:`run_packed`) — a mask-patching engine
-      packs one fault per bit-lane next to a golden lane
-      (:class:`~repro.hdl.compile.PackedFaultPlan`), so a single sweep
-      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once.
-      ``spec.engine="vector"`` runs the packed sweeps on the wide-lane
-      NumPy engine (4096 fault slots per sweep); every other
-      fault-parallel selection uses the compiled bigint engine (63).
+      packs one fault per slot of bit-lanes next to a golden slot
+      (:class:`~repro.hdl.compile.PackedFaultPlan`), so a single pass
+      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once:
+      ``spec.engine="vector"`` runs the passes on the wide-lane NumPy
+      engine, every other fault-parallel selection on the compiled
+      bigint engine (see :data:`_LANES_PER_SLOT` for the widths).
 
     Both produce bit-identical rows (the engines are equivalence-tested
     property-style), so campaign counts and example lists match exactly
-    regardless of mode.
+    regardless of mode.  The netlist and test vectors come from the
+    per-process plan memo; the combinational simulator is the
+    evaluator's own and serves every sweep it runs.
     """
 
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
-        self.netlist = _build_netlist(spec)
-        self.backend = spec.engine
+        self.netlist, _, self.indices = _plan(spec)
         if spec.circuit == "converter":
-            self.indices = _test_indices(spec)
             self.fill = (spec.n - 1) if spec.model == "seu" else 0
+            stream = [{"index": i} for i in self.indices]
+            stream += [{"index": 0}] * self.fill
         else:
-            self.indices = []
             self.fill = 1  # cycle 0 emits seed-state garbage (see knuth.py)
+            stream = [{}] * (spec.stream_length + self.fill)
+        #: per-cycle inputs of one sequential pass
+        self.stream: list[dict[str, int]] = stream
         self.combinational = spec.circuit == "converter" and spec.model != "seu"
-        if spec.circuit == "converter":
-            self.stream_len = len(self.indices) + self.fill
-        else:
-            self.stream_len = spec.stream_length + self.fill
         #: sweeps one per-fault evaluation costs
-        self.sweeps_per_run = 1 if self.combinational else self.stream_len
+        self.sweeps_per_run = 1 if self.combinational else len(stream)
         # Fault-parallel needs per-lane masks: stuck-at and SEU compile,
         # bridging reads aggressor values mid-sweep and cannot.
         self.fault_parallel = spec.engine != "interp" and spec.model in (
             "stuck",
             "seu",
         )
-        # Which mask-patching engine carries the packed sweeps: vector
-        # when explicitly requested, else the compiled bigint engine.
-        self.packed_backend = "vector" if spec.engine == "vector" else "compiled"
-        slots_cap = engine_capability(self.packed_backend).sweep_lanes + 1
-        if self.combinational:
-            per_fault = max(1, len(self.indices))
-            budget = _LANES_PER_SLOT * slots_cap
-            slots = max(2, min(slots_cap, budget // per_fault))
+        self.chunk_faults = 1
+        if not self.fault_parallel:
+            self.backend = spec.engine
         else:
-            slots = slots_cap
-        self.chunk_faults = slots - 1
+            # the mask-patching engine that carries the packed passes:
+            # vector when explicitly requested, else compiled bigints
+            self.backend = "vector" if spec.engine == "vector" else "compiled"
+            slots_cap = engine_capability(self.backend).sweep_lanes + 1
+            budget = _LANES_PER_SLOT * slots_cap
+            if self.combinational:
+                per_fault = max(1, len(self.indices))
+                slots = max(2, min(slots_cap, budget // per_fault))
+            elif self.backend == "compiled":
+                slots = budget
+            else:
+                slots = slots_cap
+            self.chunk_faults = slots - 1
+        self._comb: CombinationalSimulator | None = None
+
+    def _comb_sim(self) -> CombinationalSimulator:
+        if self._comb is None:
+            self._comb = CombinationalSimulator(self.netlist, backend=self.backend)
+        return self._comb
+
+    def _run_stream(self, batch: int, overlay) -> np.ndarray:
+        """One sequential pass: ``(lanes, cycles, n)`` outputs after fill."""
+        seq = SequentialSimulator(
+            self.netlist, batch=batch, overlay=overlay, backend=self.backend
+        )
+        frames = []
+        for cycle, inputs in enumerate(self.stream):
+            outs = seq.step(inputs)
+            if cycle >= self.fill:
+                frames.append(_rows(outs, self.spec.n))
+        return np.stack(frames, axis=1)
 
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
-        spec, nl = self.spec, self.netlist
+        """One per-fault evaluation: the ``(rows, n)`` outputs."""
         if self.combinational:
-            sim = CombinationalSimulator(nl, backend=self.backend)
-            outs = sim.run({"index": self.indices}, overlay=overlay)
-            rows = np.empty((len(self.indices), spec.n), dtype=np.int64)
-            for t in range(spec.n):
-                rows[:, t] = [int(v) for v in outs[f"out{t}"]]
-            return rows
-        # sequential paths: pipelined converter or the shuffle cascade
-        seq = SequentialSimulator(nl, batch=1, overlay=overlay, backend=self.backend)
-        if spec.circuit == "converter":
-            stream = self.indices + [0] * self.fill
-        else:
-            stream = [None] * (spec.stream_length + self.fill)
-        rows = []
-        for cycle, value in enumerate(stream):
-            outs = seq.step({} if value is None else {"index": value})
-            if cycle >= self.fill:
-                rows.append([int(outs[f"out{t}"][0]) for t in range(spec.n)])
-        return np.asarray(rows, dtype=np.int64)
+            outs = self._comb_sim().run({"index": self.indices}, overlay=overlay)
+            return _rows(outs, self.spec.n)
+        return self._run_stream(1, overlay)[0]
 
     def run_packed(
         self, chunk: Sequence[Fault]
-    ) -> tuple[list[np.ndarray], np.ndarray, int]:
-        """One fault-parallel evaluation of up to ``chunk_faults`` sites.
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """One fault-parallel pass over up to ``chunk_faults`` sites.
 
-        Returns ``(per-fault rows, golden rows, sweeps)``: slot 0 of the
-        packed batch carries the fault-free circuit, slot ``s`` carries
-        ``chunk[s-1]``.
+        Returns ``(golden, cube, sweeps)``: slot 0 of the packed batch
+        carries the fault-free circuit, whose ``(rows, n)`` outputs are
+        ``golden``; ``cube[s]`` holds the rows of ``chunk[s]``, so
+        ``cube`` is ``(faults, rows, n)``.
         """
-        spec, nl = self.spec, self.netlist
-        n, slots = spec.n, len(chunk) + 1
+        n, slots = self.spec.n, len(chunk) + 1
         if self.combinational:
             per_fault = len(self.indices)
-            lanes = slots * per_fault
-            plan = PackedFaultPlan(lanes)
+            plan = PackedFaultPlan(slots * per_fault)
             for s, fault in enumerate(chunk, start=1):
                 assert isinstance(fault, StuckAtFault)
                 plan.stick(
                     fault.wire, fault.value, slice(s * per_fault, (s + 1) * per_fault)
                 )
-            sim = CombinationalSimulator(nl, backend=self.packed_backend)
-            outs = sim.run({"index": list(self.indices) * slots}, overlay=plan)
-            cols = np.empty((lanes, n), dtype=np.int64)
-            for t in range(n):
-                cols[:, t] = outs[f"out{t}"].astype(np.int64)
-            cube = cols.reshape(slots, per_fault, n)
-            return [cube[s] for s in range(1, slots)], cube[0], 1
-        # sequential: one lane per slot, whole stream in one pass
+            outs = self._comb_sim().run(
+                {"index": self.indices * slots}, overlay=plan
+            )
+            cube = _rows(outs, n).reshape(slots, per_fault, n)
+            return cube[0], cube[1:], 1
+        # sequential: one lane per slot, the whole stream in one pass
         plan = PackedFaultPlan(slots)
         for s, fault in enumerate(chunk, start=1):
             if isinstance(fault, StuckAtFault):
@@ -355,33 +420,21 @@ class _Evaluator:
             else:
                 assert isinstance(fault, SEUFault)
                 plan.upset(fault.register, fault.cycle, [s])
-        seq = SequentialSimulator(
-            nl, batch=slots, overlay=plan, backend=self.packed_backend
-        )
-        if spec.circuit == "converter":
-            stream = self.indices + [0] * self.fill
-        else:
-            stream = [None] * (spec.stream_length + self.fill)
-        frames = []
-        for cycle, value in enumerate(stream):
-            outs = seq.step({} if value is None else {"index": value})
-            if cycle >= self.fill:
-                frame = np.empty((slots, n), dtype=np.int64)
-                for t in range(n):
-                    frame[:, t] = outs[f"out{t}"].astype(np.int64)
-                frames.append(frame)
-        cube = np.stack(frames)  # (cycles, slots, n)
-        return [cube[:, s, :] for s in range(1, slots)], cube[:, 0, :], len(stream)
+        cube = self._run_stream(slots, plan)
+        return cube[0], cube[1:], len(self.stream)
 
 
-def _classify(golden: np.ndarray, faulty: np.ndarray, n: int) -> str:
-    if np.array_equal(golden, faulty):
-        return "benign"
-    expected = np.arange(n, dtype=np.int64)
-    valid = np.array_equal(
-        np.sort(faulty, axis=1), np.broadcast_to(expected, faulty.shape)
-    )
-    return "silent" if valid else "detected"
+def _classify(golden: np.ndarray, cube: np.ndarray, n: int) -> np.ndarray:
+    """Class of every fault in a ``(faults, rows, n)`` output cube.
+
+    Returns indices into :data:`_CLASSES`: benign when all of a fault's
+    rows equal ``golden``, silent when some differ yet every row is
+    still a permutation of ``0..n-1``, detected otherwise.
+    """
+    faults = cube.shape[0]
+    changed = (cube != golden).reshape(faults, -1).any(axis=1)
+    valid = (np.sort(cube, axis=2) == np.arange(n)).reshape(faults, -1).all(axis=1)
+    return np.where(changed, np.where(valid, 2, 1), 0)
 
 
 # --------------------------------------------------------------------- #
@@ -389,40 +442,40 @@ def _classify(golden: np.ndarray, faulty: np.ndarray, n: int) -> str:
 
 
 class _CampaignWork:
-    """Picklable per-shard worker: rebuilds everything from the spec."""
+    """Picklable per-shard worker: looks its plan up by spec."""
 
     def __init__(self, spec: CampaignSpec):
         self.spec = spec
 
     def __call__(self, shard: ShardSpec) -> dict:
-        faults = fault_list(self.spec)
+        faults = _plan(self.spec).faults[shard.start : shard.stop]
         ev = _Evaluator(self.spec)
+        n = self.spec.n
         counts = {k: 0 for k in _CLASSES}
         examples: dict[str, list[str]] = {k: [] for k in _CLASSES}
         sweeps = 0
 
-        def record(fault: Fault, klass: str) -> None:
-            counts[klass] += 1
-            if len(examples[klass]) < 3:
-                examples[klass].append(fault.describe(ev.netlist))
+        def record(chunk: Sequence[Fault], classes: np.ndarray) -> None:
+            for k, klass in enumerate(_CLASSES):
+                hits = np.flatnonzero(classes == k)
+                counts[klass] += len(hits)
+                for i in hits[: 3 - len(examples[klass])]:
+                    examples[klass].append(chunk[i].describe(ev.netlist))
 
-        shard_faults = [faults[i] for i in shard]
         if ev.fault_parallel:
             size = ev.chunk_faults
-            for off in range(0, len(shard_faults), size):
-                chunk = shard_faults[off : off + size]
-                faulty_rows, golden, cost = ev.run_packed(chunk)
+            for off in range(0, len(faults), size):
+                chunk = faults[off : off + size]
+                golden, cube, cost = ev.run_packed(chunk)
                 sweeps += cost
-                for fault, rows in zip(chunk, faulty_rows):
-                    record(fault, _classify(golden, rows, self.spec.n))
+                record(chunk, _classify(golden, cube, n))
         else:
             golden = ev.run(None)
             sweeps += ev.sweeps_per_run
-            for fault in shard_faults:
-                overlay = FaultOverlay([fault], ev.netlist)
-                klass = _classify(golden, ev.run(overlay), self.spec.n)
+            for fault in faults:
+                rows = ev.run(FaultOverlay([fault], ev.netlist))
                 sweeps += ev.sweeps_per_run
-                record(fault, klass)
+                record((fault,), _classify(golden, rows[None], n))
         return {"counts": counts, "examples": examples, "sweeps": sweeps}
 
 
@@ -460,17 +513,20 @@ def run_campaign(
     runner, so every shard attempt becomes a child span.
     """
     t0 = time.perf_counter()
+    # plans the campaign (or finds it in the memo) before any shard runs,
+    # so shards and fork-started workers inherit the plan
     faults = fault_list(spec)
     if not faults:
         raise ValueError(f"no {spec.model} fault sites in the {spec.circuit} netlist")
     ev = _Evaluator(spec)
     test_vectors = len(ev.indices) if spec.circuit == "converter" else spec.stream_length
-    engine_used = ev.packed_backend if ev.fault_parallel else spec.engine
+    engine_used = ev.backend
     # Never cut the fault list finer than one packed chunk per shard
-    # when a wide-lane engine could fit the whole campaign in one sweep
-    # — dicing it into per-worker slivers would waste its lanes.  The
-    # compiled engine keeps the historical 4-shards-per-worker split
-    # (its 63-fault chunks already align with it).
+    # when a wide pass (vector, or a compiled sequential pass) could fit
+    # the whole campaign — dicing it into per-worker slivers would waste
+    # its lanes and repeat the stream once per sliver.  Compiled
+    # combinational campaigns keep the historical 4-shards-per-worker
+    # split (their 63-fault chunks already align with it).
     want = max(1, workers) * 4
     if ev.fault_parallel and ev.chunk_faults > SWEEP_LANES:
         want = min(want, -(-len(faults) // ev.chunk_faults))

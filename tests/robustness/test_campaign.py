@@ -1,14 +1,26 @@
 """Campaign runner: classification, determinism, sharded execution."""
 
+import multiprocessing
+import os
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro import flow
+from repro.core.factorial import factorial
+from repro.errors import CampaignConfigError
+from repro.robustness import campaign
 from repro.robustness.campaign import (
     CampaignSpec,
     fault_list,
     run_campaign,
 )
 from repro.robustness.faults import SEUFault, StuckAtFault
+
+
+def _signature(res):
+    return (res.total, res.benign, res.detected, res.silent, res.examples)
 
 
 class TestSpec:
@@ -20,6 +32,35 @@ class TestSpec:
         with pytest.raises(ValueError):
             CampaignSpec(n=1)
 
+    @pytest.mark.parametrize(
+        "field", [{"test_count": 0}, {"test_count": 1}, {"stream_length": 0}]
+    )
+    def test_rejects_empty_test_streams(self, field):
+        with pytest.raises(CampaignConfigError):
+            CampaignSpec(**field)
+        with pytest.raises(CampaignConfigError):
+            CampaignSpec(circuit="shuffle", model="seu", **field)
+
+    def test_test_indices_exact_past_int64(self):
+        """21! > 2**63: draws are exact Python ints below n!, not int64."""
+        for n in (21, 25):
+            spec = CampaignSpec(n=n, seed=3)
+            limit = factorial(n)
+            indices = campaign._test_indices(spec)
+            assert len(indices) == spec.test_count
+            assert indices[:2] == [0, limit - 1]
+            assert all(0 <= i < limit for i in indices)
+            assert max(indices[2:]) > 2**63  # drawn over the whole range
+            assert indices == campaign._test_indices(spec)
+
+    def test_test_indices_unchanged_up_to_n20(self):
+        spec = CampaignSpec(n=20, seed=11)
+        draws = np.random.default_rng(11).integers(
+            0, factorial(20), size=62, dtype=np.int64
+        )
+        expected = [0, factorial(20) - 1] + [int(x) for x in draws]
+        assert campaign._test_indices(spec) == expected
+
     def test_fault_list_deterministic(self):
         spec = CampaignSpec(circuit="converter", n=4, model="bridge", samples=20)
         assert fault_list(spec) == fault_list(spec)
@@ -29,6 +70,92 @@ class TestSpec:
         sampled = fault_list(CampaignSpec(n=4, model="stuck", samples=10))
         assert len(sampled) == 10
         assert set(sampled) <= set(full)
+
+
+class TestClassify:
+    @staticmethod
+    def _one_fault(golden, rows, n):
+        """The classification rule applied to a single fault's rows."""
+        if np.array_equal(golden, rows):
+            return "benign"
+        perms = np.broadcast_to(np.arange(n), rows.shape)
+        return "silent" if np.array_equal(np.sort(rows, axis=1), perms) else "detected"
+
+    def test_bulk_matches_per_fault_rule(self, rng):
+        n, rows = 5, 7
+        golden = np.array([rng.permutation(n) for _ in range(rows)])
+        cube = np.repeat(golden[None], 60, axis=0)
+        for f in range(20, 40):  # one row re-permuted: silent (or benign)
+            cube[f, rng.integers(rows)] = rng.permutation(n)
+        for f in range(40, 60):  # one element duplicated: detected
+            r, t = rng.integers(rows), rng.integers(n)
+            cube[f, r, t] = cube[f, r, (t + 1) % n]
+        got = [campaign._CLASSES[k] for k in campaign._classify(golden, cube, n)]
+        want = [self._one_fault(golden, cube[f], n) for f in range(len(cube))]
+        assert got == want
+        assert set(want) == {"benign", "detected", "silent"}
+
+
+class TestPlanMemo:
+    """Netlists and fault lists are planned once per process."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count flow.build_circuit calls; start from an empty memo.
+
+        A build inside a worker process raises, failing its shard.
+        """
+        calls = []
+        build = flow.build_circuit
+        home = os.getpid()
+
+        def counting(circuit, n, *, pipelined=False):
+            if os.getpid() != home:
+                raise RuntimeError("a worker process rebuilt the netlist")
+            calls.append((circuit, n, pipelined))
+            return build(circuit, n, pipelined=pipelined)
+
+        monkeypatch.setattr(flow, "build_circuit", counting)
+        campaign._build_netlist.cache_clear()
+        campaign._plan.cache_clear()
+        yield calls
+        campaign._build_netlist.cache_clear()
+        campaign._plan.cache_clear()
+
+    def test_one_build_per_netlist_and_none_on_repeat(self, builds):
+        specs = [
+            CampaignSpec(n=4, model="stuck"),  # 4 inline shards
+            CampaignSpec(n=4, model="seu"),  # the pipelined netlist
+            CampaignSpec(n=4, model="bridge", samples=8),  # reuses stuck's
+        ]
+        first = [_signature(run_campaign(s)) for s in specs]
+        assert sorted(builds) == [
+            ("converter", 4, False),
+            ("converter", 4, True),
+        ]
+        builds.clear()
+        assert [_signature(run_campaign(s)) for s in specs] == first
+        assert builds == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="workers inherit the plan only when forked",
+    )
+    def test_forked_workers_inherit_the_plan(self, builds):
+        spec = CampaignSpec(n=4, model="stuck", samples=30)
+        res = run_campaign(spec, workers=2)  # 8 shards in worker processes
+        assert res.failed_shards == 0 and res.total == 30
+        assert builds == [("converter", 4, False)]
+
+    def test_mutating_fault_list_leaves_next_campaign(self):
+        spec = CampaignSpec(n=4, model="stuck", samples=20)
+        before = _signature(run_campaign(spec))
+        faults = fault_list(spec)
+        pristine = list(faults)
+        faults.reverse()
+        faults.append(StuckAtFault(wire=0, value=True))
+        assert fault_list(spec) == pristine
+        assert _signature(run_campaign(spec)) == before
 
 
 class TestConverterCampaign:
@@ -90,6 +217,35 @@ class TestEngineIdentity:
         assert a.engine == "interp" and b.engine == "compiled"
         # fault-parallelism: far fewer sweeps than one-per-fault
         assert 0 < b.sweeps < a.sweeps
+
+    @pytest.mark.parametrize(
+        "circuit,samples,stream",
+        [
+            ("converter", None, 24 + 3),  # 87 faults; 4! vectors + fill
+            ("shuffle", 120, 16 + 1),  # stream_length + seed-state cycle
+        ],
+    )
+    def test_wide_sequential_pass(self, circuit, samples, stream):
+        """Compiled SEU campaigns wider than 64 lanes run in one pass and
+        classify exactly as the interpreter and the vector engine do."""
+        spec = CampaignSpec(circuit=circuit, n=4, model="seu", samples=samples)
+
+        def run(engine, workers):
+            return run_campaign(replace(spec, engine=engine), workers=workers)
+
+        ref = run("interp", 1)
+        assert ref.total > 64
+        for engine, workers in [
+            ("interp", 2),
+            ("compiled", 1),
+            ("compiled", 2),
+            ("vector", 1),
+            ("vector", 2),
+        ]:
+            res = run(engine, workers)
+            assert _signature(res) == _signature(ref), (engine, workers)
+            if engine == "compiled":
+                assert res.sweeps == stream, workers
 
     def test_auto_resolves_to_fault_parallel(self):
         res = run_campaign(CampaignSpec(n=4, model="stuck", samples=12))

@@ -329,6 +329,14 @@ class TestFaultsCommand:
         assert main(["faults", "4", "--samples", "16", "--workers", "2"]) == 0
         assert "coverage" in capsys.readouterr().out
 
+    def test_index_bus_past_int64(self, capsys):
+        """21! > 2**63: test vectors are drawn exactly, not as int64."""
+        argv = ["--quiet", "faults", "21", "--model", "stuck", "--samples", "2"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "converter n=21" in out
+        assert "test vectors per fault: 64" in out
+
 
 class TestValidateCommand:
     ARGS = ["validate", "--n", "5", "--samples", "4096", "--block", "2048",
