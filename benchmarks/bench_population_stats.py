@@ -16,6 +16,10 @@ same deterministic campaign through ``interp``, ``compiled`` and
    at a 2²⁰-lane block; a 10⁸-permutation campaign would configure
    the same.
 
+It also records both packed engines at ``repro validate``'s default
+4096-permutation block, where consecutive blocks share one
+``SWEEP_LANES``-lane sweep, and requires their states to be identical.
+
 Smoke mode (``REPRO_BENCH_SMOKE=1``, used by CI) shrinks the campaign
 to blocks far below the vector crossover, so it only requires vector
 not to *lose badly*; the identity assertion is unconditional.
@@ -26,7 +30,12 @@ import time
 
 from conftest import write_report
 
-from repro.analysis.stream import CampaignConfig, PopulationStats, stream_blocks
+from repro.analysis.stream import (
+    SWEEP_LANES,
+    CampaignConfig,
+    PopulationStats,
+    stream_blocks,
+)
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 N = 6 if SMOKE else 8
@@ -37,17 +46,34 @@ MIN_VECTOR_RATIO = 0.5 if SMOKE else 1.0
 ENGINES = ("interp", "compiled", "vector")
 # interp walks the gate list per cycle — cap its share of the campaign
 INTERP_SAMPLES = min(SAMPLES, 8_192)
+# the `repro validate --block` default, on the packed engines
+DEFAULT_BLOCK = 4_096
+DEFAULT_SAMPLES = 16_384 if SMOKE else 1_048_576
+DEFAULT_ENGINES = ("compiled", "vector")
 
 
-def _campaign(engine: str, samples: int) -> tuple[float, PopulationStats]:
+def _campaign(
+    engine: str, samples: int, block: int = BLOCK
+) -> tuple[float, PopulationStats]:
     cfg = CampaignConfig(
-        n=N, samples=samples, block=BLOCK, engine=engine, source="lfsr"
+        n=N, samples=samples, block=block, engine=engine, source="lfsr"
     ).validated()
     stats = PopulationStats.fresh(cfg)
     t0 = time.perf_counter()
     for perms in stream_blocks(cfg, range(cfg.total_blocks)):
         stats.update(perms)
     return time.perf_counter() - t0, stats
+
+
+def _best_of(
+    engine: str, samples: int, block: int = BLOCK
+) -> tuple[float, PopulationStats]:
+    """Fastest wall time of ``TRIALS`` runs, with the last run's stats."""
+    best = float("inf")
+    for _ in range(TRIALS):
+        wall_s, stats = _campaign(engine, samples, block)
+        best = min(best, wall_s)
+    return best, stats
 
 
 def test_population_stats_throughput(benchmark, results_dir):
@@ -60,14 +86,17 @@ def test_population_stats_throughput(benchmark, results_dir):
     rates: dict[str, float] = {}
     for engine in ENGINES:
         samples = INTERP_SAMPLES if engine == "interp" else SAMPLES
-        best = None
-        for _ in range(TRIALS):
-            wall_s, stats = _campaign(engine, samples)
-            if best is None or wall_s < best:
-                best = wall_s
-        wall[engine] = best
-        rates[engine] = stats.samples / best
+        wall[engine], stats = _best_of(engine, samples)
+        rates[engine] = stats.samples / wall[engine]
         states[engine] = stats.state_dict()
+
+    default_wall: dict[str, float] = {}
+    default_states: dict[str, dict] = {}
+    for engine in DEFAULT_ENGINES:
+        default_wall[engine], stats = _best_of(engine, DEFAULT_SAMPLES, DEFAULT_BLOCK)
+        default_states[engine] = stats.state_dict()
+    assert default_states["vector"] == default_states["compiled"]
+    default_rates = {e: DEFAULT_SAMPLES / w for e, w in default_wall.items()}
 
     # engine invariance on the common prefix: rerun the interp-sized
     # campaign under the packed engines and require identical state
@@ -98,6 +127,15 @@ def test_population_stats_throughput(benchmark, results_dir):
         f"vector/compiled speedup: {rates['vector'] / rates['compiled']:.2f}x  "
         "(accumulator state bit-identical across all engines)"
     )
+    lines.append(
+        f"at the validate default block={DEFAULT_BLOCK} "
+        f"({SWEEP_LANES}-lane sweeps, state bit-identical):"
+    )
+    for engine in DEFAULT_ENGINES:
+        lines.append(
+            f"{engine:<10} {DEFAULT_SAMPLES:>10,} {default_wall[engine]:>9.3f} "
+            f"{default_rates[engine]:>12,.0f}"
+        )
     text = "\n".join(lines)
     print("\n" + text)
 
@@ -119,6 +157,18 @@ def test_population_stats_throughput(benchmark, results_dir):
             },
             "vector_vs_compiled_speedup_x": rates["vector"] / rates["compiled"],
             "state_bit_identical": True,
+            "default_block": {
+                "block": DEFAULT_BLOCK,
+                "sweep_lanes": SWEEP_LANES,
+                "engines": {
+                    engine: {
+                        "samples": DEFAULT_SAMPLES,
+                        "wall_s": default_wall[engine],
+                        "perms_per_s": default_rates[engine],
+                    }
+                    for engine in DEFAULT_ENGINES
+                },
+            },
         },
         benchmark=benchmark,
     )

@@ -247,6 +247,14 @@ class CampaignConfig:
 # the permutation stream
 # --------------------------------------------------------------------- #
 
+#: Lane budget of one engine sweep in :func:`stream_blocks`: consecutive
+#: blocks of a shard are converted together up to this many lanes.  At
+#: n = 8 on the vector engine an 8192-lane sweep costs 0.53–0.63× the
+#: pack + kernel + unpack time per permutation of a 4096-lane one for
+#: ~0.5 MB more peak memory; 16384 lanes cost ~0.41× for ~2.9 MB
+#: (DESIGN.md §15).
+SWEEP_LANES = 8192
+
 #: Per-process memo of prepared converter entries: kernel compilation
 #: and engine resolution happen once per (n, backend) per worker.
 _ENTRY_CACHE: dict[tuple[int, str], Any] = {}
@@ -286,20 +294,34 @@ def stream_blocks(
 ) -> Iterator[np.ndarray]:
     """Lazily yield one ``(block, n)`` permutation array per block id.
 
-    The converter netlist is swept through the configured engine with
-    ``materialize=False`` — outputs stay in the engine's packed lane
-    form until the ``n`` element buses are read back column-wise; no
-    larger-than-block array ever exists.
+    Consecutive blocks share one engine sweep, as many as fit in
+    :data:`SWEEP_LANES` lanes and at least one: their indices are drawn
+    block by block, as the block seeding requires, and converted in one
+    :meth:`~repro.hdl.simulator.BatchEntry.run`.
+    The sweep's ``n`` element buses are read back column-wise into one
+    column-major array, and each block is yielded as a row slice of it
+    — so every column a consumer reads is contiguous.  Outputs stay in
+    the engine's packed lane form (``materialize=False``) until read;
+    no array larger than one sweep ever exists.
     """
     entry = _entry_for(cfg.n, cfg.engine)
     ids = list(block_ids)
-    inputs = ({"index": _block_indices(cfg, b)} for b in ids)
-    sizes = (cfg.block_size(b) for b in ids)
-    for outs, size in zip(entry.run_stream(inputs, materialize=False), sizes):
-        perms = np.empty((size, cfg.n), dtype=np.int64)
+    # no block is longer than cfg.block, so this many always fit
+    per_sweep = max(1, SWEEP_LANES // cfg.block)
+    groups = [ids[i : i + per_sweep] for i in range(0, len(ids), per_sweep)]
+    inputs = (
+        {"index": np.concatenate([_block_indices(cfg, b) for b in group])}
+        for group in groups
+    )
+    for outs, group in zip(entry.run_stream(inputs, materialize=False), groups):
+        sizes = [cfg.block_size(b) for b in group]
+        perms = np.empty((sum(sizes), cfg.n), dtype=np.int64, order="F")
         for t in range(cfg.n):
             perms[:, t] = outs[f"out{t}"]
-        yield perms
+        lo = 0
+        for size in sizes:
+            yield perms[lo : lo + size]
+            lo += size
 
 
 # --------------------------------------------------------------------- #
@@ -389,7 +411,7 @@ class FixedPointAccumulator:
         self.hist = np.zeros(n + 1, dtype=np.int64)
 
     def update(self, perms: np.ndarray) -> None:
-        fixed = (perms == np.arange(self.n, dtype=np.int64)).sum(axis=1)
+        fixed = np.count_nonzero(perms == np.arange(self.n, dtype=np.int64), axis=1)
         self.hist += np.bincount(fixed, minlength=self.n + 1)
 
     def state_dict(self) -> dict:
@@ -456,19 +478,23 @@ class SerialCorrelationAccumulator:
         self.sums = {lag: [0, 0, 0, 0, 0, 0] for lag in self.lags}
 
     def update(self, perms: np.ndarray) -> None:
-        v = perms[:, 0]
+        v = perms[:, 0].astype(np.int64, copy=False)
+        size = len(v)
+        # x = v[:-lag] and y = v[lag:]: their sums are the block's sums
+        # less the lag-length tail or head
+        total = int(v.sum())
+        squares = int(np.dot(v, v))
         for lag in self.lags:
-            if len(v) <= lag:
+            if size <= lag:
                 continue
-            x = v[:-lag]
-            y = v[lag:]
+            head, tail = v[:lag], v[size - lag :]
             s = self.sums[lag]
-            s[0] += len(x)
-            s[1] += int(x.sum())
-            s[2] += int(y.sum())
-            s[3] += int((x * x).sum())
-            s[4] += int((y * y).sum())
-            s[5] += int((x * y).sum())
+            s[0] += size - lag
+            s[1] += total - int(tail.sum())
+            s[2] += total - int(head.sum())
+            s[3] += squares - int(np.dot(tail, tail))
+            s[4] += squares - int(np.dot(head, head))
+            s[5] += int(np.dot(v[:-lag], v[lag:]))
 
     def state_dict(self) -> dict:
         return {

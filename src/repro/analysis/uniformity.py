@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.analysis.special import chi2_survival
 from repro.core.factorial import factorial
-from repro.core.lehmer import lehmer_digit_batch, rank_batch
+from repro.core.lehmer import lehmer_digit_columns, rank_batch
 from repro.errors import CellBudgetError
 
 __all__ = [
@@ -186,22 +186,23 @@ def rank_bucket_counts(
 
     Computed digit-wise — ``Σ dᵢ·((n−1−i)! mod m) mod m`` — so no
     bigint rank is ever formed and any ``n`` works.  Per-term products
-    are ≤ n·m < 2⁶³/B for every realistic shape, so the int64 row sums
-    are exact.
+    are ≤ n·m, so the int64 row sums are exact.  The sum is accumulated
+    column by column as :func:`~repro.core.lehmer.lehmer_digit_columns`
+    produces the digits, in one pass over ``perms`` (contiguous when it
+    is column-major, as :func:`repro.analysis.stream.stream_blocks`
+    yields it).
     """
     p = np.asarray(perms)
     if p.ndim != 2:
         raise ValueError("expected a (B, n) array")
-    n = p.shape[1]
+    b, n = p.shape
     m = int(buckets)
     if m < 2:
         raise ValueError("need at least two buckets")
-    digits = lehmer_digit_batch(p, validate=validate)
-    weights = np.array(
-        [factorial(n - 1 - i) % m for i in range(n)], dtype=np.int64
-    )
-    residues = (digits * weights).sum(axis=1) % m
-    return np.bincount(residues, minlength=m)
+    total = np.zeros(b, dtype=np.int64)
+    for i, digits in enumerate(lehmer_digit_columns(p, validate=validate)):
+        total += digits * (factorial(n - 1 - i) % m)
+    return np.bincount(total % m, minlength=m)
 
 
 def bucket_null_probabilities(n: int, buckets: int) -> np.ndarray:

@@ -818,7 +818,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=31, help="LFSR width (default: 31)")
     p.add_argument(
         "--block", type=int, default=4096,
-        help="lanes per sweep; the determinism quantum (default: 4096)",
+        help="permutations per block, the determinism quantum: each block "
+        "draws from its own seeded source, and consecutive blocks share "
+        "an engine sweep (default: 4096)",
     )
     p.add_argument(
         "--buckets", type=int, default=4093,

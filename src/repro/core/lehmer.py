@@ -21,7 +21,7 @@ with lexicographic order: index 0 ↦ identity, index n!−1 ↦ reversal.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "unrank_batch",
     "rank_batch",
     "lehmer_digit_batch",
+    "lehmer_digit_columns",
     "lehmer_digits",
     "permutation_from_lehmer",
 ]
@@ -219,6 +220,36 @@ def _rank_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
     return cached
 
 
+def _perm_rows(perms: np.ndarray, validate: bool) -> np.ndarray:
+    """``perms`` as a ``(B, n)`` int64 array, its rows checked to be
+    permutations of ``0..n−1`` when ``validate``."""
+    p = np.asarray(perms, dtype=np.int64)
+    if p.ndim != 2:
+        raise ValueError("expected a (B, n) array")
+    if validate:
+        b, n = p.shape
+        expected = np.broadcast_to(np.arange(n, dtype=np.int64), (b, n))
+        if not np.array_equal(np.sort(p, axis=1), expected):
+            raise InvalidPermutationError("rows are not permutations of 0..n-1")
+    return p
+
+
+def _popcount_digits(p: np.ndarray) -> Iterator[np.ndarray]:
+    """Digit columns of ``p`` from one O(B·n) popcount sweep: a running
+    bitmask of seen elements per row; the digit is ``p_i`` minus the
+    count of seen elements below it.  Needs ``np.bitwise_count`` and
+    ``n ≤ 64``."""
+    b, n = p.shape
+    dtype = np.uint32 if n <= 32 else np.uint64
+    one = dtype(1)
+    seen = np.zeros(b, dtype=dtype)
+    for i in range(n):
+        col = p[:, i]
+        bit = one << col.astype(dtype)
+        yield col - np.bitwise_count(seen & (bit - one))
+        seen |= bit
+
+
 def lehmer_digit_batch(perms: np.ndarray, *, validate: bool = True) -> np.ndarray:
     """Vectorised Lehmer digits of a ``(B, n)`` array → ``(B, n)`` int64.
 
@@ -236,33 +267,36 @@ def lehmer_digit_batch(perms: np.ndarray, *, validate: bool = True) -> np.ndarra
     callers that have already established it; on arbitrary input the
     digits would still be computed but mean nothing.
     """
-    p = np.asarray(perms, dtype=np.int64)
-    if p.ndim != 2:
-        raise ValueError("expected a (B, n) array")
+    p = _perm_rows(perms, validate)
     b, n = p.shape
-    if validate:
-        expected = np.arange(n, dtype=np.int64)
-        if not np.array_equal(np.sort(p, axis=1), np.broadcast_to(expected, (b, n))):
-            raise InvalidPermutationError("rows are not permutations of 0..n-1")
     if _HAS_BITWISE_COUNT and n <= 64:
-        # O(B·n) popcount sweep: a running bitmask of seen elements per
-        # row; the digit is p_i minus the count of seen elements below
-        # it.  ~3× the (B, n, n) cube's throughput at population-scale
-        # batch sizes (and n² → n memory), bit-identical output.
-        dtype = np.uint32 if n <= 32 else np.uint64
-        one = dtype(1)
-        seen = np.zeros(b, dtype=dtype)
+        # the popcount sweep: ~3× the (B, n, n) cube's throughput at
+        # population-scale batch sizes (and n² → n memory), bit-identical
         out = np.empty((b, n), dtype=np.int64)
-        for i in range(n):
-            col = p[:, i].astype(dtype)
-            bit = one << col
-            out[:, i] = p[:, i] - np.bitwise_count(seen & (bit - one))
-            seen |= bit
+        for i, digits in enumerate(_popcount_digits(p)):
+            out[:, i] = digits
         return out
     strictly_before = np.tri(n, k=-1, dtype=bool)  # [i, j] = j < i
     # smaller_used[b, i] = |{j < i : p[b, j] < p[b, i]}|
     earlier_smaller = p[:, None, :] < p[:, :, None]  # [b, i, j] = p_j < p_i
     return p - (earlier_smaller & strictly_before).sum(axis=2)
+
+
+def lehmer_digit_columns(
+    perms: np.ndarray, *, validate: bool = True
+) -> Iterator[np.ndarray]:
+    """The columns of :func:`lehmer_digit_batch`, position 0 first.
+
+    With ``np.bitwise_count`` (NumPy ≥ 2.0) and ``n ≤ 64`` each column
+    is one step of the popcount sweep, so a caller that folds the
+    columns as they come never holds the ``(B, n)`` digit matrix;
+    otherwise the matrix is built and its columns returned.  A
+    column-major ``perms`` makes every column read contiguous.
+    """
+    p = _perm_rows(perms, validate)
+    if _HAS_BITWISE_COUNT and p.shape[1] <= 64:
+        return _popcount_digits(p)
+    return iter(lehmer_digit_batch(p, validate=False).T)
 
 
 def rank_batch(perms: np.ndarray, *, validate: bool = True) -> np.ndarray:

@@ -672,12 +672,13 @@ class BatchEntry:
         A generator over :meth:`run` — one sweep per batch, yielded as
         it completes, with ``materialize=False`` by default so outputs
         stay in the engine's packed lane form until the consumer reads
-        a bus.  This is the population-scale analysis contract
-        (:mod:`repro.analysis.stream`): at no point do more than one
-        batch's inputs or outputs exist, so a 10⁸-permutation campaign
-        holds O(batch) memory regardless of length.  The input iterable
-        is itself consumed lazily — feeding a generator keeps even the
-        *input* indices from materialising campaign-wide.
+        a bus.  The input iterable is consumed one batch per sweep, so
+        a generator input and a consumer that drops each result before
+        asking for the next hold one sweep's inputs and outputs at a
+        time.  That is the population-scale analysis contract
+        (:mod:`repro.analysis.stream`, whose sweeps carry several
+        campaign blocks each): a 10⁸-permutation campaign holds
+        O(sweep) memory regardless of length.
         """
         for inputs in input_batches:
             yield self.run(inputs, materialize=materialize)

@@ -6,10 +6,11 @@ call, which would invalidate the very latencies this repo measures.
 every ``interval_s``, grabs a snapshot of every other thread's stack via
 ``sys._current_frames()`` (one C call; the profiled threads never
 execute a single extra bytecode), and attributes the sample to a
-**phase** — compiled-kernel execution, lane pack/unpack, the
-micro-batcher, the serving/supervision layer, map-reduce sharding — by
-matching frames innermost-first against a rule table keyed on file path
-and function name.
+**phase** — LFSR draws, lane pack/unpack, compiled-kernel execution,
+ranking, statistics accumulation, the micro-batcher, the
+serving/supervision layer, the worker pool, the network front end,
+map-reduce sharding — by matching frames innermost-first against a rule
+table keyed on file path and function name.
 
 Alongside the phase tally it keeps *folded stacks* (the
 ``a;b;c count`` format flamegraph tools eat) with a bounded table:
@@ -43,19 +44,39 @@ PROFILE_SCHEMA = "repro-profile/1"
 
 #: Stack-frame → phase rules, matched innermost-first; first hit wins.
 #: Each rule is ``(phase, path_fragment, function_prefix)`` — empty
-#: fragment/prefix matches anything.
+#: fragment/prefix matches anything.  Phases that have a benchmark stage
+#: carry its name (``rng``, ``pack_unpack``, ``kernel``, ``rank``,
+#: ``accumulate``, ``pool``, ``net``).
 _PHASE_RULES: tuple[tuple[str, str, str], ...] = (
     ("kernel", "", "_kernel"),  # the generated straight-line sweep fn
     ("pack_unpack", "hdl/compile.py", "pack_lanes"),
     ("pack_unpack", "hdl/compile.py", "unpack_lanes"),
     ("pack_unpack", "hdl/simulator.py", "_pack"),
     ("pack_unpack", "hdl/simulator.py", "_unpack"),
+    # lane-boundary transposes, shared by the bigint and vector engines
+    ("pack_unpack", "hdl/simulator.py", "packed_bit_columns"),
+    ("pack_unpack", "hdl/simulator.py", "_fold_bits"),
+    ("pack_unpack", "hdl/simulator.py", "_ints_from_packed"),
+    ("pack_unpack", "hdl/simulator.py", "_outputs_from_packed"),
+    ("pack_unpack", "hdl/simulator.py", "__getitem__"),  # PackedOutputs
+    ("pack_unpack", "hdl/vector.py", "vec_from_ints"),
+    ("pack_unpack", "hdl/vector.py", "outputs_from_words"),
+    ("pack_unpack", "hdl/vector.py", "lanes_to_words"),
+    ("pack_unpack", "hdl/vector.py", "words_to_lanes"),
+    ("pack_unpack", "hdl/vector.py", "__getitem__"),  # VectorOutputs
     ("kernel", "hdl/compile.py", ""),
     ("kernel", "hdl/simulator.py", ""),
+    ("kernel", "hdl/vector.py", ""),
+    ("rng", "repro/rng/", ""),
+    ("rank", "core/lehmer.py", ""),
+    ("rank", "analysis/uniformity.py", "rank_bucket_counts"),
+    ("accumulate", "repro/analysis/", ""),
     ("batcher", "serve/batcher.py", ""),
     ("serve", "serve/service.py", ""),
     ("supervise", "serve/supervisor.py", ""),
     ("engine", "serve/engine.py", ""),
+    ("pool", "serve/pool.py", ""),
+    ("net", "serve/net/", ""),
     ("sharding", "parallel/sharding.py", ""),
 )
 

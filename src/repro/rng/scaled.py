@@ -32,6 +32,7 @@ from repro.rng.lfsr import FibonacciLFSR, LFSRBase, add_lfsr, dense_seed
 
 __all__ = [
     "scale_word",
+    "scale_words",
     "ScaledRandomInteger",
     "BiasReport",
     "bias_profile",
@@ -45,6 +46,36 @@ def scale_word(x: int, k: int, m: int) -> int:
     if not (0 <= x < (1 << m)):
         raise ValueError(f"x={x} is not an {m}-bit word")
     return (k * x) >> m
+
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_U32 = np.uint64(32)
+
+
+def scale_words(words: np.ndarray, k: int, m: int) -> np.ndarray:
+    """:func:`scale_word` over a batch of ``m``-bit words, as ``int64``.
+
+    Exact for every ``k < 2^63`` and ``m ≤ 63`` in ``uint64``: when
+    ``k·x`` fits 64 bits it is one multiply and shift; otherwise the
+    128-bit product is assembled from 32-bit limb products (each partial
+    sum stays below ``2^64`` under those bounds) and the shift takes its
+    high and low words.  Larger operands go through Python integers.
+    """
+    if words.dtype == object or k >= 1 << 63 or m > 63:
+        return np.fromiter(
+            ((k * int(w)) >> m for w in words), dtype=np.int64, count=len(words)
+        )
+    x = words.astype(np.uint64)
+    if k.bit_length() + m <= 64:
+        return ((x * np.uint64(k)) >> np.uint64(m)).astype(np.int64)
+    k_lo, k_hi = np.uint64(k & 0xFFFFFFFF), np.uint64(k >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _U32
+    low = x_lo * k_lo
+    mid = x_hi * k_lo + x_lo * k_hi + (low >> _U32)
+    high = x_hi * k_hi + (mid >> _U32)
+    low = (mid << _U32) | (low & _LOW32)
+    scaled = (high << np.uint64(64 - m)) | (low >> np.uint64(m))
+    return scaled.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -158,17 +189,7 @@ class ScaledRandomInteger:
 
     def ints(self, count: int) -> np.ndarray:
         """Draw ``count`` integers (vectorised over the LFSR word batch)."""
-        words = self.lfsr.words(count)
-        k = self.k
-        shift = self.m
-        if words.dtype != object and k.bit_length() + shift <= 64:
-            # the product k·x fits a uint64 word: one vectorised
-            # multiply-shift over the whole batch
-            scaled = (words.astype(np.uint64) * np.uint64(k)) >> np.uint64(shift)
-            return scaled.astype(np.int64)
-        return np.fromiter(
-            ((k * int(w)) >> shift for w in words), dtype=np.int64, count=count
-        )
+        return scale_words(self.lfsr.words(count), self.k, self.m)
 
     def bias(self) -> BiasReport:
         """The exact long-run distribution of this generator."""

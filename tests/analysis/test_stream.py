@@ -6,6 +6,8 @@ to shard count / engine / interruption, and checkpoint resume after a
 mid-campaign kill reproduces the uninterrupted run bit for bit.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,6 +109,37 @@ class TestMergeAlgebra:
             merge_states(a, dropped)
 
 
+class TestAccumulatorUpdates:
+    """The one-pass updates against the statistics' definitions."""
+
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 60))
+    @settings(max_examples=25, deadline=None)
+    def test_serial_sums_match_definition(self, seed, rows):
+        rng = np.random.default_rng(seed)
+        perms = rng.permuted(np.tile(np.arange(N), (rows, 1)), axis=1)
+        lags = (1, 2, 7, 60)
+        acc = SerialCorrelationAccumulator(N, lags)
+        acc.update(np.asfortranarray(perms.astype(np.uint8)))
+        v = [int(x) for x in perms[:, 0]]
+        for lag in lags:
+            x, y = v[:-lag], v[lag:]
+            want = (
+                [len(x), sum(x), sum(y), sum(a * a for a in x),
+                 sum(b * b for b in y), sum(a * b for a, b in zip(x, y))]
+                if len(v) > lag
+                else [0] * 6
+            )
+            assert acc.sums[lag] == want, lag
+
+    def test_fixed_points_match_definition(self):
+        rng = np.random.default_rng(5)
+        perms = rng.permuted(np.tile(np.arange(N), (500, 1)), axis=1)
+        acc = FixedPointAccumulator(N)
+        acc.update(np.asfortranarray(perms))
+        fixed = [sum(int(p[i]) == i for i in range(N)) for p in perms]
+        assert acc.hist.tolist() == np.bincount(fixed, minlength=N + 1).tolist()
+
+
 class TestConfig:
     def test_validation_errors(self):
         with pytest.raises(CampaignConfigError):
@@ -185,6 +218,83 @@ class TestStreamInvariance:
         assert result.verdict["passed"], result.summary
 
 
+class TestSweepGroups:
+    """Several blocks share one engine sweep; the statistics must not see it.
+
+    ``SWEEP_LANES = 1`` makes every block a sweep of its own — the
+    one-block-per-sweep reference.  Eleven 2048-lane blocks with a short
+    last one: four blocks fill a sweep, so no shard count below divides
+    evenly into sweeps.
+    """
+
+    CFG = CampaignConfig(n=N, samples=10 * 2048 + 777, block=2048)
+
+    def _state(self, monkeypatch, lanes, engine, **kw):
+        monkeypatch.setattr(stream, "SWEEP_LANES", lanes)
+        kw.setdefault("workers", 1)
+        kw.setdefault("battery_draws", 0)
+        cfg = replace(self.CFG, engine=engine)
+        return run_population_campaign(cfg, **kw).stats.state_dict()
+
+    @pytest.mark.parametrize("engine", ["vector", "compiled"])
+    @pytest.mark.parametrize("shards", [1, 3, 5])
+    def test_state_matches_one_block_per_sweep(self, monkeypatch, engine, shards):
+        reference = self._state(monkeypatch, 1, engine, shards=shards)
+        grouped = self._state(monkeypatch, stream.SWEEP_LANES, engine, shards=shards)
+        assert grouped == reference
+        assert grouped["samples"] == self.CFG.samples
+
+    def test_kill_and_resume_at_odd_block(self, monkeypatch, tmp_path):
+        ckpt = tmp_path / "campaign.json"
+
+        def die_after_first_round(round_index, state):
+            if round_index == 0:
+                raise RuntimeError("simulated crash")
+
+        monkeypatch.setattr(stream, "_after_round", die_after_first_round)
+        with pytest.raises(RuntimeError, match="simulated crash"):
+            run_population_campaign(
+                self.CFG, shards=5, workers=1, checkpoint_every=1,
+                checkpoint_path=ckpt, battery_draws=0,
+            )
+        assert load_checkpoint(ckpt)["completed"] == [[0, 3]]
+        monkeypatch.setattr(stream, "_after_round", lambda i, s: None)
+        resumed = run_population_campaign(
+            self.CFG, workers=1, checkpoint_path=ckpt, resume=True, battery_draws=0
+        )
+        assert resumed.resumed
+        reference = self._state(monkeypatch, 1, "vector")
+        assert resumed.stats.state_dict() == reference
+
+    def test_one_array_per_block(self, monkeypatch):
+        from repro.hdl.simulator import BatchEntry
+
+        sweeps = []
+        run = BatchEntry.run
+
+        def counting_run(self, inputs, materialize=True):
+            sweeps.append(len(inputs["index"]))
+            return run(self, inputs, materialize)
+
+        cfg = replace(self.CFG, engine="vector")
+        monkeypatch.setattr(stream, "SWEEP_LANES", 1)
+        reference = list(stream_blocks(cfg, range(cfg.total_blocks)))
+        monkeypatch.setattr(stream, "SWEEP_LANES", 4 * 2048)
+        monkeypatch.setattr(BatchEntry, "run", counting_run)
+        blocks = list(stream_blocks(cfg, range(cfg.total_blocks)))
+        assert sweeps == [4 * 2048, 4 * 2048, 2 * 2048 + 777]
+        assert [len(p) for p in blocks] == [2048] * 10 + [777]
+        for got, want in zip(blocks, reference):
+            assert np.array_equal(got, want)
+            assert all(got[:, t].flags.c_contiguous for t in range(N))
+
+    def test_block_wider_than_budget_is_its_own_sweep(self, monkeypatch):
+        monkeypatch.setattr(stream, "SWEEP_LANES", 1000)
+        cfg = CampaignConfig(n=N, samples=5000, block=1500, engine="compiled")
+        sizes = [len(p) for p in stream_blocks(cfg, range(cfg.total_blocks))]
+        assert sizes == [1500, 1500, 1500, 500]
+
+
 class TestKillAndResume:
     CFG = CampaignConfig(n=N, samples=16_384, block=2048, engine="compiled")
 
@@ -249,8 +359,6 @@ class TestKillAndResume:
         first = run_population_campaign(
             cfg, shards=4, workers=1, checkpoint_path=ckpt, battery_draws=0
         )
-        from dataclasses import replace
-
         resumed = run_population_campaign(
             replace(cfg, engine="vector"),
             workers=1,

@@ -180,3 +180,30 @@ class TestBucketedReport:
         counts = rank_bucket_counts(perms, 97)
         null = bucket_null_probabilities(n, 97) * factorial(n)
         assert np.array_equal(counts, null.astype(np.int64))
+
+
+class TestRankBucketPaths:
+    """The one-pass popcount sweep against the digit-matrix path."""
+
+    @pytest.mark.parametrize("n,cells", [(8, 4093), (8, 40320), (12, 4093), (20, 4093)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_one_pass_matches_digit_matrix(self, monkeypatch, n, cells, order):
+        import repro.core.lehmer as lehmer
+
+        rng = np.random.default_rng(n)
+        perms = np.asarray(
+            np.argsort(rng.random((4096, n)), axis=1), dtype=np.int64, order=order
+        )
+        one_pass = rank_bucket_counts(perms, cells, validate=False)
+        monkeypatch.setattr(lehmer, "_HAS_BITWISE_COUNT", False)
+        assert np.array_equal(rank_bucket_counts(perms, cells, validate=False), one_pass)
+        if factorial(n) < 2**62:
+            ranks = rank_batch(perms)
+            assert np.array_equal(one_pass, np.bincount(ranks % cells, minlength=cells))
+
+    def test_one_pass_validates_rows(self):
+        from repro.errors import InvalidPermutationError
+
+        with pytest.raises(InvalidPermutationError):
+            rank_bucket_counts(np.array([[0, 1, 2], [1, 1, 2]]), 5)
+        assert rank_bucket_counts(np.array([[0, 1, 2]], dtype=np.uint8), 5).sum() == 1

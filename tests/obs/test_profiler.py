@@ -70,6 +70,32 @@ class TestClassification:
         assert classify_frame("src/repro/serve/batcher.py", "submit") == "batcher"
         assert classify_frame("/x/other/place.py", "f") is None
 
+    def test_rng_phase(self):
+        assert classify_frame("src/repro/rng/lfsr.py", "words") == "rng"
+        assert classify_frame("src/repro/rng/scaled.py", "scale_words") == "rng"
+
+    def test_vector_pack_unpack_phase(self):
+        assert classify_frame("src/repro/hdl/vector.py", "vec_from_ints") == "pack_unpack"
+        assert classify_frame("src/repro/hdl/vector.py", "__getitem__") == "pack_unpack"
+        assert classify_frame("src/repro/hdl/simulator.py", "_fold_bits") == "pack_unpack"
+        assert classify_frame("src/repro/hdl/vector.py", "batch_run") == "kernel"
+
+    def test_rank_phase(self):
+        assert classify_frame("src/repro/core/lehmer.py", "rank_batch") == "rank"
+        assert (
+            classify_frame("src/repro/analysis/uniformity.py", "rank_bucket_counts")
+            == "rank"
+        )
+
+    def test_accumulate_phase(self):
+        assert classify_frame("src/repro/analysis/stream.py", "update") == "accumulate"
+
+    def test_pool_phase(self):
+        assert classify_frame("src/repro/serve/pool.py", "execute") == "pool"
+
+    def test_net_phase(self):
+        assert classify_frame("src/repro/serve/net/protocol.py", "decode_request") == "net"
+
 
 class TestReport:
     def _profile(self) -> SamplingProfiler:

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hdl.simulator import SequentialSimulator
-from repro.rng.lfsr import FibonacciLFSR, GaloisLFSR, build_lfsr_netlist, dense_seed
+from repro.rng.lfsr import (
+    CLOCK_TABLE_SPAN,
+    FibonacciLFSR,
+    GaloisLFSR,
+    _clock_table,
+    build_lfsr_netlist,
+    dense_seed,
+)
 from repro.rng.taps import MAXIMAL_TAPS
 
 
@@ -54,18 +61,37 @@ def test_words_batch_equals_sequential():
     assert a.state == b.state
 
 
+K = CLOCK_TABLE_SPAN
+
+
 @pytest.mark.parametrize("width", sorted(MAXIMAL_TAPS))
 def test_vectorised_words_bit_exact_every_width(width):
-    """The chunked-recurrence fast path must reproduce the scalar clock
-    loop bit for bit — including widths whose tap set has a lag-1 term
-    (tap position 1), which takes the running-XOR branch."""
+    """The table-driven words() must reproduce the scalar clock loop bit
+    for bit and leave the same state, for draws shorter than, equal to
+    and longer than one table span, in one call or split across calls."""
     seed = dense_seed(width, salt=3)
-    fast = FibonacciLFSR(width, seed=seed)
-    slow = FibonacciLFSR(width, seed=seed)
-    batch = fast.words(257)
-    seq = np.array([slow.next_word() for _ in range(257)], dtype=batch.dtype)
-    assert np.array_equal(batch, seq)
-    assert fast.state == slow.state
+    ref = FibonacciLFSR(width, seed=seed)
+    expected = np.array(
+        [ref.next_word() for _ in range(2 * K + 3)], dtype=np.uint64
+    )
+    for counts in ([1], [K - 1], [K], [K + 1], [2 * K + 3],
+                   [1, K - 1, K + 1, 2], [K + 1, 3, K - 1]):
+        fast = FibonacciLFSR(width, seed=seed)
+        batch = np.concatenate([fast.words(c) for c in counts])
+        drawn = sum(counts)
+        assert np.array_equal(batch.astype(np.uint64), expected[:drawn]), counts
+        assert fast.state == int(expected[drawn - 1]), counts
+
+
+def test_clock_table_built_once_per_width_and_taps():
+    _clock_table.cache_clear()
+    for seed in (1, 5, 99):
+        FibonacciLFSR(31, seed=seed).words(K + 7)
+    assert _clock_table.cache_info().misses == 1
+    FibonacciLFSR(31, taps=(31, 3), seed=1).words(10)  # x^31 + x^3 + 1
+    FibonacciLFSR(30, seed=1).words(10)
+    FibonacciLFSR(31, seed=2).words(1)
+    assert _clock_table.cache_info().misses == 3
 
 
 def test_vectorised_words_chunked_calls_continue_stream():

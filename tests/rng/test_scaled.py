@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.factorial import factorial
 from repro.hdl.simulator import SequentialSimulator
-from repro.rng.lfsr import FibonacciLFSR, GaloisLFSR
+from repro.rng.lfsr import FibonacciLFSR, GaloisLFSR, dense_seed
 from repro.rng.scaled import (
     ScaledRandomInteger,
     bias_profile,
     build_scaled_netlist,
     empirical_bias,
     scale_word,
+    scale_words,
 )
 
 
@@ -154,6 +156,49 @@ class TestScaledRandomInteger:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             ScaledRandomInteger(0)
+
+    @pytest.mark.parametrize("m", [31, 61])
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_wide_product_ints_match_sequential(self, n, m):
+        """k = n! with k·x past 64 bits takes the limb-product path."""
+        k = factorial(n)
+        a = ScaledRandomInteger(k, m=m, seed=dense_seed(m, salt=n))
+        b = ScaledRandomInteger(k, m=m, seed=dense_seed(m, salt=n))
+        assert a.ints(300).tolist() == [b.next_int() for _ in range(300)]
+
+
+class TestScaleWords:
+    @pytest.mark.parametrize("m", [31, 61])
+    @pytest.mark.parametrize("n", range(14, 21))
+    def test_bit_exact_against_scale_word(self, n, m):
+        k = factorial(n)
+        assert k.bit_length() + m > 64  # the limb-product path
+        top = (1 << m) - 1
+        rng = np.random.default_rng(n * 100 + m)
+        xs = [1, 2, 3, top, top - 1, top - 2, top >> 1, (top >> 1) + 1]
+        xs += [top - d for d in range(3, 64)]
+        xs += [int(x) for x in rng.integers(1, top, size=500, dtype=np.uint64)]
+        words = np.array(xs, dtype=np.uint32 if m <= 32 else np.uint64)
+        got = scale_words(words, k, m)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scale_word(x, k, m) for x in xs]
+
+    @pytest.mark.parametrize(
+        "k,m",
+        [((1 << 63) - 1, 63), ((1 << 63) - 1, 62), ((1 << 62) + 12345, 40),
+         (24, 5), (40320, 31)],
+    )
+    def test_bit_exact_at_the_bounds(self, k, m):
+        top = (1 << m) - 1
+        xs = [1, top >> 1, top - 1, top]
+        words = np.array(xs, dtype=np.uint64)
+        assert scale_words(words, k, m).tolist() == [scale_word(x, k, m) for x in xs]
+
+    @pytest.mark.parametrize("k,m", [(1 << 63, 63), ((1 << 63) - 1, 64), (3, 64)])
+    def test_past_the_limb_bounds_falls_back_exactly(self, k, m):
+        xs = [1, (1 << (m - 1)) + 1, (1 << m) - 1]
+        words = np.array(xs, dtype=np.uint64)
+        assert scale_words(words, k, m).tolist() == [scale_word(x, k, m) for x in xs]
 
 
 class TestNetlist:
