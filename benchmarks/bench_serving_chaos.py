@@ -1,12 +1,14 @@
-"""Chaos campaign artefact: fault-injection invariants for the serving tier.
+"""Chaos campaign artefact: fault-injection invariants for the serving ladder.
 
-Runs the seeded chaos campaign from :mod:`repro.serve.chaos` against the
-supervised serving tier — crash / stall / delay / corrupt / swap events
-injected into worker sweeps while a closed-loop client population drives
-load, then a clean recovery phase — and writes the full campaign payload
-(schema ``serving_chaos/v1``) to ``results/serving_chaos.{txt,json}``.
+Runs the seeded chaos campaign from :mod:`repro.serve.chaos` against both
+executors of the degradation ladder — one worker thread per shard, and
+two worker processes per shard — crash / stall / delay / corrupt / swap
+events injected into worker sweeps while a closed-loop client population
+drives load, then a clean recovery phase — and writes both campaign
+payloads (schema ``serving_chaos/v1``) to
+``results/serving_chaos.{txt,json}``.
 
-The asserted invariants are the PR's acceptance criteria:
+The same invariants are asserted on each executor:
 
 - **zero incorrect responses** — every response that reached a client
   passed the independent rank oracle, no matter what was injected;
@@ -39,8 +41,10 @@ SPEC = ChaosSpec(
     stall_s=0.3,
 )
 
+EXECUTORS = {"threads": 0, "processes": 2}  # executor → worker processes
 
-def test_chaos_campaign_invariants(results_dir):
+
+def _campaign(workers: int) -> dict:
     payload = run_chaos_campaign(
         n=N,
         requests=REQUESTS,
@@ -48,24 +52,26 @@ def test_chaos_campaign_invariants(results_dir):
         clients=CLIENTS,
         seed=SEED,
         spec=SPEC,
+        workers=workers,
     )
+    name = payload["executor"]
 
     # -- the acceptance invariants --------------------------------------- #
-    assert payload["incorrect_responses"] == 0, "a wrong response was served"
-    assert payload["workers_killed"] >= 1, "chaos never killed a worker"
-    assert payload["worker_restarts"] >= payload["workers_killed"]
-    assert payload["failovers"] >= 1, "the fallback rung was never exercised"
-    assert payload["availability_chaos"] >= 0.90
-    assert payload["availability_recovery"] >= 0.99
-    assert payload["recovered"], f"shards stuck: {payload['final_shard_modes']}"
+    assert payload["incorrect_responses"] == 0, f"{name}: a wrong response was served"
+    assert payload["workers_killed"] >= 1, f"{name}: chaos never killed a worker"
+    assert payload["worker_restarts"] >= payload["workers_killed"], name
+    assert payload["failovers"] >= 1, f"{name}: the fallback rung was never exercised"
+    assert payload["availability_chaos"] >= 0.90, name
+    assert payload["availability_recovery"] >= 0.99, name
+    assert payload["recovered"], f"{name}: shards stuck: {payload['final_shard_modes']}"
+    return payload
 
+
+def _summary(payload: dict) -> str:
     chaos, recovery = payload["phases"]["chaos"], payload["phases"]["recovery"]
-    write_report(
-        results_dir,
-        "serving_chaos",
-        f"Chaos campaign (n={N}, seed={SEED}, {REQUESTS}+{RECOVERY} requests, "
-        f"{CLIENTS} clients)\n"
-        f"injected: {payload['chaos']['injected']}\n"
+    return (
+        f"{payload['executor']} ({payload['workers']} per shard)\n"
+        f"  injected            : {payload['chaos']['injected']}\n"
         f"  incorrect responses : {payload['incorrect_responses']}\n"
         f"  workers killed      : {payload['workers_killed']}"
         f" -> restarts {payload['worker_restarts']}\n"
@@ -78,6 +84,17 @@ def test_chaos_campaign_invariants(results_dir):
         f"  response modes      : chaos {chaos['modes']}, "
         f"recovery {recovery['modes']}\n"
         f"  recovered           : {payload['recovered']} "
-        f"{payload['final_shard_modes']}",
-        data=payload,
+        f"{payload['final_shard_modes']}"
+    )
+
+
+def test_chaos_campaign_invariants(results_dir):
+    payloads = {name: _campaign(w) for name, w in EXECUTORS.items()}
+    write_report(
+        results_dir,
+        "serving_chaos",
+        f"Chaos campaign (n={N}, seed={SEED}, {REQUESTS}+{RECOVERY} requests, "
+        f"{CLIENTS} clients), on both executors\n\n"
+        + "\n\n".join(_summary(p) for p in payloads.values()),
+        data=payloads,
     )

@@ -29,13 +29,13 @@ Subcommands mirror the paper's artefacts:
   and ``--chaos`` runs the seeded fault-injection campaign against it,
   reporting the invariants (zero incorrect responses, every killed
   worker restarted, availability floor) — exit 1 if any is violated.
-  ``--workers W`` routes sweeps through the multi-process shard pool
-  (shared-memory result rings, restart-with-backoff, per-shard
-  admission control); ``--listen [PORT]`` runs the ``repro-serve/1``
-  binary TCP front end until SIGINT, and ``--connect HOST:PORT`` is
-  the matching multi-connection socket load generator with
-  client-side verification (``--connections``, ``--depth``,
-  ``--frame-count``, ``--min-availability``).
+  ``--workers W`` runs the same ladder over W worker processes per
+  shard (shared-memory result rings, per-shard admission control), and
+  with ``--chaos`` runs the campaign there; ``--listen [PORT]`` runs
+  the ``repro-serve/1`` binary TCP front end until SIGINT, and
+  ``--connect HOST:PORT`` is the matching multi-connection socket load
+  generator with client-side verification (``--connections``,
+  ``--depth``, ``--frame-count``, ``--min-availability``).
   Telemetry flags: ``--expose PORT`` starts the pull-based exposition
   endpoint (``/metrics``, ``/metrics.json``, ``/traces``, ``/health``)
   next to the run, ``--trace-sample R`` head-samples batch traces into
@@ -250,8 +250,8 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import (
         WORKLOADS,
+        LadderConfig,
         PermutationService,
-        PoolConfig,
         PooledService,
         ServiceConfig,
         SupervisedService,
@@ -266,12 +266,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ReproError("--clients must be positive")
     if args.connect is not None:
         return _cmd_serve_connect(args)
-    if args.chaos:
-        return _cmd_serve_chaos(args)
     if args.workers < 0:
         raise ReproError("--workers must be non-negative")
     if args.workers and args.supervised:
         raise ReproError("--workers and --supervised are mutually exclusive")
+    if args.chaos:
+        return _cmd_serve_chaos(args)
     _require_engine(args.engine)
     if args.batch_size is not None and args.batch_size < 1:
         raise ReproError(f"--batch-size must be positive, got {args.batch_size}")
@@ -322,7 +322,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     if args.workers:
         svc_cm = PooledService(
-            config, PoolConfig(workers=args.workers), tracer=tracer
+            config, LadderConfig(workers=args.workers), tracer=tracer
         )
     elif args.supervised:
         svc_cm = SupervisedService(config, tracer=tracer)
@@ -515,37 +515,16 @@ def _cmd_serve_connect(args: argparse.Namespace) -> int:
 def _serve_health(svc) -> dict:
     """The ``/health`` document for a running serve command.
 
-    ``status`` is ``"ok"`` unless a supervised shard has lost its worker
-    or a pooled shard group has every replica down (lazy spawn means an
-    empty shard table is healthy, not degraded).  For the pooled tier the
-    document also carries per-worker rows (pid, shard, sweeps, restarts)
-    that ``obs top`` renders as its worker table.
+    ``status`` is ``"ok"`` unless a shard of the degradation ladder has
+    no live worker (lazy spawn means an empty shard table is healthy,
+    not degraded).  The document carries per-worker rows (pid, shard,
+    sweeps, restarts) that ``obs top`` renders as its worker table.  The
+    plain service has no ladder and is always ``ok``.
     """
-    pool = getattr(svc, "pool", None)
-    if pool is not None:
-        rows = pool.worker_rows()
-        by_shard: dict[str, list] = {}
-        for row in rows:
-            by_shard.setdefault(row["shard"], []).append(row)
-        shards = {
-            shard: {
-                "alive": sum(1 for r in group if r["alive"]),
-                "replicas": len(group),
-            }
-            for shard, group in by_shard.items()
-        }
-        ok = all(info["alive"] > 0 for info in shards.values())
-        return {
-            "status": "ok" if ok else "degraded",
-            "shards": shards,
-            "workers": rows,
-        }
-    supervisor = getattr(svc, "supervisor", None)
-    if supervisor is None:
+    ladder = getattr(svc, "ladder", None)
+    if ladder is None:
         return {"status": "ok", "shards": {}}
-    shards = supervisor.health_check()
-    ok = all(info["alive"] for info in shards.values())
-    return {"status": "ok" if ok else "degraded", "shards": shards}
+    return ladder.health()
 
 
 def _print_serve_report(args: argparse.Namespace, report, stats: dict) -> None:
@@ -570,27 +549,18 @@ def _print_serve_report(args: argparse.Namespace, report, stats: dict) -> None:
     )
     print(f"  shed        {report.shed}")
     print(f"  workloads   {by_workload}")
-    if args.supervised:
-        sup = stats["supervisor"]
+    tier = "supervisor" if args.supervised else "pool"
+    if tier in stats:
+        ladder = stats[tier]
         modes = " ".join(f"{m}={c}" for m, c in sorted(report.modes.items()))
         print(f"  modes       {modes}")
         print(
-            f"  supervisor  restarts={sup['restarts']} "
-            f"check_failures={sup['check_failures']} "
-            f"failovers={sup['served_fallback']} "
-            f"breaker_trips={sup['breaker_trips']}"
-        )
-        print(f"  verified    incorrect={report.incorrect}")
-    if getattr(args, "workers", 0) and "pool" in stats:
-        pool = stats["pool"]
-        print(
-            f"  pool        workers={pool['workers_alive']} "
-            f"sweeps={pool['served_worker']} "
-            f"restarts={pool['restarts']} fallback={pool['served_fallback']}"
-        )
-        print(
-            f"  pool cache  {pool['cache_hits']} hits / "
-            f"{pool['cache_misses']} misses (worker tier)"
+            f"  {tier:<11} workers={ladder['workers_alive']} "
+            f"sweeps={ladder['served_worker']} "
+            f"restarts={ladder['restarts']} "
+            f"check_failures={ladder['check_failures']} "
+            f"failovers={ladder['served_fallback']} "
+            f"breaker_trips={ladder['breaker_trips']}"
         )
         print(f"  verified    incorrect={report.incorrect}")
 
@@ -607,12 +577,14 @@ def _cmd_serve_chaos(args: argparse.Namespace) -> int:
         clients=args.clients,
         seed=args.seed,
         tracer=getattr(args, "_tracer", None),
+        workers=args.workers,
     )
     injected = payload["chaos"]["injected"]
     print(
         f"chaos campaign: {payload['requests']} requests under fire, "
         f"{payload['recovery_requests']} in recovery (n={args.n}, "
-        f"seed={args.seed})"
+        f"seed={args.seed}, {payload['executor']} executor, "
+        f"{payload['workers']} per shard)"
     )
     print(
         "  injected    "
@@ -946,7 +918,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--chaos", action="store_true",
         help="run the seeded chaos campaign against the supervised tier "
-        "and report the fault-tolerance invariants (implies --supervised)",
+        "(or, with --workers W, the process pool) and report the "
+        "fault-tolerance invariants",
     )
     p.add_argument(
         "--out", metavar="PATH", default=None,

@@ -232,10 +232,11 @@ def render_dashboard(
 
     Missing metrics render as absent rows, not errors: the dashboard is
     usable against any registry, not only a fully-instrumented serving
-    run.  When the health document carries per-worker rows (the pooled
-    serving tier), a worker table is appended — pid, shard, cumulative
-    sweeps, restarts — with a sweeps/s column computed from the previous
-    snapshot ``prev`` over ``interval_s`` when both are given.
+    run.  When the health document carries per-worker rows (either
+    executor of the serving ladder), a worker table is appended — pid,
+    shard, cumulative sweeps, restarts — with a sweeps/s column computed
+    from the previous snapshot ``prev`` over ``interval_s`` when both
+    are given.
     """
     lines: list[str] = []
     bar = "─" * 64
@@ -355,13 +356,8 @@ def render_dashboard(
         shards = health.get("shards") or {}
         lines.append(f"health      {status}")
         for key, info in sorted(shards.items()):
-            if "replicas" in info:  # pooled shard group: alive is a count
-                lines.append(
-                    f"  {key:<18} replicas {info.get('alive', 0)}/"
-                    f"{info.get('replicas', 0)} up"
-                )
-                continue
-            alive = "up" if info.get("alive") else "down"
-            breaker = info.get("breaker", "?")
-            lines.append(f"  {key:<18} worker {alive:<5} breaker {breaker}")
+            lines.append(
+                f"  {key:<18} replicas {info.get('alive', 0)}/"
+                f"{info.get('replicas', 0)} up  breaker {info.get('breaker', '?')}"
+            )
     return "\n".join(lines)

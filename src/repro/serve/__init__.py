@@ -10,21 +10,21 @@ them together (:mod:`repro.serve.service`).  A closed-loop synthetic
 load generator (:mod:`repro.serve.loadgen`) drives it for the CLI
 ``serve`` subcommand and the serving benchmark.
 
-On top of the single-process service sits the supervised tier
-(:mod:`repro.serve.supervisor`): per-shard workers with heartbeats,
-stall detection, restart-with-backoff, circuit breakers and a
-worker → fallback → cache-only degradation ladder, with every served
-batch end-to-end oracle-checked.  The chaos harness
-(:mod:`repro.serve.chaos`) injects crashes, stalls, delays and payload
-corruption on a seeded schedule to prove the tier's invariants — no
+On top of the single-process service sits one degradation ladder
+(:mod:`repro.serve.supervisor`): per-shard workers, stall detection,
+restart-with-backoff, circuit breakers and a worker → fallback →
+cache-only → shed ladder, with every served batch end-to-end
+oracle-checked.  It runs over two executors that differ only in their
+worker handle: one supervised thread per shard
+(:class:`SupervisedService`) or W worker processes per shard returning
+rows through shared-memory rings (:class:`PooledService`,
+:mod:`repro.serve.pool`).  The chaos harness (:mod:`repro.serve.chaos`)
+injects crashes, stalls, delays and payload corruption on a seeded
+schedule into either executor to prove the ladder's invariants — no
 wrong permutation is ever served, killed workers restart, availability
-holds a floor while degraded.
-
-The multi-process tier (:mod:`repro.serve.pool`) moves sweeps into real
-worker processes — one shard group per ``(kind, n)`` with configurable
-replica counts, results returned through shared-memory rings — and the
-network tier (:mod:`repro.serve.net`) exposes the whole stack over a
-length-prefixed binary TCP protocol (``repro-serve/1``).
+holds a floor while degraded.  The network tier
+(:mod:`repro.serve.net`) exposes the whole stack over a length-prefixed
+binary TCP protocol (``repro-serve/1``).
 """
 
 from repro.serve.batcher import Batch, MicroBatcher, PendingEntry
@@ -52,7 +52,7 @@ from repro.serve.model import (
     validate_wide,
 )
 from repro.serve.net import NetServer, ServeConnection
-from repro.serve.pool import PoolConfig, PooledService, WorkerPool
+from repro.serve.pool import PooledService, WorkerPool
 from repro.serve.service import (
     CompletionFuture,
     PermutationService,
@@ -64,9 +64,9 @@ from repro.serve.supervisor import (
     BreakerConfig,
     CircuitBreaker,
     FunctionalConverterEngine,
+    LadderConfig,
     ShardWorker,
     SupervisedService,
-    SupervisorConfig,
     SweepSupervisor,
 )
 
@@ -94,13 +94,12 @@ __all__ = [
     "validate_wide",
     "NetServer",
     "ServeConnection",
-    "PoolConfig",
     "WorkerPool",
     "PooledService",
     "BREAKER_STATES",
     "BreakerConfig",
     "CircuitBreaker",
-    "SupervisorConfig",
+    "LadderConfig",
     "ShardWorker",
     "FunctionalConverterEngine",
     "SweepSupervisor",

@@ -1,24 +1,26 @@
-"""Chaos harness for the supervised serving tier.
+"""Chaos harness for the degradation ladder, on either executor.
 
-The supervised tier's claims — no wrong permutation is ever served, every
-killed worker is restarted, availability survives degradation — are only
-worth stating if something actually kills workers and corrupts payloads.
+The ladder's claims — no wrong permutation is ever served, every killed
+worker is restarted, availability survives degradation — are only worth
+stating if something actually kills workers and corrupts payloads.
 This module is that something.
 
-:class:`ChaosMonkey` is the injection policy.  Workers consult it before
-and after every sweep (see :class:`~repro.serve.supervisor.ShardWorker`)
-and it answers with a :class:`SweepPlan` drawn from one seeded RNG under
-one lock, so a campaign is reproducible for a given seed regardless of
-thread interleaving *in what it injects* (which sweep a given request
-lands in still depends on scheduling).  Five events cover the failure
-taxonomy:
+:class:`ChaosMonkey` is the injection policy.  Worker handles consult it
+on every sweep — a :class:`~repro.serve.supervisor.ShardWorker` thread
+before and after its sweep, a worker process through control messages
+and its copied rows — and it answers with a :class:`SweepPlan` drawn
+from one seeded RNG under one lock, so a campaign is reproducible for a
+given seed regardless of thread interleaving *in what it injects* (which
+sweep a given request lands in still depends on scheduling).  Five
+events cover the failure taxonomy:
 
 ``crash``
-    The worker raises :class:`~repro.errors.WorkerCrashedError` — its
-    thread exits like a dying worker process.  Exercises restart +
-    backoff.
+    The worker dies mid-sweep: a thread raises
+    :class:`~repro.errors.WorkerCrashedError` and exits, a process is
+    sent ``("crash",)`` and exits through ``os._exit``.  Exercises
+    restart + backoff.
 ``stall``
-    The worker sleeps past the supervisor's sweep deadline.  Exercises
+    The worker sleeps past the ladder's sweep deadline.  Exercises
     stall detection and abandoned-worker replacement (the late result is
     discarded, never served).
 ``delay``
@@ -40,30 +42,33 @@ mapping of global sweep ordinal → event name fires each event at a known
 sweep and nothing else.
 
 :func:`run_chaos_campaign` is the end-to-end harness behind
-``repro serve --chaos`` and the CI smoke: drive a closed loop through a
-:class:`~repro.serve.supervisor.SupervisedService` with chaos armed and
-every response client-side verified, disarm, drive a recovery phase, and
-report the invariants (zero incorrect responses, restarts, breaker
-trips, availability) as the ``serving_chaos/v1`` payload written to
-``results/serving_chaos.json``.
+``repro serve --chaos [--workers W]`` and the CI smoke: drive a closed
+loop through a :class:`~repro.serve.supervisor.SupervisedService` (or,
+with ``workers``, a :class:`~repro.serve.pool.PooledService`) with chaos
+armed and every response client-side verified, disarm, drive a recovery
+phase, and report the invariants (zero incorrect responses, restarts,
+breaker trips, availability) as the ``serving_chaos/v1`` payload written
+to ``results/serving_chaos.json``.
 """
 
 from __future__ import annotations
 
 import random
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import ReproError, WorkerCrashedError
 from repro.serve import supervisor as _sup
 from repro.serve.loadgen import LoadReport, run_closed_loop
+from repro.serve.pool import PooledService
 from repro.serve.service import ServiceConfig
 from repro.serve.supervisor import (
     BreakerConfig,
+    LadderConfig,
+    LadderService,
     SupervisedService,
-    SupervisorConfig,
 )
 
 __all__ = ["CHAOS_EVENTS", "ChaosSpec", "SweepPlan", "ChaosMonkey", "run_chaos_campaign"]
@@ -104,10 +109,11 @@ class ChaosSpec:
 class SweepPlan:
     """One sweep's injection decision, frozen at draw time.
 
-    ``before()`` runs in the executing thread before the engine sweep
-    (crashes and sleeps happen here); ``apply(perms)`` transforms the
-    result after it (payload corruption happens here, on a copy — the
-    engine's own buffers are never poisoned).
+    ``before()`` runs in a worker thread before the engine sweep
+    (crashes and sleeps happen here; a worker process gets the same
+    events as control messages); ``apply(perms)`` transforms the result
+    after it (payload corruption happens here, on a copy — the engine's
+    own buffers are never poisoned).
     """
 
     __slots__ = ("event", "stall_s", "delay_s")
@@ -119,13 +125,16 @@ class SweepPlan:
         self.stall_s = stall_s
         self.delay_s = delay_s
 
+    @property
+    def sleep_s(self) -> float:
+        """How long the worker sleeps before sweeping (stall or delay)."""
+        return {"stall": self.stall_s, "delay": self.delay_s}.get(self.event, 0.0)
+
     def before(self) -> None:
         if self.event == "crash":
             raise WorkerCrashedError("chaos: worker crashed mid-sweep")
-        if self.event == "stall":
-            _sup._sleep(self.stall_s)
-        elif self.event == "delay":
-            _sup._sleep(self.delay_s)
+        if self.sleep_s:
+            _sup._sleep(self.sleep_s)
 
     def apply(self, perms: np.ndarray) -> np.ndarray:
         if self.event == "corrupt":
@@ -261,39 +270,48 @@ def _phase_summary(report: LoadReport) -> dict:
     }
 
 
-def _settle_shards(service: SupervisedService, timeout_s: float = 5.0) -> int:
-    """Probe degraded shards until every breaker re-closes (or timeout).
+def _settle_shards(service: LadderService, timeout_s: float = 5.0) -> int:
+    """Probe lagging shards until every one is back at full strength.
 
-    A campaign can outrun its own breakers: a trip in the last sweeps of
+    A campaign can outrun its own ladder: a trip in the last sweeps of
     the chaos phase leaves the worker breaker OPEN for ``recovery_s``,
-    and a short recovery phase may finish inside that window — the tier
-    is healing, the final read is just too early.  Breakers only close
-    on *traffic* (a half-open probe must succeed), so waiting alone is
+    and a worker killed near the end may still sit out its restart
+    backoff, while a short recovery phase finishes inside that window —
+    the tier is healing, the final read is just too early.  Breakers
+    only close and slots only refill on *traffic*, so waiting alone is
     not enough either.  This loop sends one oracle-checked sweep through
-    the supervisor per unhealthy shard per round — bypassing the cache,
-    which would otherwise swallow the probe — until every shard reads
-    ``full``.  Returns the number of probe sweeps it took.
+    the ladder per lagging shard (:meth:`DegradationLadder.lagging
+    <repro.serve.supervisor.DegradationLadder.lagging>`) per round —
+    bypassing the cache, which would otherwise swallow the probe — until
+    none lags.  Returns the number of probe sweeps it took.
     """
-    supervisor = service.supervisor
+    ladder = service.ladder
     probes = 0
     deadline = _sup._monotonic() + timeout_s
     while _sup._monotonic() < deadline:
-        lagging = [
-            key
-            for key in list(supervisor._shards)
-            if supervisor.mode_for(key) != "full"
-        ]
+        lagging = ladder.lagging()
         if not lagging:
             break
         for key in lagging:
             payload = 1 if key[0] == "shuffle" else [0]
             probes += 1
             try:
-                supervisor.execute(key, payload)
+                ladder.execute(key, payload)
             except ReproError:
                 pass  # still degraded; the next round retries
         _sup._sleep(0.02)  # let recovery_s / restart backoff elapse
     return probes
+
+
+#: The campaign's ladder: short deadline, backoffs and recovery windows,
+#: so a few hundred requests see every rung and heal again.
+_CAMPAIGN_LADDER = LadderConfig(
+    sweep_deadline_s=0.2,
+    restart_backoff_s=0.01,
+    restart_backoff_max_s=0.1,
+    breaker=BreakerConfig(failure_threshold=3, recovery_s=0.1),
+    fallback_breaker=BreakerConfig(failure_threshold=2, recovery_s=0.2),
+)
 
 
 def run_chaos_campaign(
@@ -304,41 +322,38 @@ def run_chaos_campaign(
     seed: int = 0,
     spec: ChaosSpec | None = None,
     service_config: ServiceConfig | None = None,
-    supervisor_config: SupervisorConfig | None = None,
+    ladder_config: LadderConfig | None = None,
     tracer=None,
+    workers: int = 0,
 ) -> dict:
     """Chaos phase → recovery phase → invariant report.
 
     Phase one drives ``requests`` client-verified requests through a
-    fresh :class:`~repro.serve.supervisor.SupervisedService` with chaos
-    armed; phase two disarms the monkey and drives ``recovery_requests``
-    more, proving the tier heals (breakers re-close, workers respawn,
-    fallback traffic drains), then :func:`_settle_shards` probes any
-    shard whose breaker is still inside its recovery window so the
-    final verdict is not a race against the breaker clock.  The
-    returned ``serving_chaos/v1`` payload
+    fresh :class:`~repro.serve.supervisor.SupervisedService` — or, with
+    ``workers`` ≥ 1, a :class:`~repro.serve.pool.PooledService` with
+    that many worker processes per shard — with chaos armed; phase two
+    disarms the monkey and drives ``recovery_requests`` more, proving
+    the tier heals (breakers re-close, workers respawn, fallback
+    traffic drains), then :func:`_settle_shards` probes any shard still
+    inside a recovery or backoff window so the final verdict is not a
+    race against the clock.  The returned ``serving_chaos/v1`` payload
     carries the acceptance invariants: ``incorrect_responses`` (must be
     0), ``worker_restarts`` (must cover every kill), per-phase
-    availability and the final supervisor state.
+    availability and the final ladder state.
     """
     spec = spec or ChaosSpec()
     service_config = service_config or ServiceConfig(
         cache_capacity=256, rng_seed=seed
     )
-    supervisor_config = supervisor_config or SupervisorConfig(
-        sweep_deadline_s=0.2,
-        restart_backoff_s=0.01,
-        restart_backoff_max_s=0.1,
-        breaker=BreakerConfig(failure_threshold=3, recovery_s=0.1),
-        fallback_breaker=BreakerConfig(failure_threshold=2, recovery_s=0.2),
+    ladder_config = replace(
+        ladder_config or _CAMPAIGN_LADDER, workers=max(1, workers)
     )
-    if spec.stall_s <= supervisor_config.sweep_deadline_s:
-        raise ValueError("spec.stall_s must exceed the sweep deadline to stall")
     monkey = ChaosMonkey(spec, seed=seed)
-    service = SupervisedService(
-        service_config, supervisor_config, chaos=monkey, tracer=tracer
-    )
+    tier = PooledService if workers else SupervisedService
+    service = tier(service_config, ladder_config, chaos=monkey, tracer=tracer)
     try:
+        if spec.stall_s <= service.ladder.deadline_s:
+            raise ValueError("spec.stall_s must exceed the sweep deadline to stall")
         chaos_report = run_closed_loop(
             service, n=n, total=requests, clients=clients, seed=seed, verify=True
         )
@@ -353,11 +368,13 @@ def run_chaos_campaign(
             verify=True,
         )
         settle_probes = _settle_shards(service)
-        sup_stats = service.supervisor.stats()
-        shard_modes = {k: s["mode"] for k, s in sup_stats["shards"].items()}
+        ladder_stats = service.ladder.stats()
+        shard_modes = {k: s["mode"] for k, s in ladder_stats["shards"].items()}
         kills = injected["injected"]["crash"] + injected["injected"]["stall"]
         payload = {
             "schema": "serving_chaos/v1",
+            "executor": "processes" if workers else "threads",
+            "workers": ladder_config.workers,
             "seed": seed,
             "n": n,
             "requests": requests,
@@ -370,14 +387,14 @@ def run_chaos_campaign(
             },
             "incorrect_responses": chaos_report.incorrect + recovery_report.incorrect,
             "workers_killed": kills,
-            "worker_restarts": sup_stats["restarts"],
-            "check_failures": sup_stats["check_failures"],
-            "kernel_quarantines": sup_stats["quarantines"],
-            "failovers": sup_stats["served_fallback"],
-            "breaker_trips": sup_stats["breaker_trips"],
+            "worker_restarts": ladder_stats["restarts"],
+            "check_failures": ladder_stats["check_failures"],
+            "kernel_quarantines": ladder_stats["quarantines"],
+            "failovers": ladder_stats["served_fallback"],
+            "breaker_trips": ladder_stats["breaker_trips"],
             "availability_chaos": round(chaos_report.availability, 6),
             "availability_recovery": round(recovery_report.availability, 6),
-            "recovered": all(m == "full" for m in shard_modes.values()),
+            "recovered": not service.ladder.lagging(),
             "settle_probes": settle_probes,
             "final_shard_modes": shard_modes,
         }

@@ -196,8 +196,7 @@ class _TelemetryFlusher(threading.Thread):
         if front_misses:
             # entries that consulted the front cache at admission and
             # missed (hits resolve inline in submit; wide entries with
-            # count > 1 never consult the front tier, so they are not
-            # counted — the worker-tier cache accounts for them)
+            # count > 1 never consult the cache, so they are not counted)
             _CACHE_TOTAL.inc(front_misses, result="miss")
         _QUEUE_DEPTH.set(pending)
 
@@ -546,8 +545,8 @@ class PermutationService:
         is a ``(count, n)`` array.  Raises exactly the same taxonomy as
         :meth:`submit`.  A ``count == 1`` deterministic request checks
         the front result cache like ``submit`` does; wider requests skip
-        the front tier (the pooled path's worker-side caches handle
-        them) so front hit/miss accounting never double-counts.
+        it — a sweep costs about the same at any width, so a cache only
+        saves one when every lane hits.
         """
         validate_wide(
             workload, n, count, indices, self.config.max_n, self.config.max_batch

@@ -1,46 +1,48 @@
-"""Supervised multi-worker serving tier: restart, breakers, degradation.
+"""The degradation ladder, written once, and its thread executor.
 
-:class:`PermutationService` (PR 5) is a single failure domain: one stuck
-sweep, one corrupted kernel or one crashed thread takes every shard down
+:class:`PermutationService` is a single failure domain: one stuck
+sweep, one corrupted kernel or one crashed worker takes every shard down
 with it.  This module applies the repo's fault-injection philosophy one
 layer up — the serving stack itself is treated as hardware that *will*
 fail, and correctness under failure is verified, not assumed.
 
-Architecture
-------------
+Every sweep of a batch-group key ``(kind, n)`` — a *shard* — walks
+:class:`DegradationLadder`:
 
-Sweeps are executed by **shard workers**: one supervised worker per
-batch-group key ``(kind, n)``, each owning a *private* engine (its own
-compiled kernel entry) and running sweeps on its own thread, the
-in-process stand-in for a worker process.  The supervisor drives each
-sweep through a per-shard **degradation ladder**:
-
-1. **worker** — the compiled-engine worker runs the sweep under a
-   response deadline.  A crash (the worker thread dies), a stall (the
-   deadline expires; the worker is abandoned exactly like
-   :func:`~repro.parallel.sharding.hardened_map_reduce` abandons a
-   timed-out process — any late result is discarded) or a failed
-   response check counts against the shard's **circuit breaker** and
-   schedules a worker **restart with exponential backoff** on the
-   monotonic clock (the same clock-seam discipline as
-   ``parallel/sharding.py``; tests drive ``_monotonic`` directly).
-2. **fallback** — while the worker is restarting or its breaker is
-   open, sweeps run on the in-process interp fallback (the functional
-   model for converter shards — a different algorithm and code path
-   from the compiled datapath, so a kernel bug cannot follow the sweep
-   down the ladder).  The fallback has its own breaker.
+1. **worker** — one of the shard's ``workers`` replicas runs the sweep
+   under a response deadline.  A crash, a stall (the deadline expires;
+   the worker is abandoned and any late result discarded), an error or
+   a failed response check retires the replica, counts against the
+   shard's **circuit breaker**, schedules its **restart with
+   exponential backoff** on the monotonic clock (tests drive
+   ``_monotonic`` directly) and fails the sweep over at once.
+2. **fallback** — while no replica can take the sweep, it runs on the
+   in-process fallback (the functional model for converter shards — a
+   different algorithm and code path from the compiled datapath, so a
+   kernel bug cannot follow the sweep down the ladder).  The fallback
+   has its own breaker.
 3. **cache-only** — with both breakers open the shard serves cache hits
-   only; everything else is shed with
-   :class:`~repro.errors.ServiceDegradedError` at admission.
+   only; everything else is shed at admission with
+   :class:`~repro.errors.ServiceDegradedError`.
 
-Every worker-produced **and** fallback-produced batch is end-to-end
-self-checked through :func:`repro.robustness.checkers.check_served_batch`
-(bijectivity for all sweeps, the independent Lehmer rank-oracle for
-converter sweeps) before any future resolves — a corrupted result is
-never served silently.  A check failure additionally **quarantines** the
-worker's compiled kernel (:func:`repro.hdl.compile.evict_kernel`): the
-replacement worker recompiles from the netlist rather than inheriting
-the convicted artefact through the process-wide kernel cache.
+Every batch either rung produces passes
+:func:`repro.robustness.checkers.check_served_batch` (bijectivity for
+all sweeps, the independent Lehmer rank-oracle for converter sweeps)
+before any future resolves — a corrupted result is never served
+silently.  A check failure on the worker rung also **quarantines** what
+produced it.
+
+Two executors run the ladder and differ only in their worker handle:
+
+* :class:`SweepSupervisor` (``serve --supervised``) — one
+  :class:`ShardWorker` thread per shard owning a private engine, with a
+  heartbeat.  Threads share the process-wide kernel cache, so
+  quarantine evicts the convicted kernel
+  (:func:`repro.hdl.compile.evict_kernel`) and the replacement worker
+  recompiles it from the netlist;
+* :class:`~repro.serve.pool.WorkerPool` (``serve --workers W``) — W
+  worker processes per shard returning rows through shared memory; the
+  respawn is the quarantine.
 
 The breaker is the classic three-state machine::
 
@@ -51,20 +53,19 @@ The breaker is the classic three-state machine::
       └──────────────────────────────────────────── HALF-OPEN
                          (any failure reopens)
 
-Everything is observable: worker restarts, failovers, check failures
-and quarantines are counters; breaker state is the Prometheus enum
-gauge ``repro_serve_breaker_state``; served-mode counts flow through
-``repro_serve_mode_total``; and with a tracer attached every failover,
-restart and check failure becomes a span.
-
-:class:`SupervisedService` plugs the supervisor into the service's
-execution seam (:meth:`~repro.serve.service.PermutationService._run_sweep`)
-and admission gate, inheriting the whole PR-5 hot path unchanged.
+Everything is observable, with the same names on both executors: worker
+restarts, failovers, check failures and quarantines are counters;
+breaker state is the Prometheus enum gauge ``repro_serve_breaker_state``;
+sweep time is a digest per rung; per-shard in-flight depth, live workers
+and per-replica sweeps feed ``obs top``; and with a tracer attached
+every worker attempt, failover, restart, check failure and fallback
+sweep is a span in its batch's trace.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import queue
 import threading
 import time
@@ -74,12 +75,14 @@ from repro.core.converter import IndexToPermutationConverter
 from repro.errors import (
     FaultDetectedError,
     ServiceDegradedError,
+    ServiceOverloadedError,
     WorkerCrashedError,
     WorkerStalledError,
 )
 from repro.hdl.compile import evict_kernel
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import Span, Tracer
+from repro.parallel.sharding import retry_backoff
 from repro.robustness.checkers import check_served_batch
 from repro.serve.engine import ConverterEngine, ShuffleEngine
 from repro.serve.service import PermutationService, ServiceConfig, batch_indices
@@ -88,10 +91,12 @@ __all__ = [
     "BREAKER_STATES",
     "BreakerConfig",
     "CircuitBreaker",
-    "SupervisorConfig",
+    "LadderConfig",
+    "DegradationLadder",
     "ShardWorker",
     "FunctionalConverterEngine",
     "SweepSupervisor",
+    "LadderService",
     "SupervisedService",
 ]
 
@@ -105,6 +110,9 @@ BREAKER_STATES = ("closed", "open", "half_open")
 
 #: How long an idle worker thread waits on its queue between heartbeats.
 _POLL_S = 0.05
+
+#: Heartbeat age past which an idle worker thread counts as stuck.
+HEARTBEAT_TIMEOUT_S = 5.0
 
 _WORKER_RESTARTS = _metrics.REGISTRY.counter(
     "repro_serve_worker_restarts_total",
@@ -135,6 +143,21 @@ _SWEEP_DIGEST = _metrics.REGISTRY.digest(
     "repro_serve_sweep_seconds",
     "supervised sweep duration digest by shard and ladder rung",
     ("shard", "rung"),
+)
+_DEPTH = _metrics.REGISTRY.gauge(
+    "repro_serve_pool_queue_depth",
+    "in-flight sweeps per shard (backpressure signal)",
+    ("shard",),
+)
+_LIVE_WORKERS = _metrics.REGISTRY.gauge(
+    "repro_serve_pool_workers",
+    "live workers per shard",
+    ("shard",),
+)
+_WORKER_SWEEPS = _metrics.REGISTRY.counter(
+    "repro_serve_pool_worker_sweeps_total",
+    "sweeps served per worker replica",
+    ("shard", "replica"),
 )
 
 
@@ -169,12 +192,12 @@ class BreakerConfig:
 class CircuitBreaker:
     """Closed → open → half-open breaker on the monotonic clock.
 
-    A pure, lock-free state machine: the caller (the supervisor, under
-    its lock) invokes :meth:`allow` before attempting the guarded path
-    and exactly one of :meth:`record_success` / :meth:`record_failure`
-    after.  The OPEN → HALF_OPEN transition is computed lazily from the
-    clock seam on read, so no timer thread exists and tests can drive
-    recovery by stepping a fake clock.
+    A pure, lock-free state machine: the caller (the ladder, under the
+    shard's lock) invokes :meth:`allow` before attempting the guarded
+    path and exactly one of :meth:`record_success` /
+    :meth:`record_failure` after.  The OPEN → HALF_OPEN transition is
+    computed lazily from the clock seam on read, so no timer thread
+    exists and tests can drive recovery by stepping a fake clock.
     """
 
     def __init__(self, config: BreakerConfig | None = None):
@@ -219,7 +242,41 @@ class CircuitBreaker:
 
 
 # --------------------------------------------------------------------- #
-# workers
+# engines
+
+
+def worker_engine(kind: str, n: int, service: ServiceConfig, worker_id: int):
+    """The private engine of worker ``worker_id`` — in a thread or a process."""
+    if kind == "shuffle":
+        # distinct salt per spawned worker: a restarted shuffle worker
+        # must not replay its predecessor's LFSR stream
+        return ShuffleEngine(
+            n, m=service.shuffle_m, seed_salt=service.rng_seed + 7919 * (worker_id + 1)
+        )
+    return ConverterEngine(n, backend=service.engine)
+
+
+class FunctionalConverterEngine:
+    """The interp fallback rung: the stage-accurate functional model.
+
+    Shares no code with the compiled datapath — a corrupted or
+    miscompiled kernel cannot reproduce its own bug here, which is what
+    makes failover a *correctness* recovery and not just an
+    availability one.
+    """
+
+    kind = "converter"
+
+    def __init__(self, n: int):
+        self.n = n
+        self.converter = IndexToPermutationConverter(n)
+
+    def run(self, indices):
+        return self.converter.convert_batch(list(indices))
+
+
+# --------------------------------------------------------------------- #
+# the thread worker handle
 
 
 class _SweepJob:
@@ -243,17 +300,15 @@ class _SweepJob:
 
 
 class ShardWorker:
-    """One supervised worker: a private engine swept on its own thread.
+    """The thread worker handle: a private engine swept on its own thread.
 
     The thread is the in-process stand-in for a worker process: it owns
-    the engine (built in :meth:`__init__`, on the spawning thread, so a
-    failed build surfaces as a failed spawn, not a dead worker), beats a
-    heartbeat timestamp while idle and around every sweep, and dies —
-    ``alive`` goes ``False`` — when a sweep raises
+    the engine (built before the thread starts, so a failed build
+    surfaces as a failed spawn, not a dead worker), beats a heartbeat
+    timestamp while idle and around every sweep, and dies — ``alive``
+    goes ``False`` — when a sweep raises
     :class:`~repro.errors.WorkerCrashedError` (how the chaos harness
-    simulates a worker-process crash).  Any other sweep exception fails
-    the sweep but leaves the worker up, like a process surviving one bad
-    request.
+    simulates a worker-process crash).
 
     :meth:`run` enforces the response deadline: if the worker does not
     settle the job in time it raises
@@ -261,13 +316,20 @@ class ShardWorker:
     :meth:`kill`-ed — the stalled thread is abandoned (it cannot be
     interrupted, exactly like a stuck worker process) and any late
     result it produces is discarded with the job object.
+
+    ``slot``, ``busy`` and ``sweeps`` are the ladder's bookkeeping, the
+    same on every worker handle.
     """
 
-    def __init__(self, key, worker_id: int, engine, chaos=None):
+    def __init__(self, key, worker_id: int, engine, chaos=None, slot: int = 0):
         self.key = key
         self.worker_id = worker_id
+        self.slot = slot
         self.engine = engine
         self.chaos = chaos
+        self.pid = os.getpid()
+        self.busy = False
+        self.sweeps = 0
         self.alive = True
         self.last_beat = _monotonic()
         self._killed = False
@@ -315,6 +377,16 @@ class ShardWorker:
         self._killed = True
         self._queue.put(None)  # wake an idle loop so the thread exits
 
+    def stale(self) -> bool:
+        """Has the idle worker's heartbeat gone quiet (stuck, not serving)?"""
+        return self.heartbeat_age_s > HEARTBEAT_TIMEOUT_S
+
+    def quarantine(self) -> int | None:
+        """Evict the convicted compiled kernel → kernels evicted, or
+        ``None`` for an engine without one."""
+        fingerprint = getattr(self.engine, "kernel_fingerprint", None)
+        return None if fingerprint is None else evict_kernel(fingerprint)
+
     @property
     def heartbeat_age_s(self) -> float:
         return max(0.0, _monotonic() - self.last_beat)
@@ -356,23 +428,18 @@ class ShardWorker:
                 value = self.engine.run(job.payload)
                 if plan is not None:
                     value = plan.apply(value)
-            except WorkerCrashedError as exc:
-                # the worker "process" dies with the failing sweep
-                self.alive = False
-                if sweep_span is not None:
-                    job.span = sweep_span.end(
-                        "error", error=f"{type(exc).__name__}: {exc}"
-                    )
-                job.error = exc
-                job.event.set()
-                return
             except BaseException as exc:
+                if isinstance(exc, WorkerCrashedError):
+                    # the worker "process" dies with the failing sweep
+                    self.alive = False
                 if sweep_span is not None:
                     job.span = sweep_span.end(
                         "error", error=f"{type(exc).__name__}: {exc}"
                     )
                 job.error = exc
                 job.event.set()
+                if not self.alive:
+                    return
             else:
                 if sweep_span is not None:
                     job.span = sweep_span.end("ok")
@@ -382,141 +449,163 @@ class ShardWorker:
         self.alive = False
 
 
-class FunctionalConverterEngine:
-    """The interp fallback rung: the stage-accurate functional model.
-
-    Shares no code with the compiled datapath — a corrupted or
-    miscompiled kernel cannot reproduce its own bug here, which is what
-    makes failover a *correctness* recovery and not just an
-    availability one.
-    """
-
-    kind = "converter"
-
-    def __init__(self, n: int):
-        self.n = n
-        self.converter = IndexToPermutationConverter(n)
-
-    def run(self, indices):
-        return self.converter.convert_batch(list(indices))
-
-
 # --------------------------------------------------------------------- #
-# supervisor
+# the ladder
 
 
 @dataclass(frozen=True)
-class SupervisorConfig:
-    """Tuning knobs for :class:`SweepSupervisor`.
+class LadderConfig:
+    """Tuning knobs for a :class:`DegradationLadder`.
 
-    ``sweep_deadline_s`` is the per-sweep response deadline (stall
-    detection); ``heartbeat_timeout_s`` the maximum tolerated heartbeat
-    age for an idle worker before it is declared stuck and restarted.
-    Restart backoff doubles per consecutive failure from
-    ``restart_backoff_s`` up to ``restart_backoff_max_s`` and resets on
-    success.  ``check`` enables the end-to-end response oracle (on by
-    default — the whole point of the tier); ``fallback`` enables the
-    interp rung of the ladder (off turns every worker outage into
-    cache-only mode).
+    ``workers`` is the replica count per shard (the thread executor runs
+    exactly one).  ``sweep_deadline_s`` is the per-sweep response
+    deadline (stall detection); ``None`` takes the executor's default,
+    1 s for threads and 10 s for processes.  A replica slot's restart
+    backoff doubles per consecutive failure from ``restart_backoff_s``
+    up to ``restart_backoff_max_s`` and resets on success.
     """
 
-    sweep_deadline_s: float = 1.0
-    heartbeat_timeout_s: float = 5.0
+    workers: int = 1
+    sweep_deadline_s: "float | None" = None
     restart_backoff_s: float = 0.02
     restart_backoff_max_s: float = 1.0
-    check: bool = True
-    fallback: bool = True
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     fallback_breaker: BreakerConfig = field(
         default_factory=lambda: BreakerConfig(failure_threshold=2, recovery_s=0.5)
     )
 
     def __post_init__(self) -> None:
-        if self.sweep_deadline_s <= 0:
+        if self.workers < 1:
+            raise ValueError("workers must be positive")
+        if self.sweep_deadline_s is not None and self.sweep_deadline_s <= 0:
             raise ValueError("sweep_deadline_s must be positive")
-        if self.heartbeat_timeout_s <= 0:
-            raise ValueError("heartbeat_timeout_s must be positive")
         if self.restart_backoff_s < 0 or self.restart_backoff_max_s < 0:
             raise ValueError("restart backoffs must be non-negative")
 
 
 class _Shard:
-    """Supervisor-side state for one ``(kind, n)`` shard."""
+    """Ladder-side state for one ``(kind, n)`` shard.
 
-    __slots__ = (
-        "key",
-        "exec_lock",
-        "worker",
-        "fallback_engine",
-        "breaker",
-        "fallback_breaker",
-        "spawns",
-        "restarts",
-        "consecutive_failures",
-        "retry_at",
-        "check_failures",
-        "quarantines",
-        "served",
-    )
+    Replica slot ``i`` holds a live worker handle in ``workers[i]`` or
+    ``None``; ``spawned[i]`` marks a slot that has held a worker, so
+    filling it again is a restart.  ``depth`` counts the sweeps handed
+    off and not yet finished.
+    """
 
-    def __init__(self, key, config: SupervisorConfig):
+    def __init__(self, key, config: LadderConfig):
+        slots = config.workers
         self.key = key
-        self.exec_lock = threading.Lock()
-        self.worker: ShardWorker | None = None
-        self.fallback_engine = None
+        self.label = f"{key[0]}:{key[1]}"
+        self.cond = threading.Condition(threading.Lock())
+        self.workers: list = [None] * slots
+        self.spawned = [False] * slots
+        self.failures = [0] * slots
+        self.retry_at = [0.0] * slots
+        self.depth = 0
         self.breaker = CircuitBreaker(config.breaker)
         self.fallback_breaker = CircuitBreaker(config.fallback_breaker)
-        self.spawns = 0
+        self.fallback_engine = None
+        self.fallback_lock = threading.Lock()
         self.restarts = 0
-        self.consecutive_failures = 0
-        self.retry_at = 0.0
         self.check_failures = 0
         self.quarantines = 0
         self.served = {"worker": 0, "fallback": 0}
 
+    def live(self) -> int:
+        return sum(1 for w in self.workers if w is not None and w.alive)
 
-class SweepSupervisor:
-    """Drives sweeps through the per-shard degradation ladder.
+    def lagging(self) -> bool:
+        """Does a slot that lost its worker still wait for a new one?"""
+        return any(
+            s and w is None for s, w in zip(self.spawned, self.workers)
+        )
 
-    ``engine_factory(key, worker_id)`` builds a fresh private engine for
-    each spawned worker; ``fallback_factory(key)`` builds the shard's
-    in-process fallback engine (memoised per shard).  ``chaos`` is an
-    optional injection policy (see :mod:`repro.serve.chaos`) consulted
-    by workers before/after every sweep — and, when the policy targets
-    the fallback rung, by the supervisor's fallback execution too.
+
+class DegradationLadder:
+    """worker → fallback → cache-only → shed, over one kind of worker handle.
+
+    An executor subclass supplies :meth:`_spawn` (build a ready worker
+    handle for a replica slot) and :attr:`default_deadline_s`.  A handle
+    has ``worker_id``, ``slot``, ``pid``, ``alive``, ``busy`` and
+    ``sweeps`` attributes and ``run(payload, deadline_s, parent_span)``,
+    ``kill()``, ``stale()`` and ``quarantine()`` methods.
+
+    ``service`` supplies the engine settings workers and the fallback
+    are built from; ``chaos`` is an optional injection policy (see
+    :mod:`repro.serve.chaos`) that worker handles consult on every sweep
+    and the fallback rung on its own; ``max_in_flight`` bounds the
+    sweeps handed off per shard before admission sheds (``None``: no
+    bound).
     """
+
+    default_deadline_s: float
 
     def __init__(
         self,
-        config: SupervisorConfig | None = None,
+        config: LadderConfig | None = None,
+        service: ServiceConfig | None = None,
         *,
-        engine_factory,
-        fallback_factory,
         chaos=None,
         tracer: Tracer | None = None,
+        max_in_flight: int | None = None,
     ):
-        self.config = config or SupervisorConfig()
+        self.config = config or LadderConfig()
+        self.service = service or ServiceConfig()
         self.chaos = chaos
         self.tracer = tracer
-        self._engine_factory = engine_factory
-        self._fallback_factory = fallback_factory
+        self.max_in_flight = max_in_flight
+        self.deadline_s = self.config.sweep_deadline_s or self.default_deadline_s
         self._lock = threading.Lock()
         self._shards: dict[tuple, _Shard] = {}
         self._worker_ids = itertools.count()
         self._closed = False
 
-    # ------------------------------------------------------------------ #
-    # lifecycle
-
-    def close(self) -> None:
-        with self._lock:
-            self._closed = True
-            workers = [s.worker for s in self._shards.values() if s.worker]
-        for w in workers:
-            w.kill()
+    def _spawn(self, key, slot: int, worker_id: int):
+        raise NotImplementedError
 
     # ------------------------------------------------------------------ #
-    # execution ladder
+    # admission
+
+    def admission_gate(self, key) -> None:
+        """Per-shard backpressure and cache-only veto (lock-free when healthy).
+
+        Raises :class:`~repro.errors.ServiceOverloadedError` once the
+        shard has ``max_in_flight`` sweeps in flight — the wire
+        protocol's ``OVERLOADED`` — and
+        :class:`~repro.errors.ServiceDegradedError` when both breakers
+        are open.  A shard nobody has used yet admits unconditionally.
+        """
+        shard = self._shards.get(key)
+        if shard is None:
+            return
+        depth, limit = shard.depth, self.max_in_flight
+        if limit is not None and depth >= limit:
+            raise ServiceOverloadedError(
+                f"shard {key} has {depth} sweeps in flight (limit {limit}); "
+                "request shed",
+                queue_depth=depth,
+                limit=limit,
+            )
+        if self.mode_for(key) == "cache_only":
+            raise ServiceDegradedError(
+                f"shard {key} is in cache-only mode; request shed",
+                mode="cache_only",
+                shard=key,
+            )
+
+    def track(self, key, step: int) -> None:
+        """Count ``step`` sweeps in (+1) or out (−1) of ``key``'s
+        backpressure bound: a sweep counts from its hand-off to the
+        executor, not from when a thread starts running it."""
+        shard = self._shard(key)
+        with shard.cond:
+            shard.depth += step
+            depth = shard.depth
+        if _metrics.REGISTRY.enabled:
+            _DEPTH.set(depth, shard=shard.label)
+
+    # ------------------------------------------------------------------ #
+    # the ladder
 
     def execute(self, key, payload, span: Span | None = None):
         """Run one sweep → ``(perms, mode)``; raises when fully degraded.
@@ -535,112 +624,82 @@ class SweepSupervisor:
         """
         shard = self._shard(key)
         indices = payload if isinstance(payload, (list, tuple)) else None
-        with shard.exec_lock:
-            worker = self._acquire_worker(shard, span)
-            if worker is not None:
-                attempt = (
-                    span.child(
-                        "serve.worker_attempt",
-                        shard=str(key),
-                        worker_id=worker.worker_id,
-                    )
-                    if span is not None
-                    else None
-                )
-                t0 = time.perf_counter()
-                try:
-                    perms = worker.run(
-                        payload, self.config.sweep_deadline_s, attempt
-                    )
-                    if self.config.check:
-                        check_served_batch(perms, indices)
-                except FaultDetectedError as exc:
-                    if attempt is not None:
-                        attempt.end("error", error=f"{type(exc).__name__}: {exc}")
-                    self._on_check_failure(shard, worker, exc, span)
-                except Exception as exc:
-                    if attempt is not None:
-                        attempt.end("error", error=f"{type(exc).__name__}: {exc}")
-                    self._on_worker_failure(shard, worker, exc, span)
-                else:
-                    if attempt is not None:
-                        attempt.end("ok")
-                    with self._lock:
-                        shard.consecutive_failures = 0
-                        shard.breaker.record_success()
-                        shard.served["worker"] += 1
-                    self._publish_breakers(shard)
-                    if _metrics.REGISTRY.enabled:
-                        _SWEEP_DIGEST.observe(
-                            time.perf_counter() - t0,
-                            shard=self._shard_label(key),
-                            rung="worker",
-                        )
-                    return perms, "worker"
-                if _metrics.REGISTRY.enabled:
-                    _FAILOVERS.inc(shard=self._shard_label(key))
-            return self._run_fallback(shard, payload, indices, span), "fallback"
+        worker = self._acquire(shard, span)
+        if worker is not None:
+            perms, exc = self._attempt(
+                shard,
+                "worker",
+                lambda child: worker.run(payload, self.deadline_s, child),
+                indices,
+                span,
+                worker_id=worker.worker_id,
+                replica=worker.slot,
+            )
+            if exc is None:
+                self._release(shard, worker)
+                return perms, "worker"
+            self._on_worker_failure(shard, worker, exc, span)
+            if _metrics.REGISTRY.enabled:
+                _FAILOVERS.inc(shard=shard.label)
+        return self._run_fallback(shard, payload, indices, span), "fallback"
 
-    def _run_fallback(self, shard: _Shard, payload, indices, span: Span | None = None):
-        """The interp rung; raises ``ServiceDegradedError`` past it."""
-        with self._lock:
-            allowed = (
-                self.config.fallback
-                and not self._closed
-                and shard.fallback_breaker.allow()
+    def _attempt(self, shard: _Shard, rung: str, run, indices, parent, **attrs):
+        """One rung's sweep, checked → ``(perms, None)`` or ``(None, exc)``."""
+        span = (
+            parent.child(
+                "serve.worker_attempt" if rung == "worker" else "serve.fallback",
+                shard=str(shard.key),
+                **attrs,
             )
-            engine = None
-            if allowed:
-                engine = shard.fallback_engine
-                if engine is None:
-                    engine = shard.fallback_engine = self._fallback_factory(
-                        shard.key
-                    )
+            if parent is not None
+            else None
+        )
+        t0 = time.perf_counter()
+        try:
+            perms = run(span)
+            check_served_batch(perms, indices)
+        except Exception as exc:
+            if span is not None:
+                span.end("error", error=f"{type(exc).__name__}: {exc}")
+            return None, exc
+        if span is not None:
+            span.end("ok")
+        if _metrics.REGISTRY.enabled:
+            _SWEEP_DIGEST.observe(
+                time.perf_counter() - t0, shard=shard.label, rung=rung
+            )
+        return perms, None
+
+    def _run_fallback(self, shard: _Shard, payload, indices, span: Span | None):
+        """The checked in-process rung; raises ``ServiceDegradedError`` past it."""
+        with shard.cond:
+            allowed = not self._closed and shard.fallback_breaker.allow()
+            if allowed and shard.fallback_engine is None:
+                shard.fallback_engine = self._fallback_engine(shard.key)
         if allowed:
-            fspan = (
-                span.child("serve.fallback", shard=str(shard.key))
-                if span is not None
-                else None
+            perms, exc = self._attempt(
+                shard,
+                "fallback",
+                lambda child: self._fallback_sweep(shard, payload),
+                indices,
+                span,
             )
-            t0 = time.perf_counter()
-            try:
-                plan = (
-                    self.chaos.plan_fallback(shard.key)
-                    if self.chaos is not None
-                    else None
-                )
-                perms = engine.run(payload)
-                if plan is not None:
-                    perms = plan.apply(perms)
-                if self.config.check:
-                    check_served_batch(perms, indices)
-            except FaultDetectedError as exc:
-                if fspan is not None:
-                    fspan.end("error", error=f"{type(exc).__name__}: {exc}")
-                with self._lock:
-                    shard.fallback_breaker.record_failure()
-                    shard.check_failures += 1
-                self._note_check_failure(shard, exc, path="fallback", parent=span)
-            except Exception as exc:
-                if fspan is not None:
-                    fspan.end("error", error=f"{type(exc).__name__}: {exc}")
-                with self._lock:
-                    shard.fallback_breaker.record_failure()
-            else:
-                if fspan is not None:
-                    fspan.end("ok")
-                with self._lock:
+            convicted = isinstance(exc, FaultDetectedError)
+            with shard.cond:
+                if exc is None:
                     shard.fallback_breaker.record_success()
                     shard.served["fallback"] += 1
-                self._publish_breakers(shard)
-                if _metrics.REGISTRY.enabled:
-                    _SWEEP_DIGEST.observe(
-                        time.perf_counter() - t0,
-                        shard=self._shard_label(shard.key),
-                        rung="fallback",
-                    )
+                else:
+                    shard.fallback_breaker.record_failure()
+                    if convicted:
+                        shard.check_failures += 1
+            self._publish_breakers(shard)
+            if exc is None:
                 return perms
-        self._publish_breakers(shard)
+            if convicted:
+                self._note_check_failure(shard, exc, path="fallback", parent=span)
+        else:
+            self._publish_breakers(shard)
         raise ServiceDegradedError(
             f"shard {shard.key} is degraded to cache-only mode "
             "(worker and fallback rungs unavailable)",
@@ -648,62 +707,106 @@ class SweepSupervisor:
             shard=shard.key,
         )
 
+    def _fallback_sweep(self, shard: _Shard, payload):
+        plan = (
+            self.chaos.plan_fallback(shard.key) if self.chaos is not None else None
+        )
+        # the shuffle fallback advances LFSR state per sweep; the
+        # functional converter is stateless and the rung is cold
+        with shard.fallback_lock:
+            perms = shard.fallback_engine.run(payload)
+        return perms if plan is None else plan.apply(perms)
+
+    def _fallback_engine(self, key):
+        kind, n = key
+        if kind == "shuffle":
+            return ShuffleEngine(
+                n, m=self.service.shuffle_m, seed_salt=self.service.rng_seed + 104729
+            )
+        return FunctionalConverterEngine(n)
+
     # ------------------------------------------------------------------ #
-    # worker management
+    # replica management
 
-    def _acquire_worker(
-        self, shard: _Shard, span: Span | None = None
-    ) -> ShardWorker | None:
-        """The shard's healthy worker, restarting it if due — or ``None``.
+    def _acquire(self, shard: _Shard, span: Span | None):
+        """The sweep's worker (marked busy), or ``None`` to fail over now.
 
-        ``None`` means the worker rung is skipped this sweep: breaker
-        open, restart backoff still running, closed supervisor, or the
-        replacement worker failed to spawn.
+        A sweep waits — up to the sweep deadline — only for a replica
+        busy with another sweep.  It never waits out a restart backoff:
+        with no replica idle or busy and no slot due for a spawn (or the
+        breaker open, or the ladder closed) the worker rung is skipped
+        at once.  A slot whose worker was retired is refilled by the
+        first sweep after its backoff, before an idle replica is reused;
+        an unused slot is filled only when no replica is idle.
         """
-        with self._lock:
-            if self._closed or not shard.breaker.allow():
-                return None
-            worker = shard.worker
-            if worker is not None and worker.alive:
-                if worker.heartbeat_age_s <= self.config.heartbeat_timeout_s:
-                    return worker
-                # heartbeat went stale while idle: stuck, not serving
-                self._retire_worker_locked(
-                    shard, worker, "heartbeat", "worker heartbeat stale"
+        worker = None
+        with shard.cond:
+            end = _monotonic() + self.deadline_s
+            while not self._closed and shard.breaker.allow():
+                worker, slot, busy = self._scan_locked(shard)
+                if slot is not None:
+                    worker = self._start_locked(shard, slot, span)
+                left = end - _monotonic()
+                if worker is not None or slot is not None or not busy or left <= 0:
+                    break
+                shard.cond.wait(left)
+        return worker
+
+    def _scan_locked(self, shard: _Shard):
+        """``(idle worker marked busy, slot due for a spawn, any busy)``."""
+        idle = grow = None
+        busy = False
+        for i, worker in enumerate(shard.workers):
+            if worker is not None and not worker.busy:
+                reason = (
+                    "crash" if not worker.alive
+                    else "heartbeat" if worker.stale()
+                    else None
                 )
-                return None
-            if _monotonic() < shard.retry_at:
-                return None
-            worker_id = next(self._worker_ids)
-            respawn = shard.spawns > 0
-        # Engine construction (netlist + kernel compile) happens outside
-        # the supervisor lock: it can take milliseconds and other shards
-        # must not stall behind it.
+                if reason is None:
+                    idle = idle or worker
+                    continue
+                # found dead or stuck while idle
+                self._retire_locked(shard, worker, reason)
+                worker.kill()
+            if shard.workers[i] is not None:
+                busy = True
+            elif _monotonic() >= shard.retry_at[i]:
+                if shard.spawned[i]:
+                    return None, i, busy  # replace a retired worker
+                grow = i if grow is None else grow
+        if idle is not None:
+            idle.busy = True
+            return idle, None, True
+        return None, grow, busy
+
+    def _start_locked(self, shard: _Shard, slot: int, span: Span | None):
+        """Spawn a worker into ``slot`` → it (marked busy), or ``None``."""
+        worker_id = next(self._worker_ids)
         try:
-            engine = self._engine_factory(shard.key, worker_id)
-            worker = ShardWorker(shard.key, worker_id, engine, chaos=self.chaos)
+            worker = self._spawn(shard.key, slot, worker_id)
         except Exception as exc:
-            with self._lock:
-                self._schedule_retry_locked(shard)
-                shard.breaker.record_failure()
-            self._adopt_span(
+            self._backoff_locked(shard, slot)
+            if _metrics.REGISTRY.enabled:
+                _WORKER_RESTARTS.inc(shard=shard.label, reason="spawn_failed")
+            self._event(
                 "serve.worker_restart",
                 {"shard": str(shard.key), "outcome": "spawn_failed"},
                 error=f"{type(exc).__name__}: {exc}",
                 parent=span,
             )
             return None
-        with self._lock:
-            shard.worker = worker
-            shard.spawns += 1
-            if respawn:
-                shard.restarts += 1
-                if _metrics.REGISTRY.enabled:
-                    _WORKER_RESTARTS.inc(
-                        shard=self._shard_label(shard.key), reason="respawn"
-                    )
+        respawn = shard.spawned[slot]
+        shard.workers[slot] = worker
+        shard.spawned[slot] = True
+        worker.busy = True
+        if _metrics.REGISTRY.enabled:
+            _LIVE_WORKERS.set(shard.live(), shard=shard.label)
         if respawn:
-            self._adopt_span(
+            shard.restarts += 1
+            if _metrics.REGISTRY.enabled:
+                _WORKER_RESTARTS.inc(shard=shard.label, reason="respawn")
+            self._event(
                 "serve.worker_restart",
                 {
                     "shard": str(shard.key),
@@ -714,66 +817,70 @@ class SweepSupervisor:
             )
         return worker
 
-    def _retire_worker_locked(
-        self, shard: _Shard, worker: ShardWorker, reason: str, detail: str
-    ) -> None:
-        """Kill + schedule backoff + count one failure (caller holds lock)."""
-        worker.kill()
-        if shard.worker is worker:
-            shard.worker = None
-        self._schedule_retry_locked(shard)
-        shard.breaker.record_failure()
+    def _release(self, shard: _Shard, worker) -> None:
+        """A served sweep: free the worker, close the books on success."""
+        with shard.cond:
+            worker.busy = False
+            worker.sweeps += 1
+            shard.failures[worker.slot] = 0
+            shard.breaker.record_success()
+            shard.served["worker"] += 1
+            shard.cond.notify_all()
+        self._publish_breakers(shard)
         if _metrics.REGISTRY.enabled:
-            _WORKER_RESTARTS.inc(shard=self._shard_label(shard.key), reason=reason)
+            _WORKER_SWEEPS.inc(shard=shard.label, replica=str(worker.slot))
 
-    def _schedule_retry_locked(self, shard: _Shard) -> None:
-        shard.consecutive_failures += 1
-        delay = min(
-            self.config.restart_backoff_max_s,
-            self.config.restart_backoff_s
-            * (2 ** (shard.consecutive_failures - 1)),
-        )
-        shard.retry_at = _monotonic() + delay
-
-    def _on_worker_failure(
-        self,
-        shard: _Shard,
-        worker: ShardWorker,
-        exc: Exception,
-        span: Span | None = None,
-    ) -> None:
+    def _on_worker_failure(self, shard: _Shard, worker, exc, span) -> None:
+        """Retire a failed worker; a convicted one is quarantined first."""
+        convicted = isinstance(exc, FaultDetectedError)
+        evicted = worker.quarantine() if convicted else None
         reason = (
-            "stall"
-            if isinstance(exc, WorkerStalledError)
-            else "crash" if isinstance(exc, WorkerCrashedError) else "error"
+            "check_failure" if convicted
+            else "stall" if isinstance(exc, WorkerStalledError)
+            else "crash" if isinstance(exc, WorkerCrashedError)
+            else "error"
         )
-        with self._lock:
-            self._retire_worker_locked(shard, worker, reason, str(exc))
-        self._adopt_span(
-            "serve.failover",
-            {"shard": str(shard.key), "reason": reason},
-            error=f"{type(exc).__name__}: {exc}",
-            parent=span,
-        )
+        with shard.cond:
+            if convicted:
+                shard.check_failures += 1
+                if evicted is not None:
+                    shard.quarantines += 1
+            self._retire_locked(shard, worker, reason)
+        worker.kill()
+        if convicted:
+            if _metrics.REGISTRY.enabled and evicted is not None:
+                _QUARANTINES.inc(shard=shard.label)
+            self._note_check_failure(
+                shard, exc, path="worker", evicted=evicted or 0, parent=span
+            )
+        else:
+            self._event(
+                "serve.failover",
+                {"shard": str(shard.key), "reason": reason},
+                error=f"{type(exc).__name__}: {exc}",
+                parent=span,
+            )
 
-    def _on_check_failure(
-        self,
-        shard: _Shard,
-        worker: ShardWorker,
-        exc: FaultDetectedError,
-        span: Span | None = None,
-    ) -> None:
-        """A convicted response: quarantine the kernel, retire the worker."""
-        fingerprint = getattr(worker.engine, "kernel_fingerprint", None)
-        evicted = evict_kernel(fingerprint) if fingerprint is not None else 0
-        with self._lock:
-            shard.check_failures += 1
-            if fingerprint is not None:
-                shard.quarantines += 1
-            self._retire_worker_locked(shard, worker, "check_failure", str(exc))
-        if _metrics.REGISTRY.enabled and fingerprint is not None:
-            _QUARANTINES.inc(shard=self._shard_label(shard.key))
-        self._note_check_failure(shard, exc, path="worker", evicted=evicted, parent=span)
+    def _retire_locked(self, shard: _Shard, worker, reason: str) -> None:
+        """Take a worker out of its slot and back the slot off (lock
+        held); the caller kills it."""
+        if shard.workers[worker.slot] is worker:
+            shard.workers[worker.slot] = None
+        worker.busy = False
+        self._backoff_locked(shard, worker.slot)
+        shard.cond.notify_all()
+        if _metrics.REGISTRY.enabled:
+            _WORKER_RESTARTS.inc(shard=shard.label, reason=reason)
+            _LIVE_WORKERS.set(shard.live(), shard=shard.label)
+
+    def _backoff_locked(self, shard: _Shard, slot: int) -> None:
+        shard.failures[slot] += 1
+        shard.retry_at[slot] = _monotonic() + retry_backoff(
+            shard.failures[slot],
+            self.config.restart_backoff_s,
+            cap=self.config.restart_backoff_max_s,
+        )
+        shard.breaker.record_failure()
 
     def _note_check_failure(
         self,
@@ -789,8 +896,8 @@ class SweepSupervisor:
             else "bijectivity"
         )
         if _metrics.REGISTRY.enabled:
-            _CHECK_FAILURES.inc(shard=self._shard_label(shard.key), kind=kind)
-        self._adopt_span(
+            _CHECK_FAILURES.inc(shard=shard.label, kind=kind)
+        self._event(
             "serve.check_failure",
             {
                 "shard": str(shard.key),
@@ -819,96 +926,139 @@ class SweepSupervisor:
         shard = self._shards.get(key)
         if shard is None or shard.breaker._opened_at is None:
             return "full"
-        with self._lock:
-            if shard.breaker.allow():
-                return "full"
-            if self.config.fallback and shard.fallback_breaker.allow():
-                return "degraded"
-            return "cache_only"
+        with shard.cond:
+            return self._mode_locked(shard)
+
+    @staticmethod
+    def _mode_locked(shard: _Shard) -> str:
+        if shard.breaker.allow():
+            return "full"
+        return "degraded" if shard.fallback_breaker.allow() else "cache_only"
+
+    def lagging(self) -> list:
+        """Keys of shards not back at full strength: below mode ``full``,
+        or with a retired worker not yet replaced."""
+        out = []
+        for shard in self._all_shards():
+            with shard.cond:
+                if self._mode_locked(shard) != "full" or shard.lagging():
+                    out.append(shard.key)
+        return out
 
     def stats(self) -> dict:
-        with self._lock:
-            shards = {}
-            totals = {
-                "restarts": 0,
-                "check_failures": 0,
-                "quarantines": 0,
-                "served_worker": 0,
-                "served_fallback": 0,
-                "breaker_trips": 0,
-            }
-            for key, s in self._shards.items():
-                worker = s.worker
-                shards[str(key)] = {
-                    "mode": (
-                        "full"
-                        if s.breaker.allow()
-                        else "degraded"
-                        if self.config.fallback and s.fallback_breaker.allow()
-                        else "cache_only"
-                    ),
+        shards = {}
+        for s in self._all_shards():
+            with s.cond:
+                live = s.live()
+                shards[str(s.key)] = {
+                    "mode": self._mode_locked(s),
                     "breaker": s.breaker.state,
                     "fallback_breaker": s.fallback_breaker.state,
+                    "breaker_trips": s.breaker.trips + s.fallback_breaker.trips,
                     "restarts": s.restarts,
                     "check_failures": s.check_failures,
                     "quarantines": s.quarantines,
                     "served": dict(s.served),
-                    "worker_alive": bool(worker is not None and worker.alive),
-                    "heartbeat_age_s": (
-                        worker.heartbeat_age_s if worker is not None else None
-                    ),
+                    "workers_alive": live,
+                    "worker_alive": live > 0,
+                    "depth": s.depth,
                 }
-                totals["restarts"] += s.restarts
-                totals["check_failures"] += s.check_failures
-                totals["quarantines"] += s.quarantines
-                totals["served_worker"] += s.served["worker"]
-                totals["served_fallback"] += s.served["fallback"]
-                totals["breaker_trips"] += s.breaker.trips + s.fallback_breaker.trips
+        rows = shards.values()
+        totals = {
+            name: sum(r[name] for r in rows)
+            for name in (
+                "restarts",
+                "check_failures",
+                "quarantines",
+                "breaker_trips",
+                "workers_alive",
+            )
+        }
+        for rung in ("worker", "fallback"):
+            totals[f"served_{rung}"] = sum(r["served"][rung] for r in rows)
         return {"shards": shards, **totals}
 
-    def health_check(self) -> dict:
-        """Heartbeat ages + liveness per shard (operator probe)."""
-        with self._lock:
-            return {
-                str(key): {
-                    "alive": bool(s.worker is not None and s.worker.alive),
-                    "heartbeat_age_s": (
-                        s.worker.heartbeat_age_s if s.worker is not None else None
-                    ),
+    def worker_rows(self) -> list[dict]:
+        """Per-worker rows: the ``obs top`` worker table."""
+        rows = []
+        for s in self._all_shards():
+            with s.cond:
+                rows.extend(
+                    {
+                        "shard": s.label,
+                        "replica": w.slot,
+                        "pid": w.pid,
+                        "alive": w.alive,
+                        "busy": w.busy,
+                        "sweeps": w.sweeps,
+                        "restarts": s.restarts,
+                    }
+                    for w in s.workers
+                    if w is not None
+                )
+        return rows
+
+    def health(self) -> dict:
+        """The ``/health`` document: ``ok`` unless a shard has no live
+        worker (an untouched ladder has no shards and is healthy)."""
+        shards = {}
+        for s in self._all_shards():
+            with s.cond:
+                shards[s.label] = {
+                    "alive": s.live(),
+                    "replicas": len(s.workers),
                     "breaker": s.breaker.state,
                 }
-                for key, s in self._shards.items()
-            }
+        ok = all(info["alive"] for info in shards.values())
+        return {
+            "status": "ok" if ok else "degraded",
+            "shards": shards,
+            "workers": self.worker_rows(),
+        }
 
     # ------------------------------------------------------------------ #
-    # internals
+    # lifecycle and internals
+
+    def close(self) -> None:
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+        for shard in self._all_shards():
+            with shard.cond:
+                workers = [w for w in shard.workers if w is not None]
+                shard.workers = [None] * len(shard.workers)
+                shard.cond.notify_all()
+            for worker in workers:
+                worker.kill()
 
     def _shard(self, key) -> _Shard:
-        with self._lock:
-            shard = self._shards.get(key)
-            if shard is None:
-                shard = self._shards[key] = _Shard(key, self.config)
-            return shard
+        shard = self._shards.get(key)
+        if shard is None:
+            with self._lock:
+                shard = self._shards.get(key)
+                if shard is None:
+                    shard = self._shards[key] = _Shard(key, self.config)
+        return shard
 
-    @staticmethod
-    def _shard_label(key) -> str:
-        return f"{key[0]}:{key[1]}"
+    def _all_shards(self) -> list[_Shard]:
+        with self._lock:
+            return list(self._shards.values())
 
     def _publish_breakers(self, shard: _Shard) -> None:
         if not _metrics.REGISTRY.enabled:
             return
-        label = self._shard_label(shard.key)
         _BREAKER_STATE.set_enum(
-            shard.breaker.state, BREAKER_STATES, shard=label, path="worker"
+            shard.breaker.state, BREAKER_STATES, shard=shard.label, path="worker"
         )
         _BREAKER_STATE.set_enum(
             shard.fallback_breaker.state,
             BREAKER_STATES,
-            shard=label,
+            shard=shard.label,
             path="fallback",
         )
 
-    def _adopt_span(
+    def _event(
         self,
         name: str,
         attrs: dict,
@@ -918,7 +1068,7 @@ class SweepSupervisor:
         """One finished event-span: a child of ``parent``, else adopted.
 
         With a ``parent`` (the sampled batch span) the event joins that
-        trace directly; without one — unsampled batch, or supervisor
+        trace directly; without one — unsampled batch, or ladder
         housekeeping outside any sweep — it becomes its own adopted root
         so the event is still never lost.
         """
@@ -934,82 +1084,90 @@ class SweepSupervisor:
         self.tracer.adopt(span)
 
 
+class SweepSupervisor(DegradationLadder):
+    """The thread executor: one :class:`ShardWorker` per shard."""
+
+    default_deadline_s = 1.0
+
+    def __init__(self, config: LadderConfig | None = None, service=None, **kwargs):
+        super().__init__(config, service, **kwargs)
+        if self.config.workers != 1:
+            raise ValueError("the thread executor runs one worker per shard")
+
+    # Bound here, not inherited: perfbench/spans.py times each
+    # executor's own ``execute`` by patching it in the class __dict__.
+    execute = DegradationLadder.execute
+
+    def _spawn(self, key, slot: int, worker_id: int) -> ShardWorker:
+        engine = worker_engine(key[0], key[1], self.service, worker_id)
+        return ShardWorker(key, worker_id, engine, chaos=self.chaos, slot=slot)
+
+
 # --------------------------------------------------------------------- #
-# the supervised service
+# the services
 
 
-class SupervisedService(PermutationService):
-    """:class:`PermutationService` with supervised sweep execution.
+class LadderService(PermutationService):
+    """:class:`PermutationService` whose sweeps walk a :class:`DegradationLadder`.
 
-    The admission/batching/caching hot path is inherited unchanged; only
-    the execution seam differs — sweeps run through a
-    :class:`SweepSupervisor` ladder instead of the in-process engine
-    bank, and admission consults the shard's degradation mode (cache
-    hits always serve; past cache-only, misses shed with
-    :class:`~repro.errors.ServiceDegradedError`).
+    The admission/batching/caching hot path is inherited unchanged; the
+    execution seam (:meth:`_run_sweep`) routes each closed batch through
+    the ladder, and admission (:meth:`_degrade_gate`) consults it —
+    cache hits always serve, a full shard sheds with
+    ``ServiceOverloadedError``, a cache-only shard sheds misses with
+    ``ServiceDegradedError``.  :meth:`_sweep` is where an executor may
+    hand the batch to another thread; here it runs on the caller's.
     """
+
+    stats_key: str
+
+    def __init__(self, config: ServiceConfig, ladder: DegradationLadder, tracer):
+        self.ladder = ladder
+        super().__init__(config, tracer=tracer)
+
+    def close(self) -> None:
+        # the base close drains every in-flight sweep first, so no
+        # worker is killed under a live sweep
+        super().close()
+        self.ladder.close()
+
+    def stats(self) -> dict:
+        stats = super().stats()
+        stats[self.stats_key] = self.ladder.stats()
+        return stats
+
+    def _degrade_gate(self, workload: str, key: tuple[str, int]) -> None:
+        self.ladder.admission_gate(key)
+
+    def _execute(self, batch) -> None:
+        self.ladder.track(batch.key, 1)
+        self._sweep(batch)
+
+    def _sweep(self, batch) -> None:
+        PermutationService._execute(self, batch)
+
+    def _run_sweep(self, batch, kind: str, n: int, span: Span | None = None):
+        payload = batch.lanes if kind == "shuffle" else batch_indices(batch)
+        try:
+            return self.ladder.execute(batch.key, payload, span)
+        finally:
+            # out of the count before any future resolves, so a client
+            # answered by this sweep never finds it still counted
+            self.ladder.track(batch.key, -1)
+
+
+class SupervisedService(LadderService):
+    """The ladder over worker threads (``serve --supervised``)."""
+
+    stats_key = "supervisor"
 
     def __init__(
         self,
         config: ServiceConfig | None = None,
-        supervisor: SupervisorConfig | None = None,
+        ladder: LadderConfig | None = None,
         chaos=None,
         tracer: Tracer | None = None,
     ):
-        self.supervisor = SweepSupervisor(
-            supervisor,
-            engine_factory=self._make_worker_engine,
-            fallback_factory=self._make_fallback_engine,
-            chaos=chaos,
-            tracer=tracer,
-        )
-        super().__init__(config, tracer=tracer)
-
-    # ------------------------------------------------------------------ #
-
-    def close(self) -> None:
-        super().close()
-        self.supervisor.close()
-
-    def stats(self) -> dict:
-        stats = super().stats()
-        stats["supervisor"] = self.supervisor.stats()
-        return stats
-
-    # ------------------------------------------------------------------ #
-    # the two seams
-
-    def _degrade_gate(self, workload: str, key: tuple[str, int]) -> None:
-        if self.supervisor.mode_for(key) == "cache_only":
-            raise ServiceDegradedError(
-                f"shard {key} is in cache-only mode; request shed",
-                mode="cache_only",
-                shard=key,
-            )
-
-    def _run_sweep(self, batch, kind: str, n: int, span: Span | None = None):
-        payload = batch.lanes if kind == "shuffle" else batch_indices(batch)
-        return self.supervisor.execute(batch.key, payload, span)
-
-    # ------------------------------------------------------------------ #
-    # engine factories
-
-    def _make_worker_engine(self, key, worker_id: int):
-        kind, n = key
-        if kind == "shuffle":
-            # distinct salt per spawned worker: a restarted shuffle
-            # worker must not replay its predecessor's LFSR stream
-            return ShuffleEngine(
-                n,
-                m=self.config.shuffle_m,
-                seed_salt=self.config.rng_seed + 7919 * (worker_id + 1),
-            )
-        return ConverterEngine(n, backend=self.config.engine)
-
-    def _make_fallback_engine(self, key):
-        kind, n = key
-        if kind == "shuffle":
-            return ShuffleEngine(
-                n, m=self.config.shuffle_m, seed_salt=self.config.rng_seed + 104729
-            )
-        return FunctionalConverterEngine(n)
+        config = config or ServiceConfig()
+        self.supervisor = SweepSupervisor(ladder, config, chaos=chaos, tracer=tracer)
+        super().__init__(config, self.supervisor, tracer)

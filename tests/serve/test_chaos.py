@@ -9,10 +9,10 @@ from repro.serve import (
     BreakerConfig,
     ChaosMonkey,
     ChaosSpec,
+    LadderConfig,
     Request,
     ServiceConfig,
     SupervisedService,
-    SupervisorConfig,
     SweepPlan,
     run_chaos_campaign,
 )
@@ -94,7 +94,7 @@ class TestSettleShards:
         monkey = ChaosMonkey(script={i: "crash" for i in range(3)})
         svc = SupervisedService(
             ServiceConfig(cache_capacity=0),
-            SupervisorConfig(
+            LadderConfig(
                 restart_backoff_s=0.0,
                 breaker=BreakerConfig(failure_threshold=3, recovery_s=0.05),
             ),

@@ -1,4 +1,6 @@
-"""The multi-process worker pool: correctness, chaos, cache accounting."""
+"""The process executor: correctness, chaos, cache accounting, backpressure."""
+
+import time
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ import pytest
 from repro.core.converter import IndexToPermutationConverter
 from repro.errors import ServiceOverloadedError
 from repro.serve import (
+    ChaosMonkey,
+    ChaosSpec,
+    LadderConfig,
     PermutationService,
-    PoolConfig,
     PooledService,
     Request,
     ServiceConfig,
@@ -15,11 +19,12 @@ from repro.serve import (
 )
 
 
-def make_pooled(workers: int = 1, **svc_kw) -> PooledService:
+def make_pooled(workers: int = 1, chaos=None, backoff_s=0.01, **svc_kw) -> PooledService:
     svc_kw.setdefault("batch_deadline_s", 0.001)
     return PooledService(
         ServiceConfig(**svc_kw),
-        PoolConfig(workers=workers, restart_backoff_s=0.01),
+        LadderConfig(workers=workers, restart_backoff_s=backoff_s),
+        chaos=chaos,
     )
 
 
@@ -47,7 +52,7 @@ class TestCorrectness:
             assert sorted(row) == list(range(8))
 
     def test_vector_worker_backend(self):
-        """slot_lanes >= 256 flips the auto rule to the vector backend."""
+        """Workers sweep on the service's engine: 500 lanes need vector."""
         indices = list(range(500))
         with make_pooled(workers=1, engine="vector") as svc:
             resp = svc.submit_wide("unrank", 6, len(indices), indices).result(30.0)
@@ -69,9 +74,15 @@ class TestSupervision:
         with make_pooled(workers=1) as svc:
             assert svc.convert(Request("unrank", 6, 1)).permutation == conv.convert(1)
             assert svc.pool.kill_worker() is not None
-            # the only replica is gone: the next sweep must respawn it
+            # the only replica is gone: the next sweep fails over at once
+            # (still the right answer), and once the restart backoff has
+            # run out the one after respawns it
             resp = svc.convert(Request("unrank", 6, 2))
             assert resp.permutation == conv.convert(2)
+            time.sleep(0.05)
+            again = svc.convert(Request("unrank", 6, 3))
+            assert again.permutation == conv.convert(3)
+            assert again.mode == "worker"
             stats = svc.stats()["pool"]
         assert stats["restarts"] >= 1
 
@@ -107,74 +118,150 @@ class TestSupervision:
         assert rows, "expected at least one worker row"
         for row in rows:
             assert set(row) >= {
-                "shard", "replica", "pid", "alive", "busy",
-                "sweeps", "cache_hits", "cache_misses", "restarts",
+                "shard", "replica", "pid", "alive", "busy", "sweeps", "restarts",
             }
             assert row["pid"] > 0 and row["sweeps"] >= 1
 
 
 class TestCacheAccounting:
-    def test_front_and_worker_tiers_never_double_count(self):
-        """Satellite invariant: a lane is accounted in exactly one tier.
-
-        A count-1 repeat hits the *front* cache and must not touch the
-        pool; a wide frame skips the front tier entirely and settles its
-        lanes against the *worker* cache.
-        """
+    def test_front_tier_counts_count_one_lookups_only(self):
+        """A count-1 repeat hits the front cache and never reaches the
+        pool; a wide frame skips the front tier and sweeps every lane."""
         with make_pooled(workers=1) as svc:
             svc.convert(Request("unrank", 6, 5))
             first = svc.stats()
-            assert first["cache_hits"] == 0
-            assert first["pool"]["cache_misses"] == 1
-            assert first["pool"]["cache_hits"] == 0
+            assert (first["cache_hits"], first["cache_misses"]) == (0, 1)
+            assert first["pool"]["served_worker"] == 1
 
             # count-1 repeat: front tier answers, pool never sees it
             again = svc.convert(Request("unrank", 6, 5))
             second = svc.stats()
             assert again.cached
             assert second["cache_hits"] == 1
-            assert second["pool"]["cache_hits"] == first["pool"]["cache_hits"]
-            assert second["pool"]["cache_misses"] == first["pool"]["cache_misses"]
             assert second["pool"]["served_worker"] == first["pool"]["served_worker"]
 
-            # wide frame: front tier skipped, worker cache splits the lanes
+            # wide frame: front tier untouched, one worker sweep
             svc.submit_wide("unrank", 6, 2, [5, 9]).result(20.0)
             third = svc.stats()
-            assert third["cache_hits"] == 1  # front untouched by the wide path
-            assert third["pool"]["cache_hits"] == 1  # index 5 remembered
-            assert third["pool"]["cache_misses"] == 2  # index 9 swept
+            assert (third["cache_hits"], third["cache_misses"]) == (1, 1)
+            assert third["pool"]["served_worker"] == 2
 
-    def test_worker_cache_disabled_by_zero_capacity(self):
-        with PooledService(
-            ServiceConfig(batch_deadline_s=0.001, cache_capacity=0),
-            PoolConfig(workers=1, worker_cache_capacity=0),
-        ) as svc:
-            svc.submit_wide("unrank", 6, 2, [5, 5]).result(20.0)
-            svc.submit_wide("unrank", 6, 2, [5, 5]).result(20.0)
-            stats = svc.stats()["pool"]
-        assert stats["cache_hits"] == 0
-        assert stats["cache_misses"] == 4
+
+def _frames(svc, count, n=6):
+    """Flood ``count`` one-sweep frames without waiting → (futures, shed)."""
+    lanes = svc.config.max_batch
+    futures, shed = [], 0
+    for f in range(count):
+        indices = [(f * lanes + i) % 720 for i in range(lanes)]
+        try:
+            futures.append((indices, svc.submit_wide("unrank", n, lanes, indices)))
+        except ServiceOverloadedError:
+            shed += 1
+    return futures, shed
+
+
+def _slow_sweeps(delay_s=0.2):
+    """Every worker sweep sleeps ``delay_s`` first: frames pile up."""
+    return ChaosMonkey(ChaosSpec(0.0, 0.0, 1.0, 0.0, 0.0, delay_s=delay_s))
 
 
 class TestBackpressure:
     def test_saturated_shard_sheds_with_overloaded(self):
+        key = ("converter", 6)
         with make_pooled(workers=1) as svc:
-            svc.convert(Request("unrank", 6, 0))  # materialise the group
-            (group,) = svc.pool._groups.values()
-            limit = svc.pool.config.sweep_limit
-            group.depth = limit  # white-box: pin the gauge at the ceiling
+            svc.convert(Request("unrank", 6, 0))  # materialise the shard
+            limit = svc.pool.max_in_flight
+            for _ in range(limit):  # pin the shard at its ceiling
+                svc.pool.track(key, 1)
             try:
                 with pytest.raises(ServiceOverloadedError) as exc_info:
                     svc.submit(Request("unrank", 6, 123))
             finally:
-                group.depth = 0
+                for _ in range(limit):
+                    svc.pool.track(key, -1)
             assert exc_info.value.queue_depth == limit
-            # a fresh shard admits unconditionally (lazy groups are healthy)
+            # a fresh shard admits unconditionally (lazy shards are healthy)
             assert svc.convert(Request("unrank", 5, 0)).permutation is not None
 
     def test_untouched_pool_admits_everything(self):
         with make_pooled() as svc:
-            svc.pool.admission_gate(("converter", 9))  # no group: no veto
+            svc.pool.admission_gate(("converter", 9))  # no shard: no veto
+
+    def test_eight_one_sweep_frames_in_flight_shed_nothing(self):
+        # one worker, every sweep slow: all eight frames are in flight at
+        # once, more than the four sweep threads can run
+        conv = IndexToPermutationConverter(6)
+        with make_pooled(workers=1, chaos=_slow_sweeps(0.05)) as svc:
+            futures, shed = _frames(svc, 8)
+            rows = [(idx, f.result(30.0).permutations) for idx, f in futures]
+        assert shed == 0
+        for indices, perms in rows:
+            assert np.array_equal(perms, conv.convert_batch(indices))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flood_sheds_past_the_bound_and_loses_nothing(self, workers):
+        conv = IndexToPermutationConverter(6)
+        with make_pooled(workers=workers, chaos=_slow_sweeps()) as svc:
+            limit = svc.pool.max_in_flight
+            futures, shed = _frames(svc, limit + 12)
+            rows = [(idx, f.result(60.0).permutations) for idx, f in futures]
+            depth = svc.stats()["pool"]["shards"]["('converter', 6)"]["depth"]
+        assert shed >= 1
+        assert len(futures) >= limit and len(futures) + shed == limit + 12
+        for indices, perms in rows:  # every admitted frame answered right
+            assert np.array_equal(perms, conv.convert_batch(indices))
+        assert depth == 0
+
+
+class TestProcessChaos:
+    """The scripted ladder stories, on worker processes."""
+
+    def test_crash_fails_over_then_respawns(self):
+        conv = IndexToPermutationConverter(5)
+        monkey = ChaosMonkey(script={0: "crash"})
+        with make_pooled(chaos=monkey, backoff_s=0.0, cache_capacity=0) as svc:
+            first = svc.convert(Request("unrank", 5, 10))
+            second = svc.convert(Request("unrank", 5, 11))
+            stats = svc.stats()["pool"]
+        assert (first.permutation, first.mode) == (conv.convert(10), "fallback")
+        assert (second.permutation, second.mode) == (conv.convert(11), "worker")
+        assert stats["restarts"] == 1
+
+    def test_stall_fails_over(self):
+        conv = IndexToPermutationConverter(5)
+        with PooledService(
+            ServiceConfig(batch_deadline_s=0.001, cache_capacity=0),
+            LadderConfig(sweep_deadline_s=0.1, restart_backoff_s=0.0),
+            chaos=ChaosMonkey(script={0: "stall"}),
+        ) as svc:
+            first = svc.convert(Request("unrank", 5, 7))
+            second = svc.convert(Request("unrank", 5, 8))
+            stats = svc.stats()["pool"]
+        assert (first.permutation, first.mode) == (conv.convert(7), "fallback")
+        assert second.mode == "worker"
+        assert stats["restarts"] == 1
+
+    @pytest.mark.parametrize("event", ["corrupt", "swap"])
+    def test_convicted_rows_are_never_served(self, event):
+        conv = IndexToPermutationConverter(5)
+        monkey = ChaosMonkey(script={0: event})
+        with make_pooled(chaos=monkey, backoff_s=0.0, cache_capacity=0) as svc:
+            first = svc.convert(Request("unrank", 5, 23))
+            second = svc.convert(Request("unrank", 5, 24))
+            stats = svc.stats()["pool"]
+        assert (first.permutation, first.mode) == (conv.convert(23), "fallback")
+        assert second.mode == "worker"
+        assert stats["check_failures"] == 1
+        assert stats["quarantines"] == 1  # the convicted process is gone
+        assert stats["restarts"] == 1
+
+    def test_delay_inside_the_deadline_is_not_a_failure(self):
+        monkey = ChaosMonkey(script={0: "delay"})
+        with make_pooled(chaos=monkey, cache_capacity=0) as svc:
+            resp = svc.convert(Request("unrank", 5, 3))
+            stats = svc.stats()["pool"]
+        assert resp.mode == "worker"
+        assert stats["restarts"] == 0
 
 
 class TestLifecycle:
@@ -195,7 +282,7 @@ class TestLifecycle:
         pool = stats["pool"]
         for key in (
             "shards", "restarts", "served_worker", "served_fallback",
-            "workers_alive", "cache_hits", "cache_misses",
+            "workers_alive", "check_failures", "quarantines", "breaker_trips",
         ):
             assert key in pool
 

@@ -24,11 +24,12 @@ from repro.obs.tracing import Tracer
 from repro.serve import (
     BreakerConfig,
     ChaosMonkey,
+    ChaosSpec,
     CircuitBreaker,
+    LadderConfig,
     Request,
     ServiceConfig,
     SupervisedService,
-    SupervisorConfig,
 )
 from repro.serve.supervisor import ShardWorker
 from repro.serve import supervisor as sup_mod
@@ -49,16 +50,23 @@ class FakeClock:
 
 
 def make_supervised(
-    script=None, *, fallback=True, breaker=None, deadline=0.5, **svc_kw
+    script=None,
+    *,
+    chaos=None,
+    breaker=None,
+    fallback_breaker=None,
+    deadline=0.5,
+    **svc_kw,
 ) -> SupervisedService:
     svc_kw.setdefault("batch_deadline_s", 0.001)
-    chaos = ChaosMonkey(script=script) if script is not None else None
-    cfg = SupervisorConfig(
+    if script is not None:
+        chaos = ChaosMonkey(script=script)
+    cfg = LadderConfig(
         sweep_deadline_s=deadline,
         restart_backoff_s=0.0,
         restart_backoff_max_s=0.0,
-        fallback=fallback,
         breaker=breaker or BreakerConfig(failure_threshold=3, recovery_s=0.05),
+        fallback_breaker=fallback_breaker or LadderConfig().fallback_breaker,
     )
     return SupervisedService(ServiceConfig(**svc_kw), cfg, chaos=chaos)
 
@@ -232,16 +240,22 @@ class TestDegradationLadder:
         assert stats["check_failures"] == 1
 
     def test_cache_only_mode_sheds_misses_but_serves_hits(self):
-        # every worker sweep crashes and there is no fallback rung
-        script = {i: "crash" for i in range(50)}
+        # every worker sweep crashes and every fallback sweep is corrupt
+        chaos = ChaosMonkey(
+            ChaosSpec(
+                crash_p=1.0, stall_p=0.0, delay_p=0.0, corrupt_p=0.0,
+                swap_p=0.0, fallback_corrupt_p=1.0,
+            )
+        )
         with make_supervised(
-            script=script,
-            fallback=False,
+            chaos=chaos,
             breaker=BreakerConfig(failure_threshold=1, recovery_s=60.0),
+            fallback_breaker=BreakerConfig(failure_threshold=1, recovery_s=60.0),
         ) as svc:
             warm = None
             with pytest.raises(ServiceDegradedError):
-                # first sweep crashes; no fallback → the batch degrades
+                # first sweep crashes; the fallback is convicted → the
+                # batch degrades
                 svc.convert(Request("unrank", 5, 1))
             # breaker now open → shard pinned cache-only; misses shed at
             # admission with the typed signal …
@@ -312,7 +326,7 @@ class TestObservability:
         tracer = Tracer()
         svc = SupervisedService(
             ServiceConfig(batch_deadline_s=0.001, cache_capacity=0),
-            SupervisorConfig(restart_backoff_s=0.0, restart_backoff_max_s=0.0),
+            LadderConfig(restart_backoff_s=0.0, restart_backoff_max_s=0.0),
             chaos=ChaosMonkey(script={0: "crash"}),
             tracer=tracer,
         )

@@ -14,10 +14,10 @@ from repro.obs.sampling import AlwaysSampler, SpanRing, validate_trace_dump
 from repro.obs.tracing import Span, Tracer
 from repro.serve import (
     ChaosMonkey,
+    LadderConfig,
     Request,
     ServiceConfig,
     SupervisedService,
-    SupervisorConfig,
 )
 
 
@@ -25,7 +25,7 @@ def serve_crash_then_recover(tracer: Tracer) -> None:
     """Two converted requests; the first sweep's worker is scripted to crash."""
     svc = SupervisedService(
         ServiceConfig(batch_deadline_s=0.001, cache_capacity=0),
-        SupervisorConfig(restart_backoff_s=0.0, restart_backoff_max_s=0.0),
+        LadderConfig(restart_backoff_s=0.0, restart_backoff_max_s=0.0),
         chaos=ChaosMonkey(script={0: "crash"}),
         tracer=tracer,
     )
