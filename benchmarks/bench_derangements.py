@@ -4,41 +4,51 @@ The paper: 1,048,576 random 4-element permutations contained 385,811
 derangements, estimating e ≈ 2.718; repeated at n = 8 and n = 16.  (The
 derangement fraction at n = 4 is exactly 9/24 = 0.375, so the ideal count
 is 393,216; the paper's figure deviates by ~1.9 %.)  We regenerate all
-three rows and additionally verify the parallel jump-ahead decomposition
-is bit-identical to the sequential run.
+three rows as ``shuffle``-source campaigns — the count is cell 0 of the
+fixed-point accumulator — and additionally verify that sharding the
+campaign over worker processes is bit-identical to a single pass.
 """
 
 import math
 
 from conftest import write_report
 
-from repro.analysis.derangements import derangement_experiment
-from repro.apps.montecarlo import parallel_derangement_estimate
+from repro.analysis.stream import CampaignConfig, run_population_campaign
 
 SAMPLES = 1 << 20
 
 
+def _fixed_points(n: int, samples: int, shards: int = 1, workers: int = 1) -> dict:
+    cfg = CampaignConfig(n=n, samples=samples, source="shuffle")
+    result = run_population_campaign(
+        cfg, shards=shards, workers=workers, battery_draws=0
+    )
+    return result.summary["fixed_points"]
+
+
 def test_derangement_rows(benchmark, results_dir):
-    results = benchmark.pedantic(
-        lambda: [derangement_experiment(n, samples=SAMPLES) for n in (4, 8, 16)],
+    rows = benchmark.pedantic(
+        lambda: {n: _fixed_points(n, SAMPLES) for n in (4, 8, 16)},
         rounds=1,
         iterations=1,
     )
 
     lines = [
         f"Derangement experiment — {SAMPLES} Knuth-shuffle samples per n",
-        "(paper: n=4 gave 385,811 derangements -> e ~ 2.718)",
+        "(shuffle-source campaigns, seed 2012, 4096-permutation blocks;",
+        " paper: n=4 gave 385,811 derangements -> e ~ 2.718)",
         "",
         f"{'n':>3}  {'derangements':>12}  {'e estimate':>10}  {'exact d_n/n!':>12}  {'rel err vs e':>12}",
     ]
-    for r in results:
+    for n, fx in rows.items():
+        e_error = fx["e_abs_error"] / math.e
         lines.append(
-            f"{r.n:>3}  {r.derangements:>12}  {r.e_estimate:>10.5f}  "
-            f"{r.expected_fraction:>12.6f}  {r.e_error:>12.2e}"
+            f"{n:>3}  {fx['derangements']:>12}  {fx['e_estimate']:>10.5f}  "
+            f"{fx['expected_fraction']:>12.6f}  {e_error:>12.2e}"
         )
         # at 2^20 samples the fraction estimate is good to ~0.2 %
-        assert abs(r.observed_fraction - r.expected_fraction) < 0.005
-        assert abs(r.e_estimate - math.e) / math.e < 0.02
+        assert fx["abs_error"] < 0.005
+        assert e_error < 0.02
     write_report(
         results_dir,
         "derangements",
@@ -48,51 +58,57 @@ def test_derangement_rows(benchmark, results_dir):
             "samples": SAMPLES,
             "rows": [
                 {
-                    "n": r.n,
-                    "derangements": int(r.derangements),
-                    "e_estimate": r.e_estimate,
-                    "expected_fraction": r.expected_fraction,
-                    "e_error": r.e_error,
+                    "n": n,
+                    "derangements": int(fx["derangements"]),
+                    "e_estimate": fx["e_estimate"],
+                    "expected_fraction": fx["expected_fraction"],
+                    "e_error": fx["e_abs_error"] / math.e,
                 }
-                for r in results
+                for n, fx in rows.items()
             ],
         },
     )
 
 
 def test_parallel_decomposition_exact(benchmark, results_dir):
-    """Jump-ahead sharding reproduces the sequential count bit for bit."""
+    """Sharding the campaign over worker processes reproduces the
+    single-pass count bit for bit: every block seeds its own stages."""
     samples = 1 << 16
-    seq = derangement_experiment(4, samples=samples)
+    seq = _fixed_points(4, samples)
     par = benchmark.pedantic(
-        lambda: parallel_derangement_estimate(4, samples=samples, workers=8),
+        lambda: _fixed_points(4, samples, shards=8, workers=2),
         rounds=1,
         iterations=1,
     )
-    assert par.derangements == seq.derangements
+    identical = par["histogram"] == seq["histogram"]
+    assert identical
     write_report(
         results_dir,
         "derangements_parallel",
-        f"sequential={seq.derangements} parallel(8 workers)={par.derangements} "
-        f"identical={par.derangements == seq.derangements}",
+        f"sequential={seq['derangements']} "
+        f"parallel(8 shards, 2 workers)={par['derangements']} identical={identical}",
         benchmark=benchmark,
         data={
             "n": 4,
             "samples": samples,
-            "sequential": int(seq.derangements),
-            "parallel": int(par.derangements),
-            "identical": par.derangements == seq.derangements,
+            "sequential": int(seq["derangements"]),
+            "parallel": int(par["derangements"]),
+            "identical": identical,
         },
     )
 
 
 def test_derangement_scan_throughput(benchmark):
     """The vectorised fixed-point scan on a large block."""
-    import numpy as np
-
-    from repro.analysis.derangements import derangement_mask
+    from repro.analysis.stream import FixedPointAccumulator
     from repro.core.knuth import KnuthShuffleCircuit
 
     perms = KnuthShuffleCircuit(8).sample(100_000)
-    count = benchmark(lambda: int(derangement_mask(perms).sum()))
+
+    def scan() -> int:
+        acc = FixedPointAccumulator(8)
+        acc.update(perms)
+        return int(acc.hist[0])
+
+    count = benchmark(scan)
     assert 0 < count < 100_000

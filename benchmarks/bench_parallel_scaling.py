@@ -1,7 +1,8 @@
-"""Extension: strong scaling of the process-parallel experiment runners.
+"""Extension: strong scaling of the streaming campaigns over worker processes.
 
-Fixed problems, growing worker counts; results are asserted bit-identical
-across counts (the harness refuses otherwise) and the wall-clock table is
+Fixed problems — ``shuffle``-source campaigns, one shard per worker —
+at growing worker counts; results are asserted bit-identical across
+counts (the harness refuses otherwise) and the wall-clock table is
 written out.  Speedup depends on the host's core count (this container
 exposes a single CPU, so expect flat times here); the *determinism* of the
 decomposition — the property a cluster deployment actually relies on — is
@@ -12,16 +13,24 @@ import os
 
 from conftest import write_report
 
-from repro.parallel.experiments import parallel_derangements, parallel_fig4_counts
+from repro.analysis.stream import CampaignConfig, run_population_campaign
 from repro.perf.scaling import render_scaling_table, strong_scaling
 
 SAMPLES = 1 << 18
 
 
+def _campaign_state(n: int, workers: int) -> dict:
+    cfg = CampaignConfig(n=n, samples=SAMPLES, source="shuffle")
+    result = run_population_campaign(
+        cfg, shards=workers, workers=workers, battery_draws=0
+    )
+    return result.stats.state_dict()
+
+
 def test_derangement_strong_scaling(benchmark, results_dir):
     def run():
         return strong_scaling(
-            lambda w: parallel_derangements(8, samples=SAMPLES, workers=w).derangements,
+            lambda w: _campaign_state(8, w)["accumulators"]["fixed_points"]["hist"],
             worker_counts=(1, 2, 4),
         )
 
@@ -52,7 +61,7 @@ def test_derangement_strong_scaling(benchmark, results_dir):
 def test_fig4_strong_scaling(benchmark, results_dir):
     def run():
         return strong_scaling(
-            lambda w: parallel_fig4_counts(4, samples=SAMPLES, workers=w),
+            lambda w: _campaign_state(4, w)["accumulators"]["rank_buckets"]["counts"],
             worker_counts=(1, 2, 4),
         )
 

@@ -1,30 +1,26 @@
 """Statistical and structural analysis of the generators.
 
-* :mod:`repro.analysis.derangements` — the §III-C experiment: count
-  derangements among random permutations and estimate ``e ≈ n!/d_n``;
+* :mod:`repro.analysis.stream` — the one statistics path: streaming
+  campaigns over a converter or Knuth-shuffle source that fold every
+  block into mergeable accumulators — the Fig.-4 histogram (rank
+  buckets), the §III-C derangement count and ``e ≈ n!/d_n`` (fixed
+  points), serial correlation and the Fig.-2 pigeonhole bias — sharded,
+  checkpointed and resumable (:mod:`repro.analysis.checkpoint`);
 * :mod:`repro.analysis.uniformity` — chi-square / total-variation /
-  entropy tests of permutation uniformity;
-* :mod:`repro.analysis.distribution` — the Fig.-4 histogram of 2²⁰ random
-  4-element permutations keyed by the packed 8-bit word;
+  entropy statistics and the residue rank buckets behind them;
+* :mod:`repro.analysis.distribution` — the Fig.-4 bar chart of a
+  campaign's 24 rank counts, keyed by the packed 8-bit word;
+* :mod:`repro.analysis.randtests` — monobit / runs / serial tests of the
+  raw LFSR stream;
 * :mod:`repro.analysis.complexity` — the §II-D / §III-C complexity claims
   (O(n²) comparators/crossovers, O(n) delay) checked against real
   netlists, with least-squares exponents;
 * :mod:`repro.analysis.faultcoverage` — confidence intervals and sample
   sizing for the sampled fault-injection campaigns;
 * :mod:`repro.analysis.special` — the chi-square/normal tail functions
-  (regularised incomplete gamma), stdlib-only — no scipy;
-* :mod:`repro.analysis.stream` — population-scale streaming validation:
-  mergeable accumulators over lazily-streamed engine output, sharded
-  campaigns with checkpoint/resume (:mod:`repro.analysis.checkpoint`).
+  (regularised incomplete gamma), stdlib-only — no scipy.
 """
 
-from repro.analysis.derangements import (
-    subfactorial,
-    derangement_mask,
-    DerangementResult,
-    derangement_experiment,
-    estimate_e,
-)
 from repro.analysis.special import (
     chi2_survival,
     normal_survival,
@@ -35,11 +31,8 @@ from repro.analysis.uniformity import (
     chi_square_uniform,
     total_variation_from_uniform,
     empirical_entropy_bits,
-    entropy_deficit_bits,
     rank_bucket_counts,
     bucket_null_probabilities,
-    UniformityReport,
-    uniformity_report,
 )
 from repro.analysis.stream import (
     CampaignConfig,
@@ -47,17 +40,11 @@ from repro.analysis.stream import (
     PopulationStats,
     run_population_campaign,
 )
-from repro.analysis.distribution import (
-    permutation_histogram,
-    packed_histogram,
-    fig4_experiment,
-    Fig4Result,
-)
+from repro.analysis.distribution import fig4_bars, render_fig4
 from repro.analysis.randtests import (
     monobit_test,
     runs_test,
     serial_correlation,
-    permutation_chi2,
     battery,
     TestResult,
 )
@@ -76,11 +63,6 @@ from repro.analysis.complexity import (
 from repro.analysis.faultcoverage import required_samples, wilson_interval
 
 __all__ = [
-    "subfactorial",
-    "derangement_mask",
-    "DerangementResult",
-    "derangement_experiment",
-    "estimate_e",
     "chi2_survival",
     "normal_survival",
     "regularized_gamma_p",
@@ -88,19 +70,14 @@ __all__ = [
     "chi_square_uniform",
     "total_variation_from_uniform",
     "empirical_entropy_bits",
-    "entropy_deficit_bits",
     "rank_bucket_counts",
     "bucket_null_probabilities",
-    "UniformityReport",
-    "uniformity_report",
     "CampaignConfig",
     "CampaignResult",
     "PopulationStats",
     "run_population_campaign",
-    "permutation_histogram",
-    "packed_histogram",
-    "fig4_experiment",
-    "Fig4Result",
+    "fig4_bars",
+    "render_fig4",
     "ComplexityReport",
     "converter_complexity",
     "shuffle_complexity",
@@ -108,7 +85,6 @@ __all__ = [
     "monobit_test",
     "runs_test",
     "serial_correlation",
-    "permutation_chi2",
     "battery",
     "TestResult",
     "MixingCurve",

@@ -1,127 +1,48 @@
-"""The Fig.-4 experiment: distribution of 2²⁰ Knuth-shuffle permutations.
+"""The Fig.-4 bar chart: distribution of 2²⁰ Knuth-shuffle permutations.
 
 Fig. 4 plots, for n = 4, the occurrence count of each of the 24
 permutations among 2²⁰ = 1,048,576 shuffles of the identity, keyed by the
 packed 8-bit output word (e.g. ``0 1 3 2`` → ``00 01 11 10`` = 30).  The
 paper reads off ≈43,690 per bar (two quoted bars: 43,399 and 43,897) and
 concludes the distribution is uniform.
+
+The counts come from a ``source="shuffle"`` campaign
+(:mod:`repro.analysis.stream`): at n = 4 its rank-bucket accumulator
+holds one exact cell per rank.  This module lays those cells out as the
+figure does and draws them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from repro.analysis.uniformity import chi_square_uniform, total_variation_from_uniform
 from repro.core.factorial import element_width, factorial
-from repro.core.knuth import KnuthShuffleCircuit
-from repro.core.lehmer import rank_batch, unrank_batch
+from repro.core.lehmer import unrank_batch
 
-__all__ = ["permutation_histogram", "packed_histogram", "Fig4Result", "fig4_experiment"]
-
-
-def permutation_histogram(perms: np.ndarray) -> np.ndarray:
-    """Histogram over lexicographic index: length n!, counts per index."""
-    p = np.asarray(perms)
-    return np.bincount(rank_batch(p), minlength=factorial(p.shape[1]))
+__all__ = ["fig4_bars", "render_fig4"]
 
 
-def packed_values(perms: np.ndarray) -> np.ndarray:
-    """Per-row packed word (MSB-first elements, the paper's encoding)."""
-    p = np.asarray(perms, dtype=np.int64)
-    n = p.shape[1]
-    w = element_width(n)
-    out = np.zeros(p.shape[0], dtype=np.int64)
-    for col in range(n):
-        out = (out << w) | p[:, col]
-    return out
+def fig4_bars(counts: Sequence[int], n: int = 4) -> list[tuple[int, str, int]]:
+    """``(packed word, permutation, count)`` per rank, ascending packed
+    word — the layout of the paper's figure.  ``counts[r]`` is the count
+    of rank ``r``; the packed word puts element 0 in the high bits."""
+    if len(counts) != factorial(n):
+        raise ValueError(f"need {factorial(n)} rank counts, got {len(counts)}")
+    width = element_width(n)
+    rows = []
+    for rank, perm in enumerate(unrank_batch(range(factorial(n)), n)):
+        packed = 0
+        for v in perm:
+            packed = (packed << width) | int(v)
+        rows.append((packed, " ".join(str(int(v)) for v in perm), int(counts[rank])))
+    return sorted(rows)
 
 
-def packed_histogram(perms: np.ndarray) -> dict[int, int]:
-    """Counts keyed by packed word — Fig. 4's vertical axis labels."""
-    vals, counts = np.unique(packed_values(perms), return_counts=True)
-    return {int(v): int(c) for v, c in zip(vals, counts)}
-
-
-@dataclass(frozen=True)
-class Fig4Result:
-    """The regenerated Fig.-4 dataset."""
-
-    n: int
-    samples: int
-    counts_by_index: np.ndarray  #: length n!
-    counts_by_packed: dict[int, int]
-    chi2: float
-    p_value: float
-    tv_distance: float
-
-    @property
-    def expected_per_bar(self) -> float:
-        return self.samples / factorial(self.n)
-
-    @property
-    def min_bar(self) -> int:
-        return int(self.counts_by_index.min())
-
-    @property
-    def max_bar(self) -> int:
-        return int(self.counts_by_index.max())
-
-    def bars(self) -> list[tuple[int, str, int]]:
-        """(packed value, permutation string, count), ascending packed —
-        the layout of the paper's figure."""
-        n = self.n
-        perms = unrank_batch(range(factorial(n)), n)
-        rows = []
-        for idx in range(factorial(n)):
-            perm = perms[idx]
-            packed = 0
-            w = element_width(n)
-            for v in perm:
-                packed = (packed << w) | int(v)
-            rows.append((packed, " ".join(str(int(v)) for v in perm),
-                         int(self.counts_by_index[idx])))
-        rows.sort()
-        return rows
-
-    def render(self, width: int = 50) -> str:
-        """ASCII bar chart of the figure."""
-        rows = self.bars()
-        peak = max(c for _, _, c in rows)
-        lines = []
-        for packed, perm, count in rows:
-            bar = "#" * max(1, round(width * count / peak))
-            lines.append(f"{packed:>4}  {perm:<12} {count:>9} {bar}")
-        return "\n".join(lines)
-
-
-def fig4_experiment(
-    n: int = 4,
-    samples: int = 1 << 20,
-    m: int = 31,
-    circuit: KnuthShuffleCircuit | None = None,
-    batch: int = 1 << 16,
-) -> Fig4Result:
-    """Regenerate Fig. 4: sample the shuffle circuit, bucket, test."""
-    circuit = circuit if circuit is not None else KnuthShuffleCircuit(n, m=m)
-    counts = np.zeros(factorial(n), dtype=np.int64)
-    packed: dict[int, int] = {}
-    remaining = samples
-    while remaining > 0:
-        chunk = min(batch, remaining)
-        perms = circuit.sample(chunk)
-        counts += permutation_histogram(perms)
-        for v, c in packed_histogram(perms).items():
-            packed[v] = packed.get(v, 0) + c
-        remaining -= chunk
-    chi2, pv = chi_square_uniform(counts)
-    return Fig4Result(
-        n=n,
-        samples=samples,
-        counts_by_index=counts,
-        counts_by_packed=packed,
-        chi2=chi2,
-        p_value=pv,
-        tv_distance=total_variation_from_uniform(counts),
+def render_fig4(counts: Sequence[int], n: int = 4, width: int = 50) -> str:
+    """ASCII bar chart of the figure, one line per permutation."""
+    rows = fig4_bars(counts, n)
+    peak = max(1, max(c for _, _, c in rows))
+    return "\n".join(
+        f"{packed:>4}  {perm:<12} {count:>9} {'#' * max(1, round(width * count / peak))}"
+        for packed, perm, count in rows
     )

@@ -3,13 +3,15 @@
 Fig. 4 eyeballs uniformity; production use of the generators (Monte
 Carlo, §III) deserves sharper instruments.  The battery covers the
 classic cheap tests, each returning a p-value against the null of ideal
-randomness:
+randomness and an effect size:
 
 * :func:`monobit_test` — balance of ones in a bitstream;
 * :func:`runs_test` — Wald–Wolfowitz runs in a bitstream;
 * :func:`serial_correlation` — lag-k autocorrelation of word outputs;
-* :func:`permutation_chi2` — the Fig.-4 chi-square lifted to any n;
-* :func:`battery` — run everything over an LFSR/shuffle and summarise.
+* :func:`battery` — run everything over an LFSR and summarise.
+
+The permutation-level tests (the Fig.-4 chi-square at any n, the
+derangement count) are the accumulators of :mod:`repro.analysis.stream`.
 
 LFSR sequences famously pass balance/runs tests within one period (their
 design property) while failing *linear-complexity* tests — which is fine
@@ -23,14 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.uniformity import DEFAULT_BUCKETS, uniformity_report
 from repro.rng.lfsr import LFSRBase
 
 __all__ = [
     "monobit_test",
     "runs_test",
     "serial_correlation",
-    "permutation_chi2",
     "TestResult",
     "battery",
 ]
@@ -38,9 +38,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TestResult:
+    """One test's statistic, iid p-value and effect size.
+
+    ``effect`` is the deviation in the test's own units, for gating
+    where a p-value is the wrong null: ones fraction − ½ (monobit),
+    runs / expected − 1 (runs), the correlation r (serial); infinite
+    where the statistic is degenerate (a constant stream).
+    """
+
     name: str
     statistic: float
     p_value: float
+    effect: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -60,7 +69,7 @@ def monobit_test(bits: np.ndarray) -> TestResult:
     b = _as_bits(bits)
     s = float(np.abs(2.0 * b.sum() - b.size)) / math.sqrt(b.size)
     p = math.erfc(s / math.sqrt(2.0))
-    return TestResult("monobit", s, p)
+    return TestResult("monobit", s, p, float(b.mean()) - 0.5)
 
 
 def runs_test(bits: np.ndarray) -> TestResult:
@@ -69,13 +78,13 @@ def runs_test(bits: np.ndarray) -> TestResult:
     n = b.size
     pi = b.mean()
     if pi in (0.0, 1.0):
-        return TestResult("runs", float("inf"), 0.0)
+        return TestResult("runs", float("inf"), 0.0, float("inf"))
     runs = 1 + int((b[1:] != b[:-1]).sum())
     expected = 2.0 * n * pi * (1 - pi) + 1
     sigma = 2.0 * math.sqrt(n) * pi * (1 - pi)
     z = (runs - expected) / sigma
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult("runs", z, p)
+    return TestResult("runs", z, p, runs / expected - 1.0)
 
 
 def serial_correlation(words: np.ndarray, lag: int = 1) -> TestResult:
@@ -90,23 +99,11 @@ def serial_correlation(words: np.ndarray, lag: int = 1) -> TestResult:
     b = w[lag:] - w[lag:].mean()
     denom = math.sqrt(float((a * a).sum() * (b * b).sum()))
     if denom == 0.0:
-        return TestResult(f"serial_lag{lag}", float("inf"), 0.0)
+        return TestResult(f"serial_lag{lag}", float("inf"), 0.0, float("inf"))
     r = float((a * b).sum()) / denom
     z = r * math.sqrt(w.size - lag)
     p = math.erfc(abs(z) / math.sqrt(2.0))
-    return TestResult(f"serial_lag{lag}", z, p)
-
-
-def permutation_chi2(perms: np.ndarray, *, buckets: int = DEFAULT_BUCKETS) -> TestResult:
-    """The Fig.-4 uniformity test generalised to any n.
-
-    Small n uses one chi-square cell per rank; past the dense-cell
-    budget the sample is routed through residue rank buckets (see
-    :func:`repro.analysis.uniformity.uniformity_report`) instead of
-    allocating n! cells — ``buckets`` caps the bucketed cell count.
-    """
-    rep = uniformity_report(np.asarray(perms), buckets=buckets)
-    return TestResult("permutation_chi2", rep.chi2, rep.p_value)
+    return TestResult(f"serial_lag{lag}", z, p, r)
 
 
 def battery(

@@ -3,7 +3,8 @@
 The paper argues Fig. 4's flat histogram shows the Knuth-shuffle output is
 uniform; here that is made quantitative: chi-square goodness of fit,
 total-variation distance from uniform, and empirical entropy (log2 n!
-bits at uniformity).
+bits at uniformity).  The streaming rank-bucket accumulator of
+:mod:`repro.analysis.stream` applies them to a campaign's histogram.
 
 Two correctness rules shape this module:
 
@@ -14,61 +15,50 @@ Two correctness rules shape this module:
   every absent cell contributes ``1/k`` to ``Σ|p_i − 1/k|`` — and
   overstates how close the entropy is to its true maximum.
 
-* **Dense n!-cell histograms do not scale.**  Past ``MAX_EXACT_CELLS``
-  the report routes ranks into ``DEFAULT_BUCKETS`` residue buckets
-  (``(A·rank) mod n! mod m`` is bucket ``rank mod m`` after a bijection,
-  so we use ``rank mod m`` directly, computed digit-wise without
-  bigints).  Residue buckets beat a generic hash for one decisive
-  reason: the null cell probabilities are *exact* — residue class ``j``
-  holds ``⌊n!/m⌋`` or ``⌈n!/m⌉`` ranks, known in closed form — so the
-  chi-square gains no false noncentrality at any sample size, where a
-  hash's ±O(m/n!) cell imbalance inflates the statistic by
-  ``N·(m/n!)²`` and fails honest generators at population scale.
-  ``DEFAULT_BUCKETS`` is prime so every factorial weight ``i! mod m``
-  is non-zero (a power of two would zero the weights of positions
-  ``i`` with ``2^k | i!`` and blind the test to the high digits).
-  Forcing ``method="exact"`` past the budget raises
-  :class:`repro.errors.CellBudgetError` instead of allocating.
+* **Dense n!-cell histograms do not scale.**  Ranks are routed into at
+  most ``DEFAULT_BUCKETS`` residue buckets (``(A·rank) mod n! mod m`` is
+  bucket ``rank mod m`` after a bijection, so we use ``rank mod m``
+  directly, computed digit-wise without bigints); with ``n! ≤ m`` the
+  buckets are the ranks themselves — the exact histogram.  Residue
+  buckets beat a generic hash for one decisive reason: the null cell
+  probabilities are *exact* — residue class ``j`` holds ``⌊n!/m⌋`` or
+  ``⌈n!/m⌉`` ranks, known in closed form — so the chi-square gains no
+  false noncentrality at any sample size, where a hash's ±O(m/n!) cell
+  imbalance inflates the statistic by ``N·(m/n!)²`` and fails honest
+  generators at population scale.  ``DEFAULT_BUCKETS`` is prime so
+  every factorial weight ``i! mod m`` is non-zero (a power of two would
+  zero the weights of positions ``i`` with ``2^k | i!`` and blind the
+  test to the high digits).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.analysis.special import chi2_survival
 from repro.core.factorial import factorial
-from repro.core.lehmer import lehmer_digit_columns, rank_batch
-from repro.errors import CellBudgetError
+from repro.core.lehmer import lehmer_digit_columns
 
 __all__ = [
-    "MAX_EXACT_CELLS",
     "DEFAULT_BUCKETS",
     "MIN_EXPECTED_PER_CELL",
     "chi_square_uniform",
     "total_variation_from_uniform",
     "empirical_entropy_bits",
-    "entropy_deficit_bits",
     "effective_bucket_count",
     "rank_bucket_counts",
     "bucket_null_probabilities",
-    "UniformityReport",
-    "uniformity_report",
 ]
-
-#: Largest dense cell count the exact method may allocate (n ≤ 9: 9! =
-#: 362880 cells; 10! = 3628800 is over).  Past this the report buckets.
-MAX_EXACT_CELLS = 1 << 20
 
 #: Default residue bucket count for large-n chi-square.  Prime, so that
 #: ``i! mod m`` never vanishes and every Lehmer digit position keeps
 #: influencing the bucket (4096 would drop positions with ``2^12 | i!``).
 DEFAULT_BUCKETS = 4093
 
-#: Cochran's rule: chi-square wants every expected cell count ≥ 5.  The
-#: bucketed path shrinks its bucket count to ``samples // 5`` when the
-#: sample is too small to feed the requested buckets.
+#: Cochran's rule: chi-square wants every expected cell count ≥ 5.
+#: :func:`effective_bucket_count` shrinks the bucket count to
+#: ``samples // 5`` when the sample is too small to feed the requested
+#: buckets.
 MIN_EXPECTED_PER_CELL = 5
 
 
@@ -79,8 +69,8 @@ def chi_square_uniform(
 
     High p (> 0.01, say) means the sample is consistent with uniformity.
     ``expected`` optionally supplies non-uniform null cell counts (must
-    sum to the sample size); the bucketed report passes the exact
-    residue-class expectations through it.  The tail probability is
+    sum to the sample size); the rank-bucket accumulator passes the
+    exact residue-class expectations through it.  The tail probability is
     :func:`repro.analysis.special.chi2_survival` — no scipy.
     """
     c = np.asarray(counts, dtype=np.float64)
@@ -134,9 +124,7 @@ def empirical_entropy_bits(
     the same for a sparse and a dense histogram — but ``num_cells``
     still matters: it is the ceiling ``log2(num_cells)`` the entropy is
     judged against, and passing it catches the sparse-histogram mistake
-    (``num_cells`` below the observed support is rejected).  Use
-    :func:`entropy_deficit_bits` for the quantity of record,
-    ``log2(num_cells) − H``.
+    (``num_cells`` below the observed support is rejected).
     """
     c = np.asarray(counts, dtype=np.float64)
     total = c.sum()
@@ -150,21 +138,8 @@ def empirical_entropy_bits(
     return float(-(p * np.log2(p)).sum())
 
 
-def entropy_deficit_bits(counts: np.ndarray, num_cells: int) -> float:
-    """``log2(num_cells) − H``: bits of entropy missing from uniform.
-
-    Zero for the uniform law over ``num_cells`` cells; using
-    ``len(counts)`` of a truncated histogram in place of the true
-    support size is exactly the bug this signature prevents.
-    """
-    k = int(num_cells)
-    if k < 1:
-        raise ValueError("num_cells must be ≥ 1")
-    return float(np.log2(k)) - empirical_entropy_bits(counts, num_cells=k)
-
-
 def effective_bucket_count(samples: int, buckets: int, n: int) -> int:
-    """The bucket count the bucketed report will actually use.
+    """The rank-bucket cell count a campaign will actually use.
 
     Deterministic in its inputs (the streaming layer's checkpoint
     fingerprint depends on that): the requested ``buckets`` clamped to
@@ -220,96 +195,4 @@ def bucket_null_probabilities(n: int, buckets: int) -> np.ndarray:
     return np.array(
         [(q + 1) / total if j < r else q / total for j in range(m)],
         dtype=np.float64,
-    )
-
-
-@dataclass(frozen=True)
-class UniformityReport:
-    """Summary statistics of a permutation sample.
-
-    ``method`` is ``"exact"`` (one cell per rank, ``cells = n!``) or
-    ``"buckets"`` (``cells`` residue buckets); ``counts`` has ``cells``
-    entries either way, and ``max_entropy_bits`` is ``log2(cells)`` —
-    which in exact mode is the classical ``log2 n!``.
-    """
-
-    n: int
-    samples: int
-    counts: np.ndarray
-    chi2: float
-    p_value: float
-    tv_distance: float
-    entropy_bits: float
-    method: str = "exact"
-    cells: int = 0
-
-    @property
-    def max_entropy_bits(self) -> float:
-        k = self.cells if self.cells else factorial(self.n)
-        return float(np.log2(k))
-
-    @property
-    def entropy_deficit_bits(self) -> float:
-        return self.max_entropy_bits - self.entropy_bits
-
-    @property
-    def looks_uniform(self) -> bool:
-        """Conventional 1 % significance verdict."""
-        return self.p_value > 0.01
-
-
-def uniformity_report(
-    perms: np.ndarray,
-    *,
-    method: str = "auto",
-    buckets: int = DEFAULT_BUCKETS,
-    max_exact_cells: int = MAX_EXACT_CELLS,
-) -> UniformityReport:
-    """Bucket a ``(B, n)`` sample by lexicographic index and test it.
-
-    ``method="auto"`` uses one cell per rank while ``n! ≤
-    max_exact_cells`` (n ≤ 9 at the default budget) and residue buckets
-    beyond; ``"exact"`` / ``"buckets"`` force a path, and forcing
-    ``"exact"`` past the budget raises
-    :class:`~repro.errors.CellBudgetError` instead of allocating ``n!``
-    cells.  The bucketed chi-square tests against the exact residue
-    null (see :func:`bucket_null_probabilities`), with the bucket count
-    shrunk per :func:`effective_bucket_count` so expected cell counts
-    respect Cochran's ≥ 5 rule.
-    """
-    p = np.asarray(perms)
-    if p.ndim != 2:
-        raise ValueError("expected a (B, n) array")
-    b, n = p.shape
-    if method not in ("auto", "exact", "buckets"):
-        raise ValueError(f"unknown method {method!r}")
-    nfact = factorial(n)
-    exact = method == "exact" or (method == "auto" and nfact <= max_exact_cells)
-    if exact and nfact > max_exact_cells:
-        raise CellBudgetError(
-            f"n={n} needs {nfact} dense cells, over the budget of "
-            f"{max_exact_cells}; use method='buckets' (or 'auto')",
-            cells=nfact,
-            budget=max_exact_cells,
-        )
-    if exact:
-        indices = rank_batch(p)
-        counts = np.bincount(indices, minlength=nfact)
-        cells = int(nfact)
-        chi2, pv = chi_square_uniform(counts)
-    else:
-        cells = effective_bucket_count(b, buckets, n)
-        counts = rank_bucket_counts(p, cells)
-        expected = bucket_null_probabilities(n, cells) * b
-        chi2, pv = chi_square_uniform(counts, expected=expected)
-    return UniformityReport(
-        n=n,
-        samples=b,
-        counts=counts,
-        chi2=chi2,
-        p_value=pv,
-        tv_distance=total_variation_from_uniform(counts, num_cells=cells),
-        entropy_bits=empirical_entropy_bits(counts, num_cells=cells),
-        method="exact" if exact else "buckets",
-        cells=cells,
     )

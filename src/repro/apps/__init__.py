@@ -16,9 +16,8 @@ motivations:
 * :mod:`repro.apps.dsp` — data-stream reordering for pipelined FFT
   engines (ref. [15]): bit-reversal and stride permutations as converter
   indices, verified against NumPy's FFT.
-* :mod:`repro.apps.montecarlo` — parallel Monte-Carlo harness with
-  LFSR jump-ahead substreams (the e-estimation workload and the
-  sorting-assessment study of Oommen & Ng, ref. [14]).
+* :mod:`repro.apps.montecarlo` — the sorting-assessment Monte-Carlo
+  study of Oommen & Ng (ref. [14]).
 """
 
 from repro.apps.hashing import (
@@ -52,7 +51,6 @@ from repro.apps.compression import (
     compress_reordered,
 )
 from repro.apps.montecarlo import (
-    parallel_derangement_estimate,
     insertion_sort_cost,
     sortedness_study,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "stride_permutation",
     "StreamReorderEngine",
     "fft_with_explicit_reorder",
-    "parallel_derangement_estimate",
     "insertion_sort_cost",
     "sortedness_study",
     "p_representative",

@@ -1,16 +1,12 @@
-"""Monte-Carlo harnesses over random permutations (paper §III).
+"""The sorting-assessment Monte-Carlo study (paper §I, ref. [14]).
 
-Two workloads from the paper's discussion:
-
-* the *derangement* estimate of e, here parallelised with the leap-frog
-  LFSR substreams of :meth:`repro.rng.lfsr.LFSRBase.spawn_substreams` —
-  the harness shards the sample budget over independent workers whose
-  generators provably never overlap, then reduces;
-* the *sorting assessment* study (ref. [14], Oommen & Ng): "compared to
-  other sorting algorithms, the Insertion Sort is known to be efficient
-  when the list is almost sorted, and inefficient when the list is almost
-  unsorted" — quantified by counting Insertion-Sort element moves over
-  permutation ensembles of controlled sortedness.
+Oommen & Ng: "compared to other sorting algorithms, the Insertion Sort
+is known to be efficient when the list is almost sorted, and
+inefficient when the list is almost unsorted" — quantified here by
+counting Insertion-Sort element moves over permutation ensembles of
+controlled sortedness.  (The paper's other Monte-Carlo workload, the
+derangement estimate of e, is a ``shuffle``-source campaign of
+:mod:`repro.analysis.stream`.)
 """
 
 from __future__ import annotations
@@ -20,48 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.derangements import DerangementResult, derangement_mask
 from repro.core.knuth import KnuthShuffleCircuit
 
 __all__ = [
-    "parallel_derangement_estimate",
     "insertion_sort_cost",
     "SortednessPoint",
     "sortedness_study",
 ]
-
-
-def parallel_derangement_estimate(
-    n: int,
-    samples: int = 1 << 20,
-    workers: int = 4,
-    m: int = 31,
-) -> DerangementResult:
-    """Shard the §III-C experiment across ``workers`` disjoint substreams.
-
-    Worker ``w`` runs a Knuth-shuffle circuit whose stage LFSRs have been
-    jumped ``w·block`` draws ahead, so the union of all workers' draws is
-    a contiguous, non-overlapping slice of each stage's sequence — the
-    deterministic parallel decomposition used on real clusters.  The
-    result is reduced by summing derangement counts and is *identical* to
-    the sequential run over the same total sample count.
-    """
-    if workers < 1:
-        raise ValueError("workers must be positive")
-    block = -(-samples // workers)
-    total = 0
-    done = 0
-    for w in range(workers):
-        chunk = min(block, samples - done)
-        if chunk <= 0:
-            break
-        circuit = KnuthShuffleCircuit(n, m=m)
-        for gen in circuit.generators:
-            gen.lfsr.jump(w * block)
-        perms = circuit.sample(chunk)
-        total += int(derangement_mask(perms).sum())
-        done += chunk
-    return DerangementResult(n=n, samples=done, derangements=total)
 
 
 def insertion_sort_cost(perm: Sequence[int]) -> int:

@@ -11,10 +11,13 @@ Subcommands mirror the paper's artefacts:
   optimisation (``--passes p1,p2`` / ``--no-opt``; ``--checked``
   equivalence-gates every pass), k-LUT mapping and timing, with a
   per-pass delta table and the resource row
-* ``fig4 [samples]``   — run the Fig.-4 histogram experiment
+* ``fig4 [samples]``   — the Fig.-4 histogram: a ``shuffle``-source
+  campaign at n = 4 drawn as its 24-bar chart (at least 120 samples,
+  five expected per bar)
 * ``validate``         — population-scale streaming statistical
   validation: stream ``--samples`` permutations from the gate-level
-  converter through the chosen engine (``--engine``), folding them into
+  converter through the chosen engine (``--engine``), or from the
+  Knuth-shuffle circuit (``--source shuffle``), folding them into
   mergeable accumulators (uniformity over rank buckets, derangements,
   serial correlation, Fig.-2 pigeonhole bias) sharded via the hardened
   runner (``--shards/--workers``), with atomic ``repro-analysis/1``
@@ -166,14 +169,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_fig4(args: argparse.Namespace) -> int:
-    from repro.analysis.distribution import fig4_experiment
+    from repro.analysis.distribution import render_fig4
+    from repro.analysis.stream import CampaignConfig, run_population_campaign
+    from repro.analysis.uniformity import MIN_EXPECTED_PER_CELL
 
-    result = fig4_experiment(samples=args.samples)
-    print(result.render())
+    cfg = CampaignConfig(n=4, samples=args.samples, source="shuffle").validated()
+    bars = factorial(cfg.n)
+    if cfg.cells < bars:
+        raise ReproError(
+            f"fig4 needs at least {MIN_EXPECTED_PER_CELL * bars} samples "
+            f"({MIN_EXPECTED_PER_CELL} expected per bar), got {cfg.samples}"
+        )
+    result = run_population_campaign(cfg, workers=1, battery_draws=0)
+    counts = result.stats.accumulators["rank_buckets"].counts
+    uni = result.summary["rank_buckets"]
+    print(render_fig4(counts, cfg.n))
     print(
-        f"\nexpected/bar={result.expected_per_bar:.1f}  "
-        f"min={result.min_bar}  max={result.max_bar}  "
-        f"chi2 p={result.p_value:.4f}"
+        f"\nexpected/bar={cfg.samples / bars:.1f}  "
+        f"min={counts.min()}  max={counts.max()}  "
+        f"chi2 p={uni['p_value']:.4f}"
     )
     return 0
 
@@ -763,8 +777,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_synth)
 
-    p = sub.add_parser("fig4", help="run the Fig.-4 histogram experiment")
-    p.add_argument("samples", type=int, nargs="?", default=1 << 18)
+    p = sub.add_parser(
+        "fig4", help="the Fig.-4 histogram of Knuth-shuffle permutations at n=4"
+    )
+    p.add_argument(
+        "samples", type=int, nargs="?", default=1 << 18,
+        help="shuffles to draw, at least 120 (default: 2^18)",
+    )
     p.set_defaults(fn=_cmd_fig4)
 
     p = sub.add_parser(
@@ -778,9 +797,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=2012, help="campaign seed")
     p.add_argument(
-        "--source", choices=["lfsr", "ideal"], default="lfsr",
-        help="index source: the paper's LFSR+scaler stack, or PCG64 "
-        "uniform as the calibration null (default: lfsr)",
+        "--source", choices=["lfsr", "ideal", "shuffle"], default="lfsr",
+        help="permutation source: the paper's LFSR+scaler stack into the "
+        "converter, PCG64 uniform indices as the calibration null, or the "
+        "Fig.-3 Knuth-shuffle circuit (engine unused) (default: lfsr)",
     )
     p.add_argument(
         "--engine", default="vector",

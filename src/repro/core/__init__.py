@@ -30,6 +30,7 @@ combinations
 
 from repro.core.factorial import (
     factorial,
+    subfactorial,
     max_index,
     index_width,
     element_width,
@@ -93,6 +94,7 @@ from repro.core.combinations import (
 
 __all__ = [
     "factorial",
+    "subfactorial",
     "max_index",
     "index_width",
     "element_width",

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 __all__ = [
     "factorial",
+    "subfactorial",
     "max_index",
     "index_width",
     "element_width",
@@ -41,6 +42,23 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError("factorial of a negative number")
     return 1 if n < 2 else n * factorial(n - 1)
+
+
+@lru_cache(maxsize=None)
+def subfactorial(n: int) -> int:
+    """Number of derangements ``d_n`` of ``n`` elements (§III-C).
+
+    Exact recurrence ``d_n = (n−1)(d_{n−1} + d_{n−2})``; ``d_n =
+    round(n!/e)``, so ``d_n/n!`` tends to ``1/e`` and ``n!/d_n`` is the
+    paper's estimator of ``e``.
+    """
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if n == 0:
+        return 1
+    if n == 1:
+        return 0
+    return (n - 1) * (subfactorial(n - 1) + subfactorial(n - 2))
 
 
 def max_index(n: int) -> int:

@@ -85,7 +85,7 @@ class KnuthShuffleCircuit:
                 raise ValueError("input permutation must permute 0..n-1")
             self.input_permutation = pool
         if widths is None:
-            widths = self._default_widths(n, m)
+            widths = self.default_widths(n, m)
         if len(widths) != n - 1:
             raise ValueError(f"need {n - 1} widths, got {len(widths)}")
         self.widths = tuple(int(w) for w in widths)
@@ -105,13 +105,23 @@ class KnuthShuffleCircuit:
         ]
 
     @staticmethod
-    def _default_widths(n: int, m: int) -> list[int]:
+    def default_widths(n: int, m: int) -> list[int]:
         """Distinct widths ``m, m−1, …`` per stage (cycling if n is huge).
 
         Distinct widths mean distinct primitive polynomials, so stage
         streams are genuinely independent m-sequences rather than phase
-        shifts of one another.
+        shifts of one another.  The span runs from ``m`` down to
+        ``max(8, m − 15)``, so it is distinct only while ``n − 1 ≤
+        min(16, m − 7)``; past that, stages ``t`` and ``t + span`` share
+        a polynomial — the correlated design of
+        ``results/ablation_polynomial_reuse.txt``.  The constructor keeps
+        that cycling for its callers at large ``n``; the validation
+        campaign's ``shuffle`` source refuses it.
         """
+        if m < 8:
+            raise ValueError(
+                f"default stage widths need m ≥ 8, got m={m}; pass widths= explicitly"
+            )
         lo = max(8, m - 15)
         span = list(range(m, lo - 1, -1))
         return [span[t % len(span)] for t in range(n - 1)]

@@ -55,7 +55,6 @@ __all__ = [
     "WorkerStalledError",
     "InvalidRequestError",
     "ProtocolError",
-    "CellBudgetError",
     "CheckpointError",
     "CheckpointMismatchError",
     "ServiceOverloadedError",
@@ -187,23 +186,6 @@ class ProtocolError(ReproError, ValueError):
     a well-formed frame (bad ``n``, index out of range, zero count) stay
     :class:`InvalidRequestError` and leave the connection open.
     """
-
-
-class CellBudgetError(ReproError, ValueError):
-    """A dense histogram was requested past the analysis cell budget.
-
-    Raised instead of allocating ``n!`` chi-square cells when the exact
-    method is forced for an ``n`` whose factorial exceeds
-    ``MAX_EXACT_CELLS`` (:mod:`repro.analysis.uniformity`).  The caller
-    should switch to the bucketed method (the default ``method="auto"``
-    does so on its own).  ``cells`` carries the refused allocation and
-    ``budget`` the limit.
-    """
-
-    def __init__(self, message: str, cells: int | None = None, budget: int | None = None):
-        super().__init__(message)
-        self.cells = cells
-        self.budget = budget
 
 
 class CheckpointError(ReproError):

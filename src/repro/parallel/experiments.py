@@ -1,102 +1,23 @@
-"""Process-parallel versions of the heavy experiments.
+"""Process-parallel index-space searches over the converter.
 
-Each runner is bit-identical to its sequential counterpart for any worker
-count — the shard boundaries, per-shard generator states (via LFSR
-jump-ahead) and shard-ordered reduction guarantee it.  Worker functions
-are module-level so they pickle.
+Each runner shards an exhaustive search into contiguous index ranges
+through :func:`~repro.parallel.sharding.hardened_map_reduce` and is
+bit-identical to its sequential counterpart for any worker count — the
+shard boundaries and shard-ordered reduction guarantee it.  Worker
+functions are module-level so they pickle.  (The Monte-Carlo workloads —
+the Fig.-4 histogram and the derangement count — are ``shuffle``-source
+campaigns of :mod:`repro.analysis.stream`.)
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-import numpy as np
-
-from repro.analysis.derangements import DerangementResult, derangement_mask
-from repro.analysis.distribution import permutation_histogram
 from repro.apps.bdd import bdd_size_under_order
 from repro.apps.pclass import p_representative
 from repro.core.factorial import factorial
-from repro.core.knuth import KnuthShuffleCircuit
 from repro.core.lehmer import unrank_batch
-from repro.parallel.sharding import ShardSpec, index_shards, parallel_map_reduce
+from repro.parallel.sharding import ShardSpec, hardened_map_reduce, index_shards
 
-__all__ = [
-    "parallel_fig4_counts",
-    "parallel_derangements",
-    "parallel_best_order",
-    "parallel_classify",
-]
-
-
-# --------------------------------------------------------------------- #
-# Fig. 4 / derangements: Monte-Carlo over jump-ahead shuffle streams
-
-
-@dataclass(frozen=True)
-class _MCJob:
-    n: int
-    m: int
-
-    def circuit_at(self, offset: int) -> KnuthShuffleCircuit:
-        circuit = KnuthShuffleCircuit(self.n, m=self.m)
-        for gen in circuit.generators:
-            gen.lfsr.jump(offset)
-        return circuit
-
-
-def parallel_fig4_counts(
-    n: int = 4, samples: int = 1 << 20, m: int = 31, workers: int = 4
-) -> np.ndarray:
-    """The Fig.-4 histogram, sharded over jump-ahead substreams.
-
-    Identical to the histogram of ``KnuthShuffleCircuit(n, m).sample
-    (samples)`` regardless of ``workers``: worker ``w`` jumps every stage
-    LFSR to the exact draw offset where its shard begins.
-    """
-    shards = index_shards(samples, workers)
-    return parallel_map_reduce(
-        _Fig4Work(_MCJob(n=n, m=m)), shards, _add_arrays, workers=workers
-    )
-
-
-class _Fig4Work:
-    """Picklable callable carrying the job spec (works under spawn)."""
-
-    def __init__(self, job: _MCJob):
-        self.job = job
-
-    def __call__(self, shard: ShardSpec) -> np.ndarray:
-        circuit = self.job.circuit_at(shard.start)
-        perms = circuit.sample(shard.size)
-        return permutation_histogram(perms)
-
-
-def _add_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a + b
-
-
-class _DerangementWork:
-    def __init__(self, job: _MCJob):
-        self.job = job
-
-    def __call__(self, shard: ShardSpec) -> int:
-        circuit = self.job.circuit_at(shard.start)
-        return int(derangement_mask(circuit.sample(shard.size)).sum())
-
-
-def parallel_derangements(
-    n: int, samples: int = 1 << 20, m: int = 31, workers: int = 4
-) -> DerangementResult:
-    """§III-C derangement counting over process shards (bit-exact)."""
-    shards = index_shards(samples, workers)
-    count = parallel_map_reduce(
-        _DerangementWork(_MCJob(n=n, m=m)), shards, _add_ints, workers=workers
-    )
-    return DerangementResult(n=n, samples=samples, derangements=count)
-
-
-def _add_ints(a: int, b: int) -> int:
-    return a + b
+__all__ = ["parallel_best_order", "parallel_classify"]
 
 
 # --------------------------------------------------------------------- #
@@ -148,7 +69,7 @@ def parallel_best_order(
     worker-count invariant.
     """
     shards = index_shards(factorial(n_vars), workers)
-    return parallel_map_reduce(
+    return hardened_map_reduce(
         _OrderSearchWork(tt, n_vars), shards, _merge_order_results, workers=workers
     )
 
@@ -173,4 +94,4 @@ def parallel_classify(n_vars: int, workers: int = 4) -> set[int]:
     """All P-representatives, sharded over the 2^(2^n) truth tables."""
     total = 1 << (1 << n_vars)
     shards = index_shards(total, max(workers, 1) * 4)
-    return parallel_map_reduce(_ClassifyWork(n_vars), shards, _union, workers=workers)
+    return hardened_map_reduce(_ClassifyWork(n_vars), shards, _union, workers=workers)

@@ -1,22 +1,19 @@
-"""Deterministic work decomposition and fault-tolerant map-reduce runners.
+"""Deterministic work decomposition and the fault-tolerant map-reduce runner.
 
 Everything here is *deterministic by construction*: a job's result must
 not depend on the worker count or on scheduling order.  That is achieved
 by (a) contiguous index shards with a fixed boundary rule and (b) reducing
 partial results in shard order, not completion order.
 
-Two runners are provided:
-
-* :func:`parallel_map_reduce` — the minimal runner: any worker failure
-  aborts the job, surfaced as a :class:`~repro.errors.WorkerFailedError`
-  carrying the failing shard id.
-* :func:`hardened_map_reduce` — the production runner: per-shard
-  timeouts, bounded retry with exponential backoff + jitter, recovery
-  from worker-process crashes (the *shard* is resubmitted to a fresh
-  pool, never the whole job), and an optional graceful-degradation mode
-  that returns a :class:`PartialResult` — the reduction over the shards
-  that succeeded plus a manifest of the ones that did not — instead of
-  aborting a long campaign for one bad shard.
+:func:`hardened_map_reduce` is the one runner: per-shard timeouts,
+bounded retry with exponential backoff + jitter, recovery from
+worker-process crashes (the *shard* is resubmitted to a fresh pool,
+never the whole job), and an optional graceful-degradation mode that
+returns a :class:`PartialResult` — the reduction over the shards that
+succeeded plus a manifest of the ones that did not — instead of
+aborting a long campaign for one bad shard.  With ``retries=0`` it is a
+plain fail-fast map-reduce: the first worker failure aborts the job as a
+:class:`~repro.errors.WorkerFailedError` carrying the failing shard id.
 
 All deadline and backoff arithmetic uses the **monotonic clock**
 (``time.monotonic``): a wall-clock adjustment (NTP step, DST, manual
@@ -52,7 +49,6 @@ __all__ = [
     "ShardSpec",
     "index_shards",
     "bounded_shards",
-    "parallel_map_reduce",
     "hardened_map_reduce",
     "ShardFailure",
     "PartialResult",
@@ -119,7 +115,7 @@ def index_shards(total: int, shards: int) -> list[ShardSpec]:
     The first ``total mod shards`` shards get one extra element, so the
     decomposition is independent of anything but ``(total, shards)``.
     Empty shards are omitted — in particular ``total == 0`` yields ``[]``,
-    the empty shard list, which the map-reduce runners reject (there is
+    the empty shard list, which the map-reduce runner rejects (there is
     no identity element to return; callers with legitimately empty
     domains must short-circuit before sharding).
     """
@@ -165,57 +161,6 @@ def bounded_shards(total: int, max_size: int) -> list[ShardSpec]:
 def default_workers() -> int:
     """A conservative worker count for the experiment runners."""
     return max(1, min(8, os.cpu_count() or 1))
-
-
-def parallel_map_reduce(
-    work: Callable[[ShardSpec], R],
-    shards: Sequence[ShardSpec],
-    reduce_fn: Callable[[R, R], R],
-    workers: int | None = None,
-) -> R:
-    """Run ``work`` on every shard and fold the results *in shard order*.
-
-    ``workers <= 1`` (or a single shard) runs inline — no pool, no pickle
-    round-trips — which is also how the tests prove worker-count
-    invariance.  ``work`` and ``reduce_fn`` must be picklable (module
-    level) for the process path.
-
-    An empty shard list raises :class:`ValueError`: a fold needs at least
-    one partial result, and :func:`index_shards` returns ``[]`` exactly
-    when ``total == 0``.  A worker exception aborts the job and is
-    re-raised as :class:`~repro.errors.WorkerFailedError` with the
-    failing ``shard_id`` attached (the original exception is chained as
-    ``__cause__``).  For retries and partial results use
-    :func:`hardened_map_reduce`.
-    """
-    if not shards:
-        raise ValueError("no shards to process (total == 0?)")
-    workers = workers if workers is not None else default_workers()
-    results = []
-    if workers <= 1 or len(shards) == 1:
-        for s in shards:
-            try:
-                results.append(work(s))
-            except Exception as exc:
-                raise WorkerFailedError(
-                    f"shard {s.shard_id} failed: {exc}", shard_id=s.shard_id, cause=exc
-                ) from exc
-    else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            futures = [(s, pool.submit(work, s)) for s in shards]
-            for s, fut in futures:
-                try:
-                    results.append(fut.result())
-                except Exception as exc:
-                    raise WorkerFailedError(
-                        f"shard {s.shard_id} failed: {exc}",
-                        shard_id=s.shard_id,
-                        cause=exc,
-                    ) from exc
-    acc = results[0]
-    for r in results[1:]:
-        acc = reduce_fn(acc, r)
-    return acc
 
 
 # --------------------------------------------------------------------- #

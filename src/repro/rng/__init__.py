@@ -6,9 +6,9 @@ feedback shift registers (LFSRs).  This package provides:
 * :mod:`repro.rng.taps` — maximal-length feedback tap tables for register
   widths 2–64 (the classic XAPP052 set);
 * :mod:`repro.rng.lfsr` — bit-exact Fibonacci and Galois LFSR models with
-  O(log k) jump-ahead (GF(2) matrix exponentiation) for carving a single
-  hardware stream into independent parallel substreams, plus a builder that
-  emits the equivalent gate-level netlist for resource accounting;
+  O(log k) jump-ahead (GF(2) matrix exponentiation) and table-driven batch
+  word generation, plus a builder that emits the equivalent gate-level
+  netlist for resource accounting;
 * :mod:`repro.rng.scaled` — the Fig.-2 scaled random-integer generator
   (``i = (k·x) >> m`` via a shift-and-add multiplier) together with the
   *exact* pigeonhole bias analysis the paper sketches (7 of 24 integers

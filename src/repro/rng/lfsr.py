@@ -14,11 +14,11 @@ all-zero state is a fixed point and is excluded, which is why the paper's
 
 Because the state transition is linear over GF(2), ``k`` steps compose into
 a single matrix; :meth:`LFSRBase.jump` exponentiates it in ``O(m³ log k)``
-to leap ahead without generating intermediate states.  That turns one
-hardware stream into any number of non-overlapping parallel substreams —
-the standard leap-frog decomposition used in parallel Monte-Carlo — and is
-how :mod:`repro.apps.montecarlo` shards work across workers.  The same
-linearity drives :meth:`FibonacciLFSR.words`: the state ``t`` clocks ahead
+to leap ahead without generating intermediate states (``warm_up`` uses it
+to clock past a sparse seed's stretch).  Parallel Monte-Carlo work does
+not split one stream: each campaign block seeds its own registers
+(:mod:`repro.analysis.stream`).  The same linearity drives
+:meth:`FibonacciLFSR.words`: the state ``t`` clocks ahead
 is the XOR of one tabulated column per set bit of the current state, so
 a batch of words costs a few NumPy calls per :data:`CLOCK_TABLE_SPAN`
 words instead of one Python step per word.
@@ -192,35 +192,6 @@ class LFSRBase:
                 cols = [self._apply_columns(cols, c) for c in cols]
         self.state = result
         return result
-
-    def spawn_substreams(self, count: int, total_draws: int) -> list["LFSRBase"]:
-        """Split the stream into ``count`` disjoint leap-blocks.
-
-        Substream ``j`` starts ``j * ceil(total_draws / count)`` steps into
-        this generator's future, so workers drawing at most that many words
-        never overlap — the classic block-splitting scheme for parallel
-        Monte-Carlo.
-
-        The parent itself is advanced past the last block (``count ·
-        ceil(total_draws / count)`` steps): substream 0 begins at what was
-        the parent's current state, so a parent left in place and still
-        drawing would silently replay substream 0's window — the classic
-        block-splitting hazard.  After this call the parent's next draws
-        are disjoint from every substream's window, parent included.
-        """
-        if count < 1:
-            raise ValueError("count must be positive")
-        block = -(-total_draws // count)
-        streams = []
-        for j in range(count):
-            s = type(self)(self.width, self.taps, seed=self.seed)
-            s.state = self.state
-            s.jump(j * block)
-            streams.append(s)
-        # move the parent past every handed-out block so continued parent
-        # draws cannot overlap substream 0 (or any other substream)
-        self.jump(count * block)
-        return streams
 
 
 class FibonacciLFSR(LFSRBase):

@@ -1,20 +1,34 @@
-"""Derangement combinatorics and the e-estimation experiment."""
+"""Derangement combinatorics and the e-estimation experiment (§III-C).
+
+The experiment is a ``shuffle``-source campaign: the fixed-point
+accumulator's cell 0 is the derangement count, and its summary carries
+the paper's estimator ``e ≈ samples / derangements``.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.derangements import (
-    DerangementResult,
-    derangement_experiment,
-    derangement_mask,
-    derangement_probability,
-    estimate_e,
-    fixed_point_counts,
-    subfactorial,
+from repro.analysis.stream import (
+    CampaignConfig,
+    FixedPointAccumulator,
+    PopulationStats,
+    campaign_verdict,
+    run_population_campaign,
 )
-from repro.core.knuth import KnuthShuffleCircuit
+from repro.core.factorial import factorial, subfactorial
+
+
+def _campaign(n, samples, shards=1, **fields):
+    cfg = CampaignConfig(n=n, samples=samples, source="shuffle", **fields)
+    return run_population_campaign(cfg, shards=shards, workers=1, battery_draws=0)
+
+
+def _summary(perms):
+    acc = FixedPointAccumulator(perms.shape[1])
+    acc.update(np.asarray(perms))
+    return acc.summary()
 
 
 class TestSubfactorial:
@@ -31,54 +45,59 @@ class TestSubfactorial:
             subfactorial(-1)
 
     def test_probability_tends_to_inverse_e(self):
-        assert derangement_probability(4) == pytest.approx(0.375)
-        assert derangement_probability(12) == pytest.approx(1 / math.e, rel=1e-8)
+        assert subfactorial(4) / factorial(4) == pytest.approx(0.375)
+        assert subfactorial(12) / factorial(12) == pytest.approx(1 / math.e, rel=1e-8)
 
 
 class TestMasks:
-    def test_fixed_point_counts(self):
-        arr = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])
-        assert fixed_point_counts(arr).tolist() == [3, 1, 0]
+    def test_fixed_point_histogram(self):
+        arr = np.array([[0, 1, 2], [1, 0, 2], [1, 2, 0]])  # 3, 1, 0 fixed
+        assert _summary(arr)["histogram"] == [1, 1, 0, 1]
 
-    def test_derangement_mask(self):
+    def test_derangement_count(self):
         arr = np.array([[0, 1, 2], [1, 2, 0]])
-        assert derangement_mask(arr).tolist() == [False, True]
+        assert _summary(arr)["derangements"] == 1
 
 
 class TestEstimator:
-    def test_estimate_e(self):
-        assert estimate_e(1_048_576, 385_811) == pytest.approx(2.7178, abs=1e-3)
+    def test_paper_count_estimates_e(self):
+        """The paper's own count: 385,811 of 2²⁰ → e ≈ 2.718."""
+        acc = FixedPointAccumulator.from_state(
+            {"n": 4, "hist": [385_811, 1_048_576 - 385_811, 0, 0, 0]}
+        )
+        assert acc.summary()["e_estimate"] == pytest.approx(2.7178, abs=1e-3)
 
     def test_zero_derangements_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_e(100, 0)
+        """No derangement: no finite estimate, and the verdict fails."""
+        cfg = CampaignConfig(n=4, samples=4096, source="shuffle").validated()
+        stats = PopulationStats.fresh(cfg)
+        stats.update(np.tile(np.arange(4), (4096, 1)))
+        summary = stats.summary()
+        assert summary["fixed_points"]["e_estimate"] == float("inf")
+        assert not campaign_verdict(cfg, summary)["gates"]["derangements"]
 
     def test_result_properties(self):
-        r = DerangementResult(n=4, samples=1000, derangements=375)
-        assert r.e_estimate == pytest.approx(1000 / 375)
-        assert r.observed_fraction == pytest.approx(0.375)
-        assert r.expected_fraction == pytest.approx(0.375)
+        acc = FixedPointAccumulator.from_state({"n": 4, "hist": [375, 625, 0, 0, 0]})
+        s = acc.summary()
+        assert s["e_estimate"] == pytest.approx(1000 / 375)
+        assert s["derangement_fraction"] == pytest.approx(0.375)
+        assert s["expected_fraction"] == pytest.approx(0.375)
 
 
 class TestExperiment:
     @pytest.mark.parametrize("n", [4, 8])
     def test_estimates_e_to_a_few_percent(self, n):
-        r = derangement_experiment(n, samples=1 << 15)
-        assert r.samples == 1 << 15
+        fx = _campaign(n, 1 << 15).summary["fixed_points"]
+        assert fx["samples"] == 1 << 15
         # At 32k samples the standard error of the fraction is ~0.3 %.
-        assert abs(r.observed_fraction - r.expected_fraction) < 0.02
-        assert abs(r.e_estimate - math.e) / math.e < 0.05
+        assert fx["abs_error"] < 0.02
+        assert fx["e_abs_error"] / math.e < 0.05
 
     def test_batching_equals_single_pass(self):
-        a = derangement_experiment(4, samples=5000, batch=256)
-        b = derangement_experiment(4, samples=5000, batch=5000)
-        assert a.derangements == b.derangements
+        one = _campaign(4, 5000, block=256)
+        sharded = _campaign(4, 5000, shards=7, block=256)
+        assert one.summary["fixed_points"] == sharded.summary["fixed_points"]
 
     def test_custom_circuit(self):
-        circ = KnuthShuffleCircuit(5, m=20)
-        r = derangement_experiment(5, samples=2000, circuit=circ)
-        assert 0 < r.derangements < 2000
-
-    def test_circuit_size_mismatch(self):
-        with pytest.raises(ValueError):
-            derangement_experiment(4, samples=10, circuit=KnuthShuffleCircuit(5))
+        fx = _campaign(5, 2000, m=20).summary["fixed_points"]
+        assert 0 < fx["derangements"] < 2000

@@ -6,10 +6,10 @@ import pytest
 from repro.analysis.randtests import (
     battery,
     monobit_test,
-    permutation_chi2,
     runs_test,
     serial_correlation,
 )
+from repro.analysis.stream import CampaignConfig, PopulationStats
 from repro.core.knuth import KnuthShuffleCircuit
 from repro.rng.lfsr import FibonacciLFSR, dense_seed
 
@@ -22,6 +22,9 @@ class TestMonobit:
     def test_biased_fails(self, rng):
         bits = (rng.random(10_000) < 0.6).astype(int)
         assert not monobit_test(bits).passed
+
+    def test_effect_is_ones_fraction_minus_half(self):
+        assert monobit_test(np.array([1, 1, 1, 0])).effect == pytest.approx(0.25)
 
     def test_validates_input(self):
         with pytest.raises(ValueError):
@@ -37,6 +40,12 @@ class TestRuns:
     def test_alternating_fails(self):
         bits = np.tile([0, 1], 2_000)
         assert not runs_test(bits).passed
+
+    def test_effect_is_relative_run_excess(self):
+        # balanced stream: expected 2·N·¼ + 1 = 2001 runs, observed 4000
+        r = runs_test(np.tile([0, 1], 2_000))
+        assert r.effect == pytest.approx(4000 / 2001 - 1)
+        assert runs_test(np.ones(100, dtype=int)).effect == float("inf")
 
     def test_blocky_fails(self):
         bits = np.repeat(np.arange(40) % 2, 100)
@@ -68,29 +77,38 @@ class TestSerial:
 
 
 class TestPermutationChi2:
+    """The Fig.-4 chi-square lifted to any n, as a campaign computes it:
+    rank buckets sized by the campaign config, exact cells at small n."""
+
+    @staticmethod
+    def _p_value(perms):
+        cfg = CampaignConfig(n=perms.shape[1], samples=len(perms)).validated()
+        stats = PopulationStats.fresh(cfg)
+        stats.update(perms)
+        return stats.summary()["rank_buckets"]["p_value"]
+
     def test_ideal_sampler_passes(self):
         perms = KnuthShuffleCircuit(4).sample_ideal(30_000, np.random.default_rng(1))
-        assert permutation_chi2(perms).passed
+        assert self._p_value(perms) > 0.01
 
     def test_stuck_sampler_fails(self):
         perms = np.tile(np.arange(4), (5_000, 1))
-        assert not permutation_chi2(perms).passed
+        assert self._p_value(perms) < 0.01
 
     def test_large_n_does_not_materialise_factorial_cells(self):
-        """Regression: n = 12 has 12! ≈ 4.8e8 cells — the old dense
-        bincount allocated them all.  The bucketed path must both fit in
+        """Regression: n = 12 has 12! ≈ 4.8e8 cells — a dense bincount
+        would allocate them all.  The bucketed path must both fit in
         memory and still pass an honest sampler."""
         from repro.core.factorial import factorial
         from repro.core.lehmer import unrank_batch
 
         rng = np.random.default_rng(5)
         idx = rng.integers(0, factorial(12), size=50_000, dtype=np.int64)
-        result = permutation_chi2(unrank_batch(idx, 12))
-        assert result.passed
+        assert self._p_value(unrank_batch(idx, 12)) > 0.01
 
     def test_large_n_stuck_sampler_fails(self):
         perms = np.tile(np.arange(12), (20_000, 1))
-        assert not permutation_chi2(perms).passed
+        assert self._p_value(perms) < 0.01
 
 
 class TestBattery:

@@ -23,6 +23,8 @@ from repro.analysis.stream import (
     PopulationStats,
     RankBucketAccumulator,
     SerialCorrelationAccumulator,
+    battery_passed,
+    battery_report,
     campaign_verdict,
     expected_tv_noise,
     merge_states,
@@ -30,7 +32,10 @@ from repro.analysis.stream import (
     run_population_campaign,
     stream_blocks,
 )
+from repro.analysis.randtests import battery
+from repro.core.knuth import KnuthShuffleCircuit
 from repro.errors import CampaignConfigError, CheckpointMismatchError
+from repro.rng.lfsr import FibonacciLFSR
 from repro.rng.scaled import bias_profile
 
 N = 6
@@ -154,6 +159,15 @@ class TestConfig:
             CampaignConfig(m=62).validated()
         with pytest.raises(CampaignConfigError):
             CampaignConfig(lags=()).validated()
+        # shuffle stages need distinct default widths m, m−1, …, ≥ 8
+        with pytest.raises(CampaignConfigError, match="m ≥ 8"):
+            CampaignConfig(n=4, m=7, source="shuffle").validated()
+        with pytest.raises(CampaignConfigError, match="distinct"):
+            CampaignConfig(n=20, m=31, source="shuffle").validated()
+        with pytest.raises(CampaignConfigError, match="distinct"):
+            CampaignConfig(n=4, m=9, source="shuffle").validated()
+        CampaignConfig(n=17, m=31, source="shuffle").validated()
+        CampaignConfig(n=3, m=9, source="shuffle").validated()
 
     def test_roundtrip(self):
         cfg = CampaignConfig(n=5, samples=1234, lags=(1, 3)).validated()
@@ -164,6 +178,8 @@ class TestConfig:
         assert cfg.fingerprint() == CampaignConfig(engine="interp").fingerprint()
         assert cfg.fingerprint() != CampaignConfig(seed=3).fingerprint()
         assert cfg.fingerprint() != CampaignConfig(block=512).fingerprint()
+        fingerprints = {CampaignConfig(source=s).fingerprint() for s in stream.SOURCES}
+        assert len(fingerprints) == len(stream.SOURCES)
 
     def test_block_sizes_tile_samples(self):
         cfg = CampaignConfig(samples=10_000, block=4096)
@@ -181,10 +197,36 @@ class TestStreamInvariance:
         return run_population_campaign(self.CFG, **kw)
 
     def test_shard_count_invariant(self):
-        one = self._run(shards=1)
-        three = self._run(shards=3)
-        assert one.stats.state_dict() == three.stats.state_dict()
-        assert one.stats.samples == self.CFG.samples
+        for source in ("lfsr", "shuffle"):
+            cfg = replace(self.CFG, source=source)
+            one = run_population_campaign(cfg, shards=1, workers=1, battery_draws=0)
+            assert one.stats.samples == cfg.samples
+            runs = [(3, 1), (5, 1)] + ([(3, 2)] if source == "shuffle" else [])
+            for shards, workers in runs:
+                other = run_population_campaign(
+                    cfg, shards=shards, workers=workers, battery_draws=0
+                )
+                assert other.stats.state_dict() == one.stats.state_dict(), (
+                    source, shards, workers,
+                )
+
+    def test_shuffle_blocks_are_circuit_samples(self):
+        """Block b is the Fig.-3 circuit, seeded for b, sampled once —
+        short final block included."""
+        cfg = CampaignConfig(n=N, samples=5000, block=2048, source="shuffle")
+        blocks = list(stream_blocks(cfg, range(cfg.total_blocks)))
+        assert [len(p) for p in blocks] == [2048, 2048, 904]
+        for b, perms in enumerate(blocks):
+            seeds = stream._shuffle_seeds(cfg, b)
+            circuit = KnuthShuffleCircuit(N, cfg.m, seeds=seeds)
+            assert np.array_equal(perms, circuit.sample(cfg.block_size(b)))
+        assert stream._shuffle_seeds(cfg, 0) != stream._shuffle_seeds(cfg, 1)
+
+    def test_shuffle_source_passes_effect_size_gates(self):
+        cfg = CampaignConfig(n=N, samples=40_960, block=4096, source="shuffle")
+        result = run_population_campaign(cfg, workers=1, battery_draws=0)
+        assert result.verdict["mode"] == "effect_size"
+        assert result.verdict["passed"], result.summary
 
     def test_engine_invariant(self):
         states = []
@@ -299,42 +341,43 @@ class TestKillAndResume:
     CFG = CampaignConfig(n=N, samples=16_384, block=2048, engine="compiled")
 
     def test_kill_then_resume_is_bit_identical(self, tmp_path, monkeypatch):
-        ckpt = tmp_path / "campaign.json"
-
         def die_after_first_round(round_index, state):
             if round_index == 0:
                 raise RuntimeError("simulated crash")
 
-        monkeypatch.setattr(stream, "_after_round", die_after_first_round)
-        with pytest.raises(RuntimeError, match="simulated crash"):
-            run_population_campaign(
-                self.CFG,
-                shards=4,
+        for source in ("lfsr", "shuffle"):
+            cfg = replace(self.CFG, source=source)
+            ckpt = tmp_path / f"{source}.json"
+            monkeypatch.setattr(stream, "_after_round", die_after_first_round)
+            with pytest.raises(RuntimeError, match="simulated crash"):
+                run_population_campaign(
+                    cfg,
+                    shards=4,
+                    workers=1,
+                    checkpoint_every=2,
+                    checkpoint_path=ckpt,
+                    battery_draws=0,
+                )
+            # the crash happened *after* the round-0 checkpoint landed
+            partial = load_checkpoint(ckpt)
+            assert partial["state"]["samples"] < cfg.samples
+            assert len(partial["completed"]) == 2
+
+            monkeypatch.setattr(stream, "_after_round", lambda i, s: None)
+            resumed = run_population_campaign(
+                cfg,
+                shards=99,  # ignored: the checkpoint's decomposition wins
                 workers=1,
-                checkpoint_every=2,
                 checkpoint_path=ckpt,
+                resume=True,
                 battery_draws=0,
             )
-        # the crash happened *after* the round-0 checkpoint landed
-        partial = load_checkpoint(ckpt)
-        assert partial["state"]["samples"] < self.CFG.samples
-        assert len(partial["completed"]) == 2
-
-        monkeypatch.setattr(stream, "_after_round", lambda i, s: None)
-        resumed = run_population_campaign(
-            self.CFG,
-            shards=99,  # ignored: the checkpoint's decomposition wins
-            workers=1,
-            checkpoint_path=ckpt,
-            resume=True,
-            battery_draws=0,
-        )
-        uninterrupted = run_population_campaign(
-            self.CFG, shards=1, workers=1, battery_draws=0
-        )
-        assert resumed.resumed
-        assert resumed.shards == 4
-        assert resumed.stats.state_dict() == uninterrupted.stats.state_dict()
+            uninterrupted = run_population_campaign(
+                cfg, shards=1, workers=1, battery_draws=0
+            )
+            assert resumed.resumed
+            assert resumed.shards == 4
+            assert resumed.stats.state_dict() == uninterrupted.stats.state_dict(), source
 
     def test_fingerprint_mismatch_refused(self, tmp_path):
         ckpt = tmp_path / "campaign.json"
@@ -431,6 +474,36 @@ class TestVerdictAndReport:
         text = result.render()
         assert "population validation" in text
         assert "verdict" in text
+
+    def test_battery_gates_effect_size_not_p_value(self):
+        """Seed 491263128's dense m-sequence window has 45.3 % ones —
+        monobit p < 1e-6, which the iid p-value gate used to fail —
+        yet stays inside the effect-size bounds; both are reported."""
+        report = battery_report(CampaignConfig(seed=491263128))
+        results = {r["name"]: r for r in report["results"]}
+        assert results["monobit"]["p_value"] < 1e-6
+        assert results["monobit"]["effect"] == pytest.approx(0.453125 - 0.5)
+        assert not results["monobit"]["expected_artifact"]
+        assert results["serial_lag1"]["expected_artifact"]
+        assert report["passed"]
+
+    @pytest.mark.parametrize(
+        "words",
+        [
+            # the sparse-seed warm-up window: ~34 % ones over 4096 words
+            FibonacciLFSR(31, seed=1).words(4096),
+            np.full(4096, 0x5A5A5A5A, dtype=np.uint32),  # constant stream
+            FibonacciLFSR(31, seed=12345).words(4096) | np.uint32(1),  # stuck LSB
+            np.arange(4096, dtype=np.uint32),  # alternating LSB
+        ],
+        ids=["warm_up", "constant", "stuck_lsb", "alternating"],
+    )
+    def test_battery_gate_fails_broken_streams(self, words):
+        class Replay:
+            def words(self, count):
+                return words[:count]
+
+        assert not battery_passed(battery(Replay(), draws=len(words)))
 
     def test_serial_artifact_present_and_enveloped(self):
         """Raw m-sequence structure shows up at lag 1 (r far from 0) but

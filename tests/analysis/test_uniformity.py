@@ -1,24 +1,34 @@
-"""Uniformity statistics tests."""
+"""Uniformity statistics tests.
+
+Sample-level reports come from the streaming rank-bucket accumulator,
+the one path that turns a permutation sample into chi², TV and entropy.
+"""
 
 import numpy as np
 import pytest
 
+from repro.analysis.stream import RankBucketAccumulator
 from repro.analysis.uniformity import (
     DEFAULT_BUCKETS,
-    MAX_EXACT_CELLS,
     bucket_null_probabilities,
     chi_square_uniform,
     effective_bucket_count,
     empirical_entropy_bits,
-    entropy_deficit_bits,
     rank_bucket_counts,
     total_variation_from_uniform,
-    uniformity_report,
 )
 from repro.core.factorial import factorial
 from repro.core.knuth import KnuthShuffleCircuit
 from repro.core.lehmer import rank_batch, unrank_batch
-from repro.errors import CellBudgetError
+
+
+def uniformity_summary(perms, buckets=DEFAULT_BUCKETS):
+    """Feed a ``(B, n)`` sample to a rank-bucket accumulator sized as a
+    campaign would size it; return the accumulator and its summary."""
+    samples, n = perms.shape
+    acc = RankBucketAccumulator(n, effective_bucket_count(samples, buckets, n))
+    acc.update(perms)
+    return acc, acc.summary()
 
 
 class TestChiSquare:
@@ -65,18 +75,18 @@ class TestEntropy:
 class TestReport:
     def test_ideal_sampler_looks_uniform(self):
         perms = KnuthShuffleCircuit(4).sample_ideal(30000, np.random.default_rng(1))
-        rep = uniformity_report(perms)
-        assert rep.n == 4 and rep.samples == 30000
-        assert rep.looks_uniform
-        assert rep.entropy_bits == pytest.approx(rep.max_entropy_bits, abs=0.01)
-        assert rep.tv_distance < 0.05
+        acc, rep = uniformity_summary(perms)
+        assert acc.n == 4 and rep["samples"] == 30000
+        assert rep["p_value"] > 0.01
+        assert rep["entropy_bits"] == pytest.approx(rep["max_entropy_bits"], abs=0.01)
+        assert rep["tv_distance"] < 0.05
 
     def test_constant_sampler_flagged(self):
         perms = np.tile(np.arange(4), (5000, 1))
-        rep = uniformity_report(perms)
-        assert not rep.looks_uniform
-        assert rep.entropy_bits == 0.0
-        assert rep.counts.sum() == 5000
+        acc, rep = uniformity_summary(perms)
+        assert rep["p_value"] < 0.01
+        assert rep["entropy_bits"] == 0.0
+        assert acc.counts.sum() == 5000
 
 
 class TestSparseHistograms:
@@ -114,9 +124,12 @@ class TestSparseHistograms:
         # uniform over the 5 observed cells of a 50-cell support:
         # entropy is log2(5), the deficit is log2(50) − log2(5) — huge,
         # where the old len()-based reading would have called it 0
-        sparse = np.full(5, 100)
-        assert entropy_deficit_bits(sparse, num_cells=5) == pytest.approx(0.0)
-        assert entropy_deficit_bits(sparse, num_cells=50) == pytest.approx(
+        acc = RankBucketAccumulator.from_state(
+            {"n": 5, "cells": 50, "counts": [100] * 5 + [0] * 45}
+        )
+        rep = acc.summary()
+        assert rep["entropy_bits"] == pytest.approx(np.log2(5))
+        assert rep["max_entropy_bits"] - rep["entropy_bits"] == pytest.approx(
             np.log2(50) - np.log2(5)
         )
 
@@ -124,33 +137,26 @@ class TestSparseHistograms:
 class TestBucketedReport:
     def test_exact_small_n_unchanged(self):
         perms = KnuthShuffleCircuit(4).sample_ideal(30000, np.random.default_rng(1))
-        rep = uniformity_report(perms)
-        assert rep.method == "exact" and rep.cells == 24
-        assert rep.max_entropy_bits == pytest.approx(np.log2(24))
+        _, rep = uniformity_summary(perms)
+        assert rep["method"] == "exact" and rep["cells"] == 24
+        assert rep["max_entropy_bits"] == pytest.approx(np.log2(24))
 
     def test_large_n_routes_through_buckets(self):
         rng = np.random.default_rng(7)
         n = 12  # 12! ≈ 4.8e8 dense cells would be ~4 GB of counts
         idx = rng.integers(0, factorial(n), size=60000, dtype=np.int64)
-        rep = uniformity_report(unrank_batch(idx, n))
-        assert rep.method == "buckets"
-        assert rep.cells <= DEFAULT_BUCKETS
-        assert len(rep.counts) == rep.cells
-        assert rep.looks_uniform
+        acc, rep = uniformity_summary(unrank_batch(idx, n))
+        assert rep["method"] == "buckets"
+        assert rep["cells"] <= DEFAULT_BUCKETS
+        assert len(acc.counts) == rep["cells"]
+        assert rep["p_value"] > 0.01
 
     def test_bucketed_detects_point_mass(self):
         perms = np.tile(np.arange(12), (20000, 1))
-        rep = uniformity_report(perms)
-        assert rep.method == "buckets"
-        assert not rep.looks_uniform
-        assert rep.tv_distance > 0.9
-
-    def test_forced_exact_past_budget_is_typed_error(self):
-        perms = np.tile(np.arange(12), (10, 1))
-        with pytest.raises(CellBudgetError) as excinfo:
-            uniformity_report(perms, method="exact")
-        assert excinfo.value.cells == factorial(12)
-        assert excinfo.value.budget == MAX_EXACT_CELLS
+        _, rep = uniformity_summary(perms)
+        assert rep["method"] == "buckets"
+        assert rep["p_value"] < 0.01
+        assert rep["tv_distance"] > 0.9
 
     def test_cochran_rule_shrinks_buckets(self):
         # 1000 samples cannot feed 4093 cells at ≥ 5 expected each

@@ -1,44 +1,44 @@
-"""Parallel Monte-Carlo harness and sorting-assessment tests."""
+"""Monte-Carlo tests: the sharded derangement estimate and the
+sorting-assessment study."""
 
 import math
 
 import numpy as np
 import pytest
 
-from repro.analysis.derangements import derangement_experiment
-from repro.apps.montecarlo import (
-    insertion_sort_cost,
-    parallel_derangement_estimate,
-    sortedness_study,
-)
+from repro.analysis.stream import CampaignConfig, run_population_campaign
+from repro.apps.montecarlo import insertion_sort_cost, sortedness_study
 from repro.core.permutation import Permutation
+
+
+def _derangement_estimate(n, samples, shards):
+    """The §III-C estimate as a ``shuffle`` campaign over ``shards`` shards."""
+    cfg = CampaignConfig(n=n, samples=samples, block=512, source="shuffle")
+    result = run_population_campaign(cfg, shards=shards, workers=1, battery_draws=0)
+    return result.summary["fixed_points"]
 
 
 class TestParallelEstimate:
     def test_equals_sequential_run(self):
-        """Jump-ahead sharding must reproduce the sequential result bit
-        for bit — the defining property of deterministic parallelism."""
-        par = parallel_derangement_estimate(4, samples=1 << 13, workers=8)
-        seq = derangement_experiment(4, samples=1 << 13)
-        assert par.derangements == seq.derangements
+        """Sharding must reproduce the sequential result bit for bit —
+        the defining property of deterministic parallelism."""
+        par = _derangement_estimate(4, 1 << 13, shards=8)
+        seq = _derangement_estimate(4, 1 << 13, shards=1)
+        assert par["derangements"] == seq["derangements"]
 
     @pytest.mark.parametrize("workers", [1, 3, 5])
     def test_worker_count_invariance(self, workers):
-        base = parallel_derangement_estimate(5, samples=4000, workers=1)
-        other = parallel_derangement_estimate(5, samples=4000, workers=workers)
-        assert base.derangements == other.derangements
+        base = _derangement_estimate(5, 4000, shards=1)
+        other = _derangement_estimate(5, 4000, shards=workers)
+        assert base["derangements"] == other["derangements"]
 
     def test_estimates_e(self):
-        r = parallel_derangement_estimate(6, samples=1 << 14, workers=4)
-        assert abs(r.e_estimate - math.e) / math.e < 0.05
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            parallel_derangement_estimate(4, samples=100, workers=0)
+        r = _derangement_estimate(6, 1 << 14, shards=4)
+        assert abs(r["e_estimate"] - math.e) / math.e < 0.05
 
     def test_sample_count_preserved_when_not_divisible(self):
-        r = parallel_derangement_estimate(4, samples=1001, workers=3)
-        assert r.samples == 1001
+        r = _derangement_estimate(4, 1001, shards=3)
+        assert r["samples"] == 1001
 
 
 class TestInsertionSortCost:

@@ -36,6 +36,20 @@ class TestConstruction:
         c = KnuthShuffleCircuit(10, m=31)
         assert len(set(c.widths)) == 9
 
+    def test_default_widths_need_m_at_least_8(self):
+        """Below m = 8 the default span is empty: a typed error naming
+        the bound, not a ZeroDivisionError."""
+        with pytest.raises(ValueError, match="m ≥ 8"):
+            KnuthShuffleCircuit(4, m=7)
+        assert KnuthShuffleCircuit(3, m=5, widths=[5, 5]).widths == (5, 5)
+
+    def test_default_widths_cycle_past_the_span(self):
+        """Large n keeps constructing (serving's shuffle engine relies on
+        it): widths cycle, so stages t and t + 16 share a polynomial."""
+        widths = KnuthShuffleCircuit(20, m=31).widths
+        assert widths[:16] == tuple(range(31, 15, -1))
+        assert widths[16:] == (31, 30, 29)
+
     def test_structure_counts(self):
         c = KnuthShuffleCircuit(6)
         assert c.num_stages == 5

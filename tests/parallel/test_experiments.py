@@ -1,51 +1,54 @@
-"""Parallel experiment runners: bit-identical to sequential, any workers."""
+"""Parallel experiment runners: bit-identical to sequential, any workers.
 
-import numpy as np
+The Monte-Carlo workloads are ``shuffle``-source campaigns sharded over
+the hardened runner; the index-space searches shard ``0..n!−1``.
+"""
+
 import pytest
 
-from repro.analysis.derangements import derangement_experiment
-from repro.analysis.distribution import permutation_histogram
+from repro.analysis.stream import CampaignConfig, run_population_campaign
 from repro.apps.bdd import achilles_heel, best_variable_order
 from repro.apps.pclass import classify_all
-from repro.core.knuth import KnuthShuffleCircuit
-from repro.parallel.experiments import (
-    parallel_best_order,
-    parallel_classify,
-    parallel_derangements,
-    parallel_fig4_counts,
-)
+from repro.parallel.experiments import parallel_best_order, parallel_classify
 
 SAMPLES = 1 << 14
 
 
+def _campaign(n, samples, shards, workers=1, block=1024):
+    cfg = CampaignConfig(n=n, samples=samples, block=block, source="shuffle")
+    return run_population_campaign(
+        cfg, shards=shards, workers=workers, battery_draws=0
+    ).stats.state_dict()["accumulators"]
+
+
 class TestFig4:
     def test_matches_sequential_exactly(self):
-        seq = permutation_histogram(KnuthShuffleCircuit(4).sample(SAMPLES))
-        par = parallel_fig4_counts(4, samples=SAMPLES, workers=3)
-        assert np.array_equal(seq, par)
+        seq = _campaign(4, SAMPLES, shards=1)["rank_buckets"]
+        par = _campaign(4, SAMPLES, shards=3, workers=2)["rank_buckets"]
+        assert seq == par
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     def test_worker_invariance(self, workers):
-        base = parallel_fig4_counts(4, samples=SAMPLES, workers=1)
-        got = parallel_fig4_counts(4, samples=SAMPLES, workers=workers)
-        assert np.array_equal(base, got)
+        base = _campaign(4, SAMPLES, shards=1)["rank_buckets"]
+        got = _campaign(4, SAMPLES, shards=workers)["rank_buckets"]
+        assert base == got
 
     def test_total_count_preserved(self):
-        counts = parallel_fig4_counts(4, samples=1000, workers=4)
-        assert counts.sum() == 1000
+        counts = _campaign(4, 1000, shards=4, block=128)["rank_buckets"]["counts"]
+        assert sum(counts) == 1000
 
 
 class TestDerangements:
     def test_matches_sequential(self):
-        seq = derangement_experiment(4, samples=SAMPLES)
-        par = parallel_derangements(4, samples=SAMPLES, workers=4)
-        assert par.derangements == seq.derangements
-        assert par.samples == seq.samples
+        seq = _campaign(4, SAMPLES, shards=1)["fixed_points"]
+        par = _campaign(4, SAMPLES, shards=4)["fixed_points"]
+        assert seq == par
+        assert sum(par["hist"]) == SAMPLES
 
     def test_uneven_split(self):
-        a = parallel_derangements(5, samples=1001, workers=3)
-        b = parallel_derangements(5, samples=1001, workers=7)
-        assert a.derangements == b.derangements
+        a = _campaign(5, 1001, shards=3, block=128)["fixed_points"]
+        b = _campaign(5, 1001, shards=7, block=128)["fixed_points"]
+        assert a == b
 
 
 class TestOrderSearch:

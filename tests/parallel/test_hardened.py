@@ -18,7 +18,6 @@ from repro.parallel.sharding import (
     ShardSpec,
     hardened_map_reduce,
     index_shards,
-    parallel_map_reduce,
 )
 
 
@@ -259,25 +258,26 @@ class TestDegradedMode:
 
 
 class TestPlainRunnerErrorWrapping:
-    """Satellite: parallel_map_reduce surfaces failures as typed errors."""
+    """Without retries the runner is a plain fail-fast map-reduce: the
+    first worker failure surfaces as a typed error naming its shard."""
 
     def test_inline_exception_wrapped(self):
         shards = index_shards(50, 4)
         with pytest.raises(WorkerFailedError) as err:
-            parallel_map_reduce(_AlwaysFails(), shards, _add, workers=1)
+            hardened_map_reduce(_AlwaysFails(), shards, _add, workers=1, retries=0)
         assert err.value.shard_id == 2
         assert isinstance(err.value.__cause__, RuntimeError)
 
     def test_pool_exception_wrapped(self):
         shards = index_shards(50, 4)
         with pytest.raises(WorkerFailedError) as err:
-            parallel_map_reduce(_AlwaysFails(), shards, _add, workers=2)
+            hardened_map_reduce(_AlwaysFails(), shards, _add, workers=2, retries=0)
         assert err.value.shard_id == 2
 
     def test_total_zero_yields_empty_shards_which_are_rejected(self):
         assert index_shards(0, 3) == []
         with pytest.raises(ValueError):
-            parallel_map_reduce(_square_sum, index_shards(0, 3), _add)
+            hardened_map_reduce(_square_sum, index_shards(0, 3), _add, retries=0)
 
 
 class _AlwaysCrashes:

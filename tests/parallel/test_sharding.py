@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.sharding import ShardSpec, index_shards, parallel_map_reduce
+from repro.parallel.sharding import ShardSpec, hardened_map_reduce, index_shards
 
 
 class TestIndexShards:
@@ -52,20 +52,22 @@ def _add(a: int, b: int) -> int:
 
 
 class TestMapReduce:
+    """The map-reduce contract of :func:`hardened_map_reduce`."""
+
     def test_inline_path(self):
         shards = index_shards(50, 4)
-        got = parallel_map_reduce(_square_sum, shards, _add, workers=1)
+        got = hardened_map_reduce(_square_sum, shards, _add, workers=1)
         assert got == sum(i * i for i in range(50))
 
     def test_process_path(self):
         shards = index_shards(50, 4)
-        got = parallel_map_reduce(_square_sum, shards, _add, workers=4)
+        got = hardened_map_reduce(_square_sum, shards, _add, workers=4)
         assert got == sum(i * i for i in range(50))
 
     def test_worker_count_invariance(self):
         shards = index_shards(33, 5)
         results = {
-            parallel_map_reduce(_square_sum, shards, _add, workers=w)
+            hardened_map_reduce(_square_sum, shards, _add, workers=w)
             for w in (1, 2, 5)
         }
         assert len(results) == 1
@@ -75,12 +77,12 @@ class TestMapReduce:
         non-commutative reduction to detect reordering."""
         shards = index_shards(12, 4)
 
-        got = parallel_map_reduce(_first_index, shards, _keep_left_append, workers=4)
+        got = hardened_map_reduce(_first_index, shards, _keep_left_append, workers=4)
         assert got == [0, 3, 6, 9]
 
     def test_empty_shards_rejected(self):
         with pytest.raises(ValueError):
-            parallel_map_reduce(_square_sum, [], _add)
+            hardened_map_reduce(_square_sum, [], _add)
 
 
 def _first_index(shard: ShardSpec) -> list[int]:

@@ -58,11 +58,14 @@ class TestStrongScaling:
         assert len(table.splitlines()) == 3
 
     def test_real_parallel_job_scales_without_changing_result(self):
-        """End-to-end: the parallel derangement counter under the harness."""
-        from repro.parallel.experiments import parallel_derangements
+        """End-to-end: a sharded derangement campaign under the harness."""
+        from repro.analysis.stream import CampaignConfig, run_population_campaign
 
+        cfg = CampaignConfig(n=4, samples=1 << 12, block=512, source="shuffle")
         points = strong_scaling(
-            lambda w: parallel_derangements(4, samples=1 << 12, workers=w).derangements,
+            lambda w: run_population_campaign(
+                cfg, shards=w, workers=w, battery_draws=0
+            ).summary["fixed_points"]["derangements"],
             worker_counts=(1, 2),
         )
         assert len({p.result_digest for p in points}) == 1

@@ -178,50 +178,6 @@ class TestJump:
             FibonacciLFSR(8).jump(-1)
 
 
-class TestSubstreams:
-    def test_substreams_are_disjoint_blocks(self):
-        base = FibonacciLFSR(24, seed=1)
-        streams = base.spawn_substreams(count=4, total_draws=1000)
-        # stream j starts at offset j * ceil(1000/4) = 250j
-        ref = FibonacciLFSR(24, seed=1)
-        draws = [ref.next_word() for _ in range(1000)]
-        for j, s in enumerate(streams):
-            got = [s.next_word() for _ in range(250)]
-            assert got == draws[250 * j : 250 * (j + 1)]
-
-    @pytest.mark.parametrize("cls", [FibonacciLFSR, GaloisLFSR])
-    def test_parent_window_disjoint_from_every_substream(self, cls):
-        """Regression: substream 0 starts at the parent's (pre-spawn)
-        state, so a parent left in place and still drawing replays it.
-        After spawn_substreams the parent must sit past every handed-out
-        block: all count+1 draw windows — parent included — pairwise
-        disjoint."""
-        parent = cls(20, seed=1234)
-        count, total = 3, 90
-        block = -(-total // count)  # 30
-        streams = parent.spawn_substreams(count=count, total_draws=total)
-        windows = [
-            [s.next_word() for _ in range(block)] for s in streams
-        ]
-        windows.append([parent.next_word() for _ in range(block)])
-        for i in range(len(windows)):
-            for j in range(i + 1, len(windows)):
-                assert not set(windows[i]) & set(windows[j]), (
-                    f"draw windows {i} and {j} overlap"
-                )
-
-    def test_parent_resumes_exactly_after_last_block(self):
-        parent = FibonacciLFSR(16, seed=7)
-        ref = FibonacciLFSR(16, seed=7)
-        parent.spawn_substreams(count=4, total_draws=100)
-        ref.jump(4 * 25)
-        assert parent.state == ref.state
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ValueError):
-            FibonacciLFSR(8).spawn_substreams(0, 10)
-
-
 class TestNetlist:
     @pytest.mark.parametrize("width", [4, 7, 13])
     def test_netlist_matches_software(self, width):

@@ -101,6 +101,22 @@ def test_fig4_small(capsys):
     assert len(out.splitlines()) >= 24
 
 
+@pytest.mark.parametrize("samples", ["0", "-5", "50", "119"])
+def test_fig4_too_few_samples_is_usage_error(capsys, samples):
+    """Fewer than 5·4! = 120 samples cannot fill 24 bars at five expected
+    each (and 0 or fewer is no campaign at all): one line, exit 2."""
+    assert main(["fig4", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("repro-perm: error:")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_fig4_smallest_valid_run(capsys):
+    assert main(["fig4", "120"]) == 0
+    assert "expected/bar=5.0" in capsys.readouterr().out
+
+
 def test_unknown_command_exits():
     with pytest.raises(SystemExit):
         main(["nope"])
@@ -372,3 +388,14 @@ class TestValidateCommand:
     def test_bad_engine_is_usage_error(self):
         assert main(["validate", "--n", "5", "--samples", "64",
                      "--engine", "quantum"]) == 2
+
+    def test_shuffle_source(self, capsys):
+        assert main(self.ARGS + ["--source", "shuffle"]) == 0
+        assert "source=shuffle" in capsys.readouterr().out
+
+    def test_shuffle_with_shared_polynomials_is_usage_error(self, capsys):
+        """n − 1 stages need distinct widths m, m−1, …, ≥ 8."""
+        assert main(["validate", "--n", "5", "--m", "9", "--samples", "64",
+                     "--source", "shuffle"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro-perm: error:") and "distinct" in err

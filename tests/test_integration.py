@@ -11,7 +11,11 @@ from repro import (
     Permutation,
     RandomPermutationGenerator,
 )
-from repro.analysis.uniformity import uniformity_report
+from repro.analysis.stream import (
+    CampaignConfig,
+    RankBucketAccumulator,
+    run_population_campaign,
+)
 from repro.core.lehmer import rank_batch
 from repro.fpga import synthesize
 from repro.hdl.verify import assert_equivalent
@@ -56,10 +60,10 @@ class TestFullRandomPermutationPipeline:
         """Fig.-2 pipeline end to end: LFSR → scale → converter, tested
         for approximate uniformity over the permutation space."""
         gen = RandomPermutationGenerator(4, m=20)
-        perms = gen.sample(24_000)
-        rep = uniformity_report(perms)
-        assert rep.tv_distance < 0.05
-        assert rep.counts.min() > 0
+        acc = RankBucketAccumulator(4, 24)
+        acc.update(gen.sample(24_000))
+        assert acc.summary()["tv_distance"] < 0.05
+        assert acc.counts.min() > 0
 
     def test_indexed_vs_shuffle_agree_statistically(self):
         """Both §III generators target the same uniform law."""
@@ -115,7 +119,6 @@ class TestPaperNarrative:
 
     def test_derangement_to_e_chain(self):
         """§III-C end to end at reduced scale: shuffle → derangements → e."""
-        from repro.analysis.derangements import derangement_experiment
-
-        r = derangement_experiment(4, samples=1 << 14)
-        assert abs(r.e_estimate - math.e) < 0.15
+        cfg = CampaignConfig(n=4, samples=1 << 14, source="shuffle")
+        result = run_population_campaign(cfg, workers=1, battery_draws=0)
+        assert abs(result.summary["fixed_points"]["e_estimate"] - math.e) < 0.15
