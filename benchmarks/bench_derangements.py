@@ -48,7 +48,13 @@ def test_derangement_rows(benchmark, results_dir):
         )
         # at 2^20 samples the fraction estimate is good to ~0.2 %
         assert fx["abs_error"] < 0.005
-        assert e_error < 0.02
+        # The estimate's expectation is n!/d_n, not e (24/9 = 2.667 at
+        # n = 4, 1.9 % below e): gate it there, within 5 sd of sampling
+        # noise.  Binomial sd of the fraction p, taken to 1/p by the
+        # delta method: ~0.13 % of the estimate at n = 4.
+        p = fx["expected_fraction"]
+        sd = math.sqrt(p * (1.0 - p) / fx["samples"]) / (p * p)
+        assert abs(fx["e_estimate"] - 1.0 / p) <= 5.0 * sd
     write_report(
         results_dir,
         "derangements",

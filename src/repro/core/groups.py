@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import deque
 from math import factorial
-from typing import Iterable, Sequence
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.core.permutation import Permutation
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = [
     "generated_subgroup",
@@ -113,7 +114,13 @@ def generates_symmetric_group(generators: Sequence[Permutation]) -> bool:
 
 def cayley_graph(n: int, generators: Sequence[Permutation]) -> nx.Graph:
     """Cayley graph of ⟨generators⟩ ≤ S_n (undirected: involutions or
-    inverse-closed sets give the usual graph)."""
+    inverse-closed sets give the usual graph).
+
+    Needs :mod:`networkx`, which the package does not declare, so it is
+    imported here and not with the module.
+    """
+    import networkx as nx
+
     elements = generated_subgroup(generators)
     g = nx.Graph()
     g.add_nodes_from(elements)
@@ -130,6 +137,8 @@ def cayley_diameter(n: int, generators: Sequence[Permutation]) -> int:
     in single swaps); for the full stage-swap set it is much smaller —
     the trade the two circuits make between wiring and depth.
     """
+    import networkx as nx
+
     graph = cayley_graph(n, generators)
     lengths = nx.single_source_shortest_path_length(graph, Permutation.identity(n))
     if len(lengths) != graph.number_of_nodes():

@@ -421,12 +421,16 @@ def evict_kernel(fingerprint: str) -> int:
     supervised serving tier calls this when a response check convicts a
     worker's output — the compiled artefact can no longer be trusted, so
     the next consumer recompiles from the netlist instead of sharing the
-    possibly-corrupted kernel through the process-wide cache.
+    possibly-corrupted kernel through the process-wide cache.  The
+    kernel's native build goes too (:func:`repro.hdl.native.evict_native`
+    drops the binding and unlinks the library) and counts as one more.
     """
+    from repro.hdl.native import evict_native  # native imports this module
+
     victims = [key for key in _CACHE if key[0] == fingerprint]
     for key in victims:
         del _CACHE[key]
-    return len(victims)
+    return len(victims) + evict_native(fingerprint)
 
 
 class PackedFaultPlan:

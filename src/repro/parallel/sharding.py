@@ -323,6 +323,9 @@ def hardened_map_reduce(
     succeeded plus the failure manifest, so a campaign keeps its
     completed work even when some shards are beyond saving.
 
+    The shards run inline in the caller's process when there is one
+    worker, or one shard and no ``timeout``; otherwise in a process pool.
+
     Caveat: a timed-out worker process cannot be killed through
     ``concurrent.futures``; it is abandoned with the old pool and may
     run to completion in the background.  Its result is discarded.
@@ -340,7 +343,9 @@ def hardened_map_reduce(
     if not shards:
         raise ValueError("no shards to process (total == 0?)")
     workers = workers if workers is not None else default_workers()
-    inline = workers <= 1
+    # A pool gains one shard nothing but a fork and a pickled result;
+    # only a pool can enforce a per-shard timeout, though.
+    inline = workers <= 1 or (len(shards) == 1 and timeout is None)
     rng = random.Random(seed)
     metrics_on = _metrics.REGISTRY.enabled
 

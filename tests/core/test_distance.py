@@ -57,7 +57,7 @@ class TestMetricAxioms:
 
 class TestCharacterisations:
     def test_kendall_is_adjacent_swap_graph_distance(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         from repro.core.groups import cayley_graph
 
@@ -68,7 +68,7 @@ class TestCharacterisations:
             assert kendall_tau(Permutation.identity(n), p) == d
 
     def test_cayley_is_transposition_graph_distance(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         from repro.core.groups import cayley_graph
 

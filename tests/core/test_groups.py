@@ -65,6 +65,10 @@ class TestTransitivity:
 
 
 class TestCayley:
+    @pytest.fixture(autouse=True)
+    def _networkx(self):
+        pytest.importorskip("networkx")
+
     def test_graph_size(self):
         g = cayley_graph(3, adjacent_transpositions(3))
         assert g.number_of_nodes() == 6

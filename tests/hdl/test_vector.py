@@ -4,23 +4,39 @@ The vector backend runs the *same* exec-compiled kernels as the bigint
 engine, just over NumPy ``uint64`` word arrays — so the two must agree
 bit for bit on every circuit, batch width, overlay and SEU schedule.
 Hypothesis drives random netlists through both; explicit cases pin the
-wide-sweep behaviour (≥ 1024 lanes in one sweep) and the prepared-kernel
-cache tier.
+wide-sweep behaviour (≥ 1024 lanes in one sweep), the prepared-kernel
+cache tier and the native C kernel behind prepared sweeps (its builds,
+fallbacks, quarantine and on-disk cache).  With no ``cc`` on ``PATH``
+the native-only cases skip and the rest run the NumPy kernel.
 """
 
 from __future__ import annotations
+
+import logging
+import os
+import subprocess
+import sys
+from math import factorial
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hdl.compile import PackedFaultPlan
+from repro.hdl.compile import PackedFaultPlan, evict_kernel
 from repro.hdl.gates import Op
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
     BatchEntry,
     CombinationalSimulator,
     SequentialSimulator,
+)
+from repro.hdl.native import (
+    clear_native_cache,
+    find_compiler,
+    native_cache_info,
+    native_kernel,
 )
 from repro.hdl.vector import (
     VECTOR_SWEEP_LANES,
@@ -301,3 +317,194 @@ class TestVectorCache:
         assert int(ones[1]) == (1 << 6) - 1
         with pytest.raises(ValueError):
             ones[0] = 0  # read-only
+
+
+# --------------------------------------------------------------------- #
+# the native kernel behind prepared sweeps
+
+needs_cc = pytest.mark.skipif(find_compiler() is None, reason="no cc on PATH")
+
+#: lane counts around every word boundary, up to a campaign sweep
+NATIVE_LANES = (1, 63, 64, 65, 4095, 8192)
+
+
+def _numpy_kernel():
+    """Run prepared vector sweeps on the NumPy kernel."""
+    return mock.patch("repro.hdl.vector.native_kernel", return_value=None)
+
+
+def _words(outs):
+    """Every output bus's raw lane words, tail bits included."""
+    return {name: np.stack(words) for name, words in outs._buses.items()}
+
+
+@pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """A private library cache and no bindings, before and after."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    clear_native_cache()
+    yield tmp_path / "cache" / "repro" / "native"
+    clear_native_cache()
+
+
+@given(random_circuit(), st.sampled_from(NATIVE_LANES), st.integers(0, 2**32))
+@settings(max_examples=25)
+def test_native_sweep_matches_numpy_words_and_compiled_lanes(case, lanes, seed):
+    n_inputs, ops, picks, _ = case
+    nl, _ = _build(n_inputs, ops, picks)
+    idx = np.random.default_rng(seed).integers(0, 1 << n_inputs, lanes)
+    entry = BatchEntry(nl, backend="vector")
+    got = entry.run({"a": idx}, materialize=False)
+    if find_compiler() is not None:
+        assert native_kernel(entry.kernel) is not None
+    with _numpy_kernel():
+        ref = entry.run({"a": idx}, materialize=False)
+    got_words, ref_words = _words(got), _words(ref)
+    assert got_words.keys() == ref_words.keys()
+    for name in ref_words:
+        assert np.array_equal(got_words[name], ref_words[name])
+    compiled = BatchEntry(nl, backend="compiled").run({"a": idx})
+    assert _ints(dict(got)) == _ints(compiled)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_native_converter_identical(n):
+    from repro.flow import build_circuit
+
+    nl = build_circuit("converter", n)
+    idx = np.random.default_rng(n).integers(0, factorial(n), 130)
+    entry = BatchEntry(nl, backend="vector")
+    got = _ints(entry.run({"index": idx}))
+    with _numpy_kernel():
+        assert got == _ints(entry.run({"index": idx}))
+    assert got == _ints(BatchEntry(nl, backend="compiled").run({"index": idx}))
+
+
+def test_no_compiler_runs_numpy_kernel(fresh_native, monkeypatch, tmp_path):
+    from repro.flow import build_circuit
+
+    monkeypatch.setenv("PATH", str(tmp_path))  # no cc anywhere on it
+    nl = build_circuit("converter", 5)
+    idx = np.arange(300) % 120
+    entry = BatchEntry(nl, backend="vector")
+    got = entry.run({"index": idx})
+    assert native_kernel(entry.kernel) is None
+    assert native_cache_info() == {
+        "size": 0, "built": 0, "loaded": 0, "fallbacks": 1
+    }
+    assert _ints(got) == _ints(BatchEntry(nl, backend="compiled").run({"index": idx}))
+    assert not fresh_native.exists()
+
+
+def test_failing_compiler_falls_back_counted_and_logged_once(
+    fresh_native, monkeypatch, tmp_path, caplog
+):
+    from repro.flow import build_circuit
+    from repro.obs.metrics import REGISTRY
+
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\necho 'cc: internal error' >&2\nexit 3\n")
+    cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bin_dir))
+    REGISTRY.enable()
+    try:
+        with caplog.at_level(logging.WARNING, logger="repro.hdl.native"):
+            for n in (4, 5):
+                nl = build_circuit("converter", n)
+                idx = np.arange(200) % factorial(n)
+                entry = BatchEntry(nl, backend="vector")
+                ref = _ints(BatchEntry(nl, backend="compiled").run({"index": idx}))
+                for _ in range(2):  # a failed build is not retried per sweep
+                    assert _ints(entry.run({"index": idx})) == ref
+        text = REGISTRY.render_exposition()
+    finally:
+        REGISTRY.disable()
+        REGISTRY.reset()
+    assert native_cache_info()["fallbacks"] == 2
+    assert 'repro_native_kernel_total{result="build_failed"} 2' in text
+    records = [r for r in caplog.records if r.name == "repro.hdl.native"]
+    assert len(records) == 1
+    assert "exited 3" in records[0].getMessage()
+    assert not any(p.suffix == ".so" for p in fresh_native.iterdir())
+
+
+@needs_cc
+def test_evict_kernel_drops_binding_and_library(fresh_native):
+    from repro.flow import build_circuit
+
+    nl = build_circuit("converter", 4)
+    idx = np.arange(100) % 24
+    entry = BatchEntry(nl, backend="vector")
+    ref = _ints(entry.run({"index": idx}))
+    clear_native_cache()  # as a later process: the library is on disk
+    entry.run({"index": idx})
+    first = native_kernel(entry.kernel)
+    assert first is not None and first.loaded_from == first.path
+    assert native_cache_info()["loaded"] == 1
+    assert evict_kernel(entry.kernel.fingerprint) >= 1
+    assert native_cache_info()["size"] == 0
+    assert not os.path.exists(first.path)
+    # the rebuild loads under a name this process has never mapped
+    assert _ints(entry.run({"index": idx})) == ref
+    second = native_kernel(entry.kernel)
+    assert second is not None and second is not first
+    assert native_cache_info()["built"] == 1
+    assert second.loaded_from != first.loaded_from
+    assert second.path == first.path and os.path.exists(second.path)
+
+
+_BUILDER = """
+import sys
+import numpy as np
+from repro.flow import build_circuit
+from repro.hdl.native import native_cache_info
+from repro.hdl.simulator import BatchEntry
+
+nl = build_circuit("converter", 7)
+entry = BatchEntry(nl, backend="vector")
+idx = np.arange(5000) % 5040
+print("ready", flush=True)
+sys.stdin.readline()  # start both builds together
+got = entry.run({"index": idx})
+ref = BatchEntry(nl, backend="compiled").run({"index": idx})
+assert all(np.array_equal(got[k], ref[k]) for k in ref)
+info = native_cache_info()
+print(info["size"], info["fallbacks"])
+"""
+
+
+@needs_cc
+def test_concurrent_builders_both_load_a_complete_library(tmp_path):
+    import repro
+
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(tmp_path),
+        PYTHONPATH=str(Path(repro.__file__).parents[1]),
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _BUILDER],
+            env=env,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for _ in range(2)
+    ]
+    try:
+        for proc in procs:
+            assert proc.stdout.readline().strip() == "ready"
+        outs = [proc.communicate("go\n", timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.wait(timeout=10)
+    for proc, (out, err) in zip(procs, outs):
+        assert proc.returncode == 0, err
+        assert out.split() == ["1", "0"]  # a binding, no fallback
+    libs = os.listdir(tmp_path / "repro" / "native")
+    assert len(libs) == 1 and libs[0].endswith(".so") and ".tmp." not in libs[0]

@@ -186,6 +186,30 @@ class TestMonotonicClock:
         assert first != other
 
 
+def _pid(shard: ShardSpec) -> int:
+    return os.getpid()
+
+
+class TestOneShard:
+    """One shard runs in the caller's process unless it has a timeout,
+    which only a pool can enforce."""
+
+    def test_one_shard_runs_in_callers_process(self):
+        assert hardened_map_reduce(
+            _pid, index_shards(10, 1), _add, workers=2
+        ) == os.getpid()
+
+    def test_one_shard_with_timeout_goes_through_the_pool(self):
+        assert hardened_map_reduce(
+            _pid, index_shards(10, 1), _add, workers=2, timeout=60.0
+        ) != os.getpid()
+        with pytest.raises(ShardTimeoutError):
+            hardened_map_reduce(
+                _SlowShard(slow_shard=0, delay=1.5), index_shards(10, 1), _add,
+                workers=2, timeout=0.3, retries=0, backoff=0.0, jitter=0.0,
+            )
+
+
 class TestCrashRecovery:
     def test_worker_crash_resubmits_shard_not_job(self, tmp_path):
         shards = index_shards(50, 4)

@@ -399,3 +399,31 @@ class TestValidateCommand:
                      "--source", "shuffle"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("repro-perm: error:") and "distinct" in err
+
+
+def test_cli_runs_without_undeclared_packages():
+    """``repro.cli`` imports and prints its help with ``networkx`` (used
+    by the Cayley-graph helpers, not declared by the package) blocked."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"
+        "from repro.cli import main\n"
+        "main(['--help'])\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
