@@ -15,8 +15,9 @@ from repro import (
     IndexToPermutationConverter,
     KnuthShuffleCircuit,
     Permutation,
-    RandomPermutationGenerator,
+    ScaledRandomInteger,
 )
+from repro.rng import bias_profile
 
 
 def section(title: str) -> None:
@@ -48,11 +49,11 @@ def main() -> None:
         print(f"    clock {i + conv.pipeline_register_stages}:  {' '.join(map(str, row))}")
 
     section("4a. Random permutations: index generator (Fig. 2)")
-    gen = RandomPermutationGenerator(4, m=16)
-    sample = gen.sample(5)
+    # a 16-bit LFSR word scaled to an index below 4! = 24, then converted
+    sample = conv.convert_batch(ScaledRandomInteger(24, m=16).ints(5))
     for row in sample:
         print("  ", " ".join(str(int(x)) for x in row))
-    bias = gen.index_bias()
+    bias = bias_profile(24, 16)
     print(f"  exact index bias at m=16: max/min probability ratio = {bias.ratio:.6f}")
 
     section("4b. Random permutations: Knuth shuffle circuit (Fig. 3)")

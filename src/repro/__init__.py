@@ -28,8 +28,6 @@ from repro.core import (
     KnuthShuffleCircuit,
     Permutation,
     PermutationSequence,
-    RandomPermutationGenerator,
-    SelectionSortNetwork,
     all_permutations,
     factorial,
     rank,
@@ -61,8 +59,6 @@ __all__ = [
     "KnuthShuffleCircuit",
     "Permutation",
     "PermutationSequence",
-    "RandomPermutationGenerator",
-    "SelectionSortNetwork",
     "all_permutations",
     "factorial",
     "rank",

@@ -6,9 +6,9 @@ factorial
     The factorial number system (§II): digit vectors, greedy extraction,
     odometer iteration, bit-width accounting.
 permutation
-    A :class:`~repro.core.permutation.Permutation` value type with the
-    algebra the applications need (compose/invert/apply, cycles, fixed
-    points, the paper's packed-word encoding).
+    A :class:`~repro.core.permutation.Permutation` value type: compose,
+    invert, apply, cycles, fixed points and the paper's packed-word
+    encoding.
 lehmer
     Index→permutation (*unranking*) and permutation→index (*ranking*) in
     four interchangeable implementations: naive O(n²), Fenwick-tree
@@ -18,14 +18,10 @@ converter
     model plus a structural netlist builder (combinational or pipelined).
 knuth
     The §III Knuth-shuffle random permutation circuit.
-random_perm
-    The §III-A indexed random permutation generator (scaled LFSR → converter).
 sequences
     Streaming enumeration of all n! permutations in index order.
-sorting
-    The §IV closing remark: the same cascades used as sorting networks.
-combinations
-    The companion index-to-combination converter (ref. [4], combinadics).
+groups, distance
+    Group-theory checks and permutation metrics; not exported here.
 """
 
 from repro.core.factorial import (
@@ -65,32 +61,8 @@ from repro.core.orders import (
     sjt_transposition_sequence,
 )
 from repro.core.benes import BenesNetwork, BenesSettings, route as benes_route
-from repro.core.distance import (
-    cayley_distance,
-    hamming_distance,
-    kendall_tau,
-    spearman_footrule,
-)
-from repro.core.groups import (
-    adjacent_transpositions,
-    cayley_diameter,
-    cayley_graph,
-    conjugacy_class_sizes,
-    generated_subgroup,
-    generates_symmetric_group,
-    stage_transpositions,
-    subgroup_order,
-)
 from repro.core.knuth import KnuthShuffleCircuit
-from repro.core.random_perm import RandomPermutationGenerator
 from repro.core.sequences import PermutationSequence, all_permutations
-from repro.core.sorting import SelectionSortNetwork, sort_via_ranking
-from repro.core.combinations import (
-    combination_unrank,
-    combination_rank,
-    IndexToCombinationConverter,
-    RandomCombinationGenerator,
-)
 
 __all__ = [
     "factorial",
@@ -127,26 +99,7 @@ __all__ = [
     "BenesNetwork",
     "BenesSettings",
     "benes_route",
-    "cayley_distance",
-    "hamming_distance",
-    "kendall_tau",
-    "spearman_footrule",
-    "adjacent_transpositions",
-    "cayley_diameter",
-    "cayley_graph",
-    "conjugacy_class_sizes",
-    "generated_subgroup",
-    "generates_symmetric_group",
-    "stage_transpositions",
-    "subgroup_order",
     "KnuthShuffleCircuit",
-    "RandomPermutationGenerator",
     "PermutationSequence",
     "all_permutations",
-    "SelectionSortNetwork",
-    "sort_via_ranking",
-    "combination_unrank",
-    "combination_rank",
-    "IndexToCombinationConverter",
-    "RandomCombinationGenerator",
 ]

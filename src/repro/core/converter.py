@@ -43,7 +43,6 @@ from repro.hdl.components import (
 from repro.hdl.netlist import Bus, Netlist
 from repro.hdl.simulator import CombinationalSimulator, SequentialSimulator
 from repro.obs import metrics as _metrics
-from repro.rng.source import IndexSource
 
 __all__ = ["StageSpec", "IndexToPermutationConverter"]
 
@@ -186,12 +185,6 @@ class IndexToPermutationConverter:
     def convert_batch(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Vectorised conversion of a batch of indices → ``(B, n)`` array."""
         return unrank_batch(indices, self.n, pool=self.input_permutation)
-
-    def stream(self, source: IndexSource, count: int) -> np.ndarray:
-        """Pull ``count`` indices from a source and convert them."""
-        if source.limit > self.index_limit:
-            raise ValueError("source limit exceeds n!")
-        return self.convert_batch(source.take(count))
 
     def __iter__(self) -> Iterator[tuple[int, ...]]:
         """All n! permutations in index order."""

@@ -1,8 +1,7 @@
 """Metrics on the symmetric group.
 
-The sortedness and mixing studies need a vocabulary of permutation
-distances; the four classical ones are implemented with their textbook
-characterisations (each pinned down by property tests):
+The four classical permutation distances, implemented with their
+textbook characterisations (each pinned down by property tests):
 
 =================  ==============================================  =========
 metric             definition                                      diameter

@@ -115,8 +115,9 @@ class KnuthShuffleCircuit:
         min(16, m − 7)``; past that, stages ``t`` and ``t + span`` share
         a polynomial — the correlated design of
         ``results/ablation_polynomial_reuse.txt``.  The constructor keeps
-        that cycling for its callers at large ``n``; the validation
-        campaign's ``shuffle`` source refuses it.
+        that cycling so the ``shuffle`` and ``synth`` commands still build
+        circuits past that ``n``; the validation campaign's ``shuffle``
+        source refuses it.
         """
         if m < 8:
             raise ValueError(

@@ -5,8 +5,7 @@ sequence ``p`` with ``p[i]`` the image of ``i``.  The paper's opening
 example "2 0 1 3" (0↦2, 1↦0, 2↦1, 3↦3) is ``Permutation((2, 0, 1, 3))``.
 
 The class is immutable and hashable so permutations can key dictionaries
-(the Fig.-4 histogram buckets on them) and participate in sets (P-class
-enumeration in :mod:`repro.apps.bdd`).
+and participate in sets.
 """
 
 from __future__ import annotations

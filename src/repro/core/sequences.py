@@ -4,7 +4,7 @@ The hardware use-case behind Table II: feed the converter a counter and
 collect one permutation per clock.  In software the amortised-O(1) way is
 the mixed-radix odometer over factorial digits plus incremental pool
 updates; :class:`PermutationSequence` also exposes NumPy-batched chunks so
-downstream analytics (derangement scans, P-class searches) stay vectorised.
+downstream analytics stay vectorised.
 """
 
 from __future__ import annotations

@@ -2,33 +2,18 @@
 
 Simulation-based checking (:mod:`repro.hdl.verify`) samples the input
 space; this module *proves* properties by symbolic evaluation: every wire
-gets a reduced-ordered BDD over the primary-input bits, and because ROBDDs
-are canonical, functional equality is node-id equality — a complete
-equivalence check for any input width the BDDs can absorb (≲ 20 input
-bits here, which covers the converter up to n = 8's 16-bit index).
-
-It is also a neat self-application: the BDD package was built as the
-paper's §I *workload* (variable-ordering search) and doubles as the
-verification engine for the paper's own circuit.
+gets a reduced-ordered BDD (:mod:`repro.hdl.bdd`) over the primary-input
+bits, and because ROBDDs are canonical, functional equality is node-id
+equality — a complete equivalence check for any input width the BDDs can
+absorb (≲ 20 input bits here, which covers the converter up to n = 8's
+16-bit index).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+from repro.hdl.bdd import BDD
 from repro.hdl.gates import Op
 from repro.hdl.netlist import Netlist
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.apps.bdd import BDD
-
-
-def _bdd_class() -> "type[BDD]":
-    # Imported lazily: repro.apps pulls in the whole application layer,
-    # which itself imports repro.hdl — a cycle at module-import time.
-    from repro.apps.bdd import BDD
-
-    return BDD
 
 __all__ = [
     "input_variable_map",
@@ -54,7 +39,7 @@ def input_variable_map(nl: Netlist) -> dict[int, int]:
     return mapping
 
 
-def netlist_to_bdds(nl: Netlist, mgr: "BDD | None" = None) -> tuple["BDD", dict[str, list[int]]]:
+def netlist_to_bdds(nl: Netlist, mgr: BDD | None = None) -> tuple[BDD, dict[str, list[int]]]:
     """Symbolically evaluate a combinational netlist.
 
     Returns the manager and, per output bus, the list of BDD roots (LSB
@@ -66,7 +51,6 @@ def netlist_to_bdds(nl: Netlist, mgr: "BDD | None" = None) -> tuple["BDD", dict[
         raise ValueError("model checking supports combinational netlists only")
     var_of = input_variable_map(nl)
     n_vars = len(var_of)
-    BDD = _bdd_class()
     mgr = mgr if mgr is not None else BDD(n_vars)
     if mgr.n_vars < n_vars:
         raise ValueError(f"manager has {mgr.n_vars} variables, need {n_vars}")
@@ -78,7 +62,7 @@ def netlist_to_bdds(nl: Netlist, mgr: "BDD | None" = None) -> tuple["BDD", dict[
         elif g.op is Op.CONST0:
             node[w] = BDD.FALSE
         elif g.op is Op.CONST1:
-            node[w] = BDD.TRUE  # noqa: F821 - BDD bound above
+            node[w] = BDD.TRUE
         elif g.op is Op.BUF:
             node[w] = node[g.fanin[0]]
         elif g.op is Op.NOT:
@@ -120,7 +104,7 @@ def prove_equivalent(a: Netlist, b: Netlist) -> bool:
         raise ValueError(f"input signatures differ: {sig_a} vs {sig_b}")
     if set(a.outputs) != set(b.outputs):
         raise ValueError("output names differ")
-    mgr = _bdd_class()(sum(w for _, w in sig_a))
+    mgr = BDD(sum(w for _, w in sig_a))
     _, outs_a = netlist_to_bdds(a, mgr)
     _, outs_b = netlist_to_bdds(b, mgr)
     for name in outs_a:
@@ -133,7 +117,6 @@ def prove_equivalent(a: Netlist, b: Netlist) -> bool:
 
 def prove_constant_output(nl: Netlist, output: str, value: int) -> bool:
     """Prove an output bus is the constant ``value`` for every input."""
-    BDD = _bdd_class()
     _, outs = netlist_to_bdds(nl)
     bits = outs[output]
     want = [(value >> i) & 1 for i in range(len(bits))]
@@ -147,10 +130,9 @@ def find_distinguishing_input(a: Netlist, b: Netlist) -> dict[str, int] | None:
     satisfying path of the XOR of the first differing output bits.
     """
     sig = [(n, bus.width) for n, bus in a.inputs.items()]
-    mgr = _bdd_class()(sum(w for _, w in sig))
+    mgr = BDD(sum(w for _, w in sig))
     _, outs_a = netlist_to_bdds(a, mgr)
     _, outs_b = netlist_to_bdds(b, mgr)
-    BDD = _bdd_class()
     for name in outs_a:
         for bit_a, bit_b in zip(outs_a[name], outs_b[name]):
             diff = mgr.apply("xor", bit_a, bit_b)
@@ -169,9 +151,8 @@ def find_distinguishing_input(a: Netlist, b: Netlist) -> dict[str, int] | None:
     return None
 
 
-def _satisfying_assignment(mgr: "BDD", root: int) -> dict[int, int]:
+def _satisfying_assignment(mgr: BDD, root: int) -> dict[int, int]:
     """One satisfying assignment of a non-FALSE BDD (unset vars free=0)."""
-    BDD = _bdd_class()
     assert root != BDD.FALSE
     out: dict[int, int] = {}
     nid = root

@@ -57,7 +57,10 @@ which drops the binding and unlinks the published library.  The next
 sweep rebuilds and loads the new library under a fresh file name:
 ``dlopen`` returns the object already mapped for a path the process
 has opened, so loading a rebuilt file under an old name would run the
-evicted code.
+evicted code.  A worker process of ``serve --workers W`` dies with its
+binding; the parent unlinks the library the worker loaded
+(:func:`library_path`), so the respawned worker builds afresh instead of
+loading the same file from the cache.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ __all__ = [
     "clear_native_cache",
     "evict_native",
     "find_compiler",
+    "library_path",
     "native_cache_dir",
     "native_cache_info",
     "native_kernel",
@@ -252,9 +256,21 @@ class _BuildError(Exception):
 _SERIAL = itertools.count()
 
 
-def _build(cc: str, source: str, directory: str, key: str) -> str:
+def library_path(kern: CompiledKernel, cc: str) -> str:
+    """Where the library of a plain kernel built by ``cc`` is published.
+
+    The one cache-path rule: a binding loads from and publishes to this
+    path, and the process executor's quarantine unlinks it for a
+    convicted worker.  Raises :class:`OSError` when the compiler or the
+    cache directory is unusable.
+    """
+    key = _cache_key(c_source(kern), cc)
+    return os.path.join(native_cache_dir(), f"{key}.so")
+
+
+def _build(cc: str, source: str, path: str) -> str:
     """Compile ``source`` to a file name no process has used; its path."""
-    out = os.path.join(directory, f"{key}.{os.getpid()}.{next(_SERIAL)}.tmp.so")
+    out = f"{os.path.splitext(path)[0]}.{os.getpid()}.{next(_SERIAL)}.tmp.so"
     try:
         proc = subprocess.run(
             [cc, *CFLAGS, "-x", "c", "-o", out, "-"],
@@ -323,14 +339,11 @@ def _bind(kern: CompiledKernel) -> NativeKernel | None:
     if cc is None:
         _fallback("no_compiler", "no cc on PATH")
         return None
-    source = c_source(kern)
     try:
-        key = _cache_key(source, cc)
-        directory = native_cache_dir()
+        path = library_path(kern, cc)
     except OSError as exc:
         _fallback("build_failed", f"cannot prepare the build: {exc}")
         return None
-    path = os.path.join(directory, f"{key}.so")
     if path not in _MAPPED and os.path.exists(path):
         try:
             binding = NativeKernel(kern, path, path)
@@ -342,7 +355,7 @@ def _bind(kern: CompiledKernel) -> NativeKernel | None:
             _record("loaded")
             return binding
     try:
-        fresh = _build(cc, source, directory, key)
+        fresh = _build(cc, c_source(kern), path)
     except _BuildError as exc:
         _fallback("build_failed", str(exc))
         return None

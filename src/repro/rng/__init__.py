@@ -12,9 +12,7 @@ feedback shift registers (LFSRs).  This package provides:
 * :mod:`repro.rng.scaled` — the Fig.-2 scaled random-integer generator
   (``i = (k·x) >> m`` via a shift-and-add multiplier) together with the
   *exact* pigeonhole bias analysis the paper sketches (7 of 24 integers
-  twice as likely at ``m = 5``, ~0.1 % imbalance at ``m = 31``);
-* :mod:`repro.rng.source` — index sources (counter / LFSR / explicit list)
-  feeding the converter front-end.
+  twice as likely at ``m = 5``, ~0.1 % imbalance at ``m = 31``).
 """
 
 from repro.rng.taps import MAXIMAL_TAPS, taps_for_width, feedback_mask
@@ -26,7 +24,6 @@ from repro.rng.scaled import (
     BiasReport,
     build_scaled_netlist,
 )
-from repro.rng.source import CounterSource, ListSource, LFSRIndexSource
 
 __all__ = [
     "MAXIMAL_TAPS",
@@ -41,7 +38,4 @@ __all__ = [
     "bias_profile",
     "BiasReport",
     "build_scaled_netlist",
-    "CounterSource",
-    "ListSource",
-    "LFSRIndexSource",
 ]

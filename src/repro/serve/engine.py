@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.knuth import KnuthShuffleCircuit
-from repro.hdl.compile import note_sweep
+from repro.hdl.compile import CompiledKernel, note_sweep
 from repro.hdl.simulator import BatchEntry
 
 __all__ = ["ConverterEngine", "ShuffleEngine", "EngineBank"]
@@ -59,14 +59,19 @@ class ConverterEngine:
         return self._entry.engine.capabilities.sweep_lanes
 
     @property
+    def kernel(self) -> CompiledKernel:
+        """The compiled kernel this engine sweeps through."""
+        return self._entry.kernel
+
+    @property
     def kernel_fingerprint(self) -> str:
-        """Fingerprint of the compiled kernel this engine sweeps through.
+        """Fingerprint of :attr:`kernel`.
 
         The supervised tier uses it to quarantine the process-wide
         kernel-cache entry when a response check convicts this engine's
         output (:func:`repro.hdl.compile.evict_kernel`).
         """
-        return self._entry.kernel.fingerprint
+        return self.kernel.fingerprint
 
     def run(self, indices: Sequence[int]) -> np.ndarray:
         """Unrank a batch of indices in one sweep → ``(B, n)`` array."""

@@ -18,7 +18,10 @@ the same shard) run on separate cores.  Only the worker handle differs:
 * a dead pipe raises :class:`~repro.errors.WorkerCrashedError`, a blown
   sweep deadline :class:`~repro.errors.WorkerStalledError`; the ladder
   retires the replica either way, and a convicted replica's respawn
-  recompiles its kernel from scratch — the respawn is the quarantine;
+  recompiles its kernel from scratch — the respawn is the quarantine.
+  On the vector engine the parent also unlinks the native library the
+  replica loaded, which the respawn would otherwise load again from the
+  disk cache;
 * chaos plans arrive as pipe messages (``crash``, ``stall``) or are
   applied to the copied rows before the check (``corrupt``, ``swap``).
 
@@ -41,6 +44,8 @@ from multiprocessing import shared_memory
 import numpy as np
 
 from repro.errors import WorkerCrashedError, WorkerStalledError
+from repro.hdl.engine import resolve_backend
+from repro.hdl.native import find_compiler, library_path
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import Tracer
 
@@ -157,6 +162,7 @@ class _WorkerProc:
         self.key = key
         self.slot = slot
         self.worker_id = worker_id
+        self.service = service
         self.chaos = chaos
         self.pid: int | None = None
         self.busy = False
@@ -246,8 +252,24 @@ class _WorkerProc:
         return False  # liveness is the process itself (``alive``)
 
     def quarantine(self) -> int | None:
-        """A convicted converter worker's kernel dies with its process."""
-        return 1 if self.key[0] == "converter" else None
+        """A convicted converter worker's kernel dies with its process.
+
+        A vector worker also loaded the native library from the disk
+        cache; the parent unlinks it, as
+        :func:`~repro.hdl.native.evict_native` does in-process, so the
+        respawn builds afresh.  Returns kernels plus libraries evicted.
+        """
+        if self.key[0] != "converter":
+            return None
+        cc = find_compiler()
+        if cc is None or resolve_backend(self.service.engine).name != "vector":
+            return 1
+        engine = worker_engine(*self.key, self.service, self.worker_id)
+        try:
+            os.unlink(library_path(engine.kernel, cc))
+        except OSError:
+            return 1
+        return 2
 
     def send_crash(self) -> bool:
         """Chaos hook: order the child to die with ``os._exit`` (no cleanup)."""

@@ -42,7 +42,8 @@ Two executors run the ladder and differ only in their worker handle:
   recompiles it from the netlist;
 * :class:`~repro.serve.pool.WorkerPool` (``serve --workers W``) — W
   worker processes per shard returning rows through shared memory; the
-  respawn is the quarantine.
+  respawn is the quarantine, and the parent unlinks a vector worker's
+  native library so the respawn does not load it again.
 
 The breaker is the classic three-state machine::
 

@@ -10,7 +10,6 @@ from repro.core.converter import IndexToPermutationConverter
 from repro.core.factorial import factorial
 from repro.core.lehmer import unrank_naive
 from repro.hdl.simulator import CombinationalSimulator
-from repro.rng.source import CounterSource, LFSRIndexSource
 
 
 class TestFunctional:
@@ -155,20 +154,3 @@ class TestNetlist:
     def test_netlist_depth_grows_with_n(self):
         depths = [IndexToPermutationConverter(n).build_netlist().depth for n in (3, 5, 7)]
         assert depths == sorted(depths)
-
-
-class TestStreaming:
-    def test_counter_source_enumerates(self):
-        conv = IndexToPermutationConverter(4)
-        out = conv.stream(CounterSource(24), 24)
-        assert len({tuple(r) for r in out}) == 24
-
-    def test_lfsr_source_produces_valid_permutations(self):
-        conv = IndexToPermutationConverter(5)
-        out = conv.stream(LFSRIndexSource(120, m=16), 200)
-        assert np.array_equal(np.sort(out, axis=1), np.broadcast_to(np.arange(5), (200, 5)))
-
-    def test_source_limit_checked(self):
-        conv = IndexToPermutationConverter(3)
-        with pytest.raises(ValueError):
-            conv.stream(CounterSource(7), 5)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.bdd import BDD
+from repro.hdl.bdd import BDD
 from repro.core.converter import IndexToPermutationConverter
 from repro.hdl.components import geq_const, ripple_add, ripple_sub
 from repro.hdl.gates import Op

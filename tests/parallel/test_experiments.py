@@ -1,15 +1,13 @@
-"""Parallel experiment runners: bit-identical to sequential, any workers.
+"""Sharded Fig.-4 and derangement campaigns: bit-identical to one pass.
 
-The Monte-Carlo workloads are ``shuffle``-source campaigns sharded over
-the hardened runner; the index-space searches shard ``0..n!−1``.
+Both experiments are ``shuffle``-source campaigns sharded over the
+hardened runner; each block is seeded on its own, so the shard and
+worker counts never change the accumulated state.
 """
 
 import pytest
 
 from repro.analysis.stream import CampaignConfig, run_population_campaign
-from repro.apps.bdd import achilles_heel, best_variable_order
-from repro.apps.pclass import classify_all
-from repro.parallel.experiments import parallel_best_order, parallel_classify
 
 SAMPLES = 1 << 14
 
@@ -49,27 +47,3 @@ class TestDerangements:
         a = _campaign(5, 1001, shards=3, block=128)["fixed_points"]
         b = _campaign(5, 1001, shards=7, block=128)["fixed_points"]
         assert a == b
-
-
-class TestOrderSearch:
-    def test_matches_sequential_search(self):
-        tt, n = achilles_heel(3)
-        pb, pbs, pw, pws = parallel_best_order(tt, n, workers=4)
-        _, sbs, _, sws = best_variable_order(tt, n)
-        assert pbs == sbs and pws == sws
-
-    def test_worker_invariance_with_ties(self):
-        """Many orders tie on size; the lexicographic tie-break must make
-        the returned order independent of sharding."""
-        tt, n = achilles_heel(2)
-        results = {parallel_best_order(tt, n, workers=w) for w in (1, 2, 4, 8)}
-        assert len(results) == 1
-
-
-class TestClassify:
-    def test_matches_explicit_classification(self):
-        reps = parallel_classify(3, workers=4)
-        assert reps == set(classify_all(3))
-
-    def test_worker_invariance(self):
-        assert parallel_classify(2, workers=1) == parallel_classify(2, workers=3)

@@ -1,5 +1,6 @@
 """The process executor: correctness, chaos, cache accounting, backpressure."""
 
+import os
 import time
 
 import numpy as np
@@ -7,6 +8,8 @@ import pytest
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.errors import ServiceOverloadedError
+from repro.hdl.native import clear_native_cache, find_compiler, native_kernel
+from repro.hdl.simulator import BatchEntry
 from repro.serve import (
     ChaosMonkey,
     ChaosSpec,
@@ -254,6 +257,31 @@ class TestProcessChaos:
         assert stats["check_failures"] == 1
         assert stats["quarantines"] == 1  # the convicted process is gone
         assert stats["restarts"] == 1
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no cc on PATH")
+    def test_vector_conviction_unlinks_the_native_library(self, monkeypatch, tmp_path):
+        """The respawn of a convicted vector worker must not load the
+        library its predecessor loaded from the disk cache."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        clear_native_cache()  # bind afresh, in the private cache
+        conv = IndexToPermutationConverter(5)
+        entry = BatchEntry(conv.build_netlist(), backend="vector")
+        entry.run({"index": [0]})  # publish the library the worker loads
+        library = native_kernel(entry.kernel).path
+        clear_native_cache()  # workers fork unbound and load the file
+        monkey = ChaosMonkey(script={0: "corrupt"})
+        with open(library, "rb") as loaded, make_pooled(
+            chaos=monkey, backoff_s=0.0, cache_capacity=0, engine="vector"
+        ) as svc:
+            first = svc.convert(Request("unrank", 5, 23))
+            assert os.fstat(loaded.fileno()).st_nlink == 0  # unlinked
+            second = svc.convert(Request("unrank", 5, 24))
+            stats = svc.stats()["pool"]
+            # the respawn rebuilt and published a new file
+            assert os.stat(library).st_ino != os.fstat(loaded.fileno()).st_ino
+        assert (first.permutation, first.mode) == (conv.convert(23), "fallback")
+        assert (second.permutation, second.mode) == (conv.convert(24), "worker")
+        assert stats["quarantines"] == 1
 
     def test_delay_inside_the_deadline_is_not_a_failure(self):
         monkey = ChaosMonkey(script={0: "delay"})

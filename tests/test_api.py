@@ -24,15 +24,21 @@ def test_quickstart_from_docstring():
     assert shuffle.sample(100).shape == (100, 8)
 
 
-def test_subpackages_importable():
-    import repro.analysis
-    import repro.apps
-    import repro.core
-    import repro.fpga
-    import repro.hdl
-    import repro.perf
-    import repro.rng
+SUBPACKAGES = ("analysis", "core", "fpga", "hdl", "obs", "parallel", "perf",
+               "rng", "robustness", "serve", "serve.net")
 
-    for pkg in (repro.analysis, repro.apps, repro.core, repro.fpga,
-                repro.hdl, repro.perf, repro.rng):
-        assert pkg.__doc__
+
+def test_subpackages_importable():
+    import importlib
+
+    for name in SUBPACKAGES:
+        assert importlib.import_module(f"repro.{name}").__doc__, name
+
+
+def test_subpackage_exports_resolve():
+    import importlib
+
+    for name in SUBPACKAGES:
+        pkg = importlib.import_module(f"repro.{name}")
+        for export in pkg.__all__:
+            assert hasattr(pkg, export), f"repro.{name}.{export}"

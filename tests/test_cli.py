@@ -402,8 +402,8 @@ class TestValidateCommand:
 
 
 def test_cli_runs_without_undeclared_packages():
-    """``repro.cli`` imports and prints its help with ``networkx`` (used
-    by the Cayley-graph helpers, not declared by the package) blocked."""
+    """``repro.cli`` imports and prints its help with ``networkx`` (not
+    declared by the package) blocked."""
     import os
     import subprocess
     import sys

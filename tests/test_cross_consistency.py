@@ -118,11 +118,13 @@ def test_knuth_and_indexed_generator_cover_same_space():
     import itertools
 
     from repro.core.knuth import KnuthShuffleCircuit
-    from repro.core.random_perm import RandomPermutationGenerator
+    from repro.core.lehmer import unrank_batch
+    from repro.rng.scaled import ScaledRandomInteger
 
     n = 4
     universe = set(itertools.permutations(range(n)))
     knuth = {tuple(int(x) for x in r) for r in KnuthShuffleCircuit(n, m=16).sample(5000)}
-    indexed = {tuple(int(x) for x in r) for r in RandomPermutationGenerator(n, m=16).sample(5000)}
+    draws = ScaledRandomInteger(24, m=16).ints(5000)
+    indexed = {tuple(int(x) for x in r) for r in unrank_batch(draws, n)}
     enumerated = set(IndexToPermutationConverter(n))
     assert knuth == indexed == enumerated == universe

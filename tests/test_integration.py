@@ -9,17 +9,17 @@ from repro import (
     IndexToPermutationConverter,
     KnuthShuffleCircuit,
     Permutation,
-    RandomPermutationGenerator,
+    ScaledRandomInteger,
 )
 from repro.analysis.stream import (
     CampaignConfig,
     RankBucketAccumulator,
     run_population_campaign,
 )
-from repro.core.lehmer import rank_batch
+from repro.core.lehmer import rank_batch, unrank_batch
 from repro.fpga import synthesize
 from repro.hdl.verify import assert_equivalent
-from repro.rng.source import LFSRIndexSource
+from repro.rng.scaled import bias_profile
 
 
 class TestGateLevelEquivalence:
@@ -59,15 +59,15 @@ class TestFullRandomPermutationPipeline:
     def test_indexed_generator_distribution(self):
         """Fig.-2 pipeline end to end: LFSR → scale → converter, tested
         for approximate uniformity over the permutation space."""
-        gen = RandomPermutationGenerator(4, m=20)
+        perms = unrank_batch(ScaledRandomInteger(24, m=20).ints(24_000), 4)
         acc = RankBucketAccumulator(4, 24)
-        acc.update(gen.sample(24_000))
+        acc.update(perms)
         assert acc.summary()["tv_distance"] < 0.05
         assert acc.counts.min() > 0
 
     def test_indexed_vs_shuffle_agree_statistically(self):
         """Both §III generators target the same uniform law."""
-        a = RandomPermutationGenerator(4, m=20).sample(20_000)
+        a = unrank_batch(ScaledRandomInteger(24, m=20).ints(20_000), 4)
         b = KnuthShuffleCircuit(4, m=20).sample(20_000)
         ca = np.bincount(rank_batch(a), minlength=24) / 20_000
         cb = np.bincount(rank_batch(b), minlength=24) / 20_000
@@ -75,9 +75,16 @@ class TestFullRandomPermutationPipeline:
 
     def test_source_to_converter_stream(self):
         conv = IndexToPermutationConverter(5)
-        src = LFSRIndexSource(math.factorial(5), m=24)
-        out = conv.stream(src, 500)
+        out = conv.convert_batch(ScaledRandomInteger(math.factorial(5), m=24).ints(500))
         assert len({tuple(r) for r in out}) > 100  # well spread over 120
+
+    def test_full_period_matches_bias_profile(self):
+        """Over one whole LFSR period every permutation occurs, with the
+        pigeonhole multiplicities of the §III-A bias analysis."""
+        perms = unrank_batch(ScaledRandomInteger(6, m=5).ints((1 << 5) - 1), 3)
+        counts = np.bincount(rank_batch(perms), minlength=6)
+        assert counts.tolist() == list(bias_profile(6, 5).counts)
+        assert counts.min() >= 1
 
 
 class TestSynthesisPipeline:
