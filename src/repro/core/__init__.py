@@ -20,8 +20,6 @@ knuth
     The §III Knuth-shuffle random permutation circuit.
 sequences
     Streaming enumeration of all n! permutations in index order.
-groups, distance
-    Group-theory checks and permutation metrics; not exported here.
 """
 
 from repro.core.factorial import (

@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,7 +98,6 @@ __all__ = [
     "ones_mask",
     "pack_lanes",
     "unpack_lanes",
-    "stuck_masks_from_overlay",
 ]
 
 #: Maximum number of compiled kernels retained (LRU eviction beyond it).
@@ -536,12 +535,3 @@ class PackedFaultPlan:
     def __iter__(self) -> Iterator[Wire]:  # pragma: no cover - convenience
         return iter(self.wires)
 
-
-def stuck_masks_from_overlay(
-    stuck: Mapping[Wire, bool], ones: int
-) -> dict[Wire, tuple[int, int]]:
-    """Uniform (all-lane) stuck-at assignments as packed patch masks.
-
-    ``ones`` is the all-lanes-set mask (:func:`ones_mask` of the batch).
-    """
-    return {w: (0, ones if v else 0) for w, v in stuck.items()}

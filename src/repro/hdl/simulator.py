@@ -35,6 +35,13 @@ the builtin engines; the third lives in :mod:`repro.hdl.vector`:
   any probe attached                    interpreter
   ====================================  ==================
 
+The compiled and vector engines share one driver, :class:`PackedEngine`:
+input validation, leaf assembly, register state, fault masks, SEU flips,
+the held-input memo and the lazy outputs (:class:`PackedOutputs`) are
+written once over *packed lanes*, and each engine supplies only its lane
+format — one Python ``int`` per wire, or one ``uint64`` word array per
+wire — and its kernel choices.
+
 Simulator classes:
 
 * :class:`CombinationalSimulator` — single-sweep evaluation.  Register
@@ -87,17 +94,18 @@ a probe pays exactly one ``is None`` test per sweep.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from abc import abstractmethod
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from repro.hdl.compile import (
     SWEEP_LANES,
+    CompiledKernel,
     PackedFaultPlan,
     compile_netlist,
     ones_mask,
     pack_lanes,
-    stuck_masks_from_overlay,
     unpack_lanes,
     words_for,
 )
@@ -117,10 +125,15 @@ __all__ = [
     "bits_from_ints",
     "ints_from_bits",
     "packed_bit_columns",
+    "pack_bus",
+    "unpack_bus",
+    "unpack_buses",
     "BatchEntry",
     "CombinationalSimulator",
     "SequentialSimulator",
     "InterpEngine",
+    "PackedEngine",
+    "PackedOutputs",
     "CompiledEngine",
     "BACKENDS",
 ]
@@ -209,36 +222,6 @@ def ints_from_bits(bits: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
-def _packed_from_ints(
-    values: "Sequence[int] | np.ndarray", width: int, batch: int, ones: int
-) -> list[int]:
-    """Explode a word batch straight into per-wire packed lane integers.
-
-    The boundary transpose (values × bits → bits × lanes) must not cost
-    more than the compiled sweep it feeds: machine-word buses are
-    transposed byte-wise with one ``unpackbits``/``packbits`` round
-    trip, scalars broadcast to the all-lanes mask, and wide buses fall
-    back to the per-wire path.
-    """
-    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    n_vals = arr.shape[0] if arr.ndim else 1
-    if n_vals == 1 and batch != 1:
-        # broadcast: each bit of the single word fills every lane
-        return [
-            ones if bool(lane[0]) else 0 for lane in bits_from_ints(values, width)
-        ]
-    if width <= 64 and arr.dtype.kind in "iu" and arr.size:
-        lo = int(arr.min())
-        if lo < 0:
-            raise ValueError("bus values must be non-negative")
-        hi = int(arr.max())
-        if hi.bit_length() > width:
-            raise ValueError(f"value {hi} does not fit in {width} bits")
-        cols = packed_bit_columns(arr, width)
-        return [int.from_bytes(row.tobytes(), "little") for row in cols]
-    return [pack_lanes(lane) for lane in bits_from_ints(values, width)]
-
-
 def packed_bit_columns(arr: np.ndarray, width: int) -> np.ndarray:
     """Transpose a machine-word batch into packed per-bit lane rows.
 
@@ -284,57 +267,81 @@ def _fold_bits(bits: np.ndarray) -> np.ndarray:
     return value
 
 
-def _ints_from_packed(wire_values: Sequence[int], lanes: int) -> np.ndarray:
-    """Per-wire packed lane integers (LSB-first bus) → per-lane words.
+def pack_bus(
+    engine: "type[PackedEngine]",
+    values: "Sequence[int] | np.ndarray",
+    width: int,
+    batch: int,
+    words: int,
+    zero: Any,
+    ones: Any,
+) -> list[Any]:
+    """Explode one input bus's word batch into per-wire lane values.
 
-    The inverse boundary transpose of :func:`_packed_from_ints`: unpack
-    every wire's lanes in one 2-D ``unpackbits``, then fold bits into
-    words with :func:`_fold_bits`.  Wide buses fall back to the bigint
-    path.
+    The boundary transpose (values × bits → bits × lanes) must not cost
+    more than the sweep it feeds: machine-word buses go through one
+    :func:`packed_bit_columns` round trip whose byte rows the engine's
+    lane format adopts, scalars broadcast to the shared ``zero`` /
+    ``ones`` constants, and wide buses fall back to per-wire boolean
+    lanes.
     """
-    width = len(wire_values)
-    if width > 64:
-        return ints_from_bits([unpack_lanes(v, lanes) for v in wire_values])
-    nbytes = words_for(lanes) * 8
-    buf = b"".join(v.to_bytes(nbytes, "little") for v in wire_values)
-    bits = np.unpackbits(
-        np.frombuffer(buf, dtype=np.uint8).reshape(width, nbytes),
-        axis=1,
-        count=lanes,
-        bitorder="little",
-    )
-    return _fold_bits(bits)
+    arr = values if isinstance(values, np.ndarray) else np.asarray(values)
+    n_vals = arr.shape[0] if arr.ndim else 1
+    if n_vals == 1 and batch != 1:
+        # broadcast: each bit of the single word fills every lane
+        return [
+            ones if bool(lane[0]) else zero for lane in bits_from_ints(values, width)
+        ]
+    if width <= 64 and arr.dtype.kind in "iu" and arr.size:
+        lo = int(arr.min())
+        if lo < 0:
+            raise ValueError("bus values must be non-negative")
+        hi = int(arr.max())
+        if hi.bit_length() > width:
+            raise ValueError(f"value {hi} does not fit in {width} bits")
+        return engine.pack_rows(packed_bit_columns(arr, width), words)
+    return [engine.pack_bools(lane, words) for lane in bits_from_ints(values, width)]
 
 
-def _outputs_from_packed(
-    buses: Sequence[tuple[str, list[int]]], lanes: int
+def unpack_bus(
+    engine: "type[PackedEngine]", values: Sequence[Any], lanes: int
+) -> np.ndarray:
+    """One bus's per-wire lane values (LSB first) → per-lane words.
+
+    The inverse boundary transpose of :func:`pack_bus`: a machine-word
+    bus's lanes become one byte matrix, one ``unpackbits`` and a
+    :func:`_fold_bits`; a wide bus goes through boolean lanes and
+    :func:`ints_from_bits`.
+    """
+    if len(values) > 64:
+        return ints_from_bits([engine.unpack_bools(v, lanes) for v in values])
+    rows = engine.unpack_rows(values, words_for(lanes))
+    return _fold_bits(np.unpackbits(rows, axis=1, count=lanes, bitorder="little"))
+
+
+def unpack_buses(
+    engine: "type[PackedEngine]",
+    buses: Sequence[tuple[str, Sequence[Any]]],
+    lanes: int,
 ) -> dict[str, np.ndarray]:
-    """Convert every output bus of a sweep in one boundary transpose.
+    """:func:`unpack_bus` over every bus of a sweep at once.
 
-    A pipelined converter exposes ~n output buses of a few wires each;
-    unpacking them one bus at a time pays the ``unpackbits`` dispatch
-    cost per bus per cycle.  Concatenating all machine-word buses into
-    a single bit matrix amortises that to one call per sweep.
+    All machine-word buses are stacked into one byte matrix, so a
+    pipelined converter's ~n output buses of a few wires each pay one
+    ``unpackbits`` per sweep rather than one per bus.
     """
     out: dict[str, np.ndarray] = {}
-    narrow: list[tuple[str, list[int]]] = []
+    narrow: list[tuple[str, Sequence[Any]]] = []
     for name, vals in buses:
         if len(vals) > 64:
-            out[name] = ints_from_bits([unpack_lanes(v, lanes) for v in vals])
+            out[name] = unpack_bus(engine, vals, lanes)
         else:
             narrow.append((name, vals))
     if narrow:
-        nbytes = words_for(lanes) * 8
-        buf = b"".join(
-            v.to_bytes(nbytes, "little") for _, vals in narrow for v in vals
+        rows = engine.unpack_rows(
+            [v for _, vals in narrow for v in vals], words_for(lanes)
         )
-        total = sum(len(vals) for _, vals in narrow)
-        bits = np.unpackbits(
-            np.frombuffer(buf, dtype=np.uint8).reshape(total, nbytes),
-            axis=1,
-            count=lanes,
-            bitorder="little",
-        )
+        bits = np.unpackbits(rows, axis=1, count=lanes, bitorder="little")
         row = 0
         for name, vals in narrow:
             out[name] = _fold_bits(bits[row : row + len(vals)])
@@ -343,19 +350,26 @@ def _outputs_from_packed(
 
 
 class PackedOutputs(Mapping[str, np.ndarray]):
-    """Deferred bus materialisation for the compiled engine.
+    """Deferred bus materialisation for the packed engines.
 
-    Holds the raw packed lane integers of every output bus and performs
-    the packed → per-lane-word boundary transpose the first time a bus
-    is read (caching the result).  During pipeline fill, a batch sweep
-    never looks at the outputs — deferring the transpose makes those
-    cycles cost only the kernel call.  Reading any bus yields exactly
-    the array eager materialisation would have produced.
+    Holds the per-wire lane values of every output bus and performs the
+    lane → per-lane-word boundary transpose (:func:`unpack_bus`) the
+    first time a bus is read, caching the result.  During pipeline fill
+    a batch sweep never looks at the outputs, and a population campaign
+    never reads the converter's 24-bit ``word`` bus — deferring per bus
+    makes those cost nothing.  Reading any bus yields exactly the array
+    eager materialisation would have produced.
     """
 
-    __slots__ = ("_buses", "_lanes", "_cache")
+    __slots__ = ("_engine", "_buses", "_lanes", "_cache")
 
-    def __init__(self, buses: dict[str, list[int]], lanes: int) -> None:
+    def __init__(
+        self,
+        engine: "type[PackedEngine]",
+        buses: dict[str, list[Any]],
+        lanes: int,
+    ) -> None:
+        self._engine = engine
         self._buses = buses
         self._lanes = lanes
         self._cache: dict[str, np.ndarray] = {}
@@ -363,17 +377,11 @@ class PackedOutputs(Mapping[str, np.ndarray]):
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._cache.get(name)
         if arr is None:
-            vals = self._buses[name]
-            if len(vals) > 64:
-                arr = ints_from_bits(
-                    [unpack_lanes(v, self._lanes) for v in vals]
-                )
-            else:
-                arr = _ints_from_packed(vals, self._lanes)
+            arr = unpack_bus(self._engine, self._buses[name], self._lanes)
             self._cache[name] = arr
         return arr
 
-    def __iter__(self) -> Any:
+    def __iter__(self) -> Iterator[str]:
         return iter(self._buses)
 
     def __len__(self) -> int:
@@ -529,66 +537,6 @@ class CombinationalSimulator:
             for name, bus in nl.outputs.items()
         }
 
-    # -- compiled engine ------------------------------------------------ #
-
-    def _run_compiled(
-        self,
-        seqs: Mapping[str, "Sequence[int] | np.ndarray"],
-        batch: int,
-        reg_state: Mapping[int, np.ndarray] | None,
-        overlay: Any,
-    ) -> dict[str, np.ndarray]:
-        nl = self.netlist
-        if reg_state:
-            widest = max(np.asarray(v).shape[0] for v in reg_state.values())
-            batch = max(batch, widest)
-        zero, ones = 0, ones_mask(batch)
-        masks: Mapping[int, tuple[int, int]] = {}
-        if overlay is not None:
-            if isinstance(overlay, PackedFaultPlan):
-                if overlay.lanes != batch:
-                    raise ValueError(
-                        f"fault plan has {overlay.lanes} lanes, batch is {batch}"
-                    )
-                masks = overlay.masks
-            else:
-                stuck = overlay.stuck_assignments()
-                masks = stuck_masks_from_overlay(stuck, ones) if stuck else {}
-        kern = compile_netlist(nl, patchable=bool(masks))
-
-        input_words: dict[int, int] = {}
-        for name, bus in nl.inputs.items():
-            packed_bus = _packed_from_ints(seqs[name], bus.width, batch, ones)
-            for wire, value in zip(bus, packed_bus):
-                input_words[wire] = value
-        init_state = {r.q: r.init for r in nl.registers}
-        leaves: list[int] = []
-        for w in kern.leaves:
-            g = nl.gates[w]
-            if g.op is Op.INPUT:
-                if w not in input_words:
-                    raise ValueError(f"input wire {w} ({g.name}) left undriven")
-                leaves.append(input_words[w])
-            else:  # REG
-                if reg_state is not None and w in reg_state:
-                    lane = np.asarray(reg_state[w], dtype=bool)
-                    if lane.shape[0] != batch:
-                        lane = np.broadcast_to(lane, (batch,))
-                    leaves.append(pack_lanes(lane))
-                else:
-                    leaves.append(ones if init_state[w] else zero)
-
-        outs = kern.fn(leaves, masks, zero, ones)
-        self._wire_values = []  # the compiled engine keeps no wire table
-        _observe_sweep("compiled", batch)
-        return _outputs_from_packed(
-            [
-                (name, [outs[kern.index[w]] for w in bus])
-                for name, bus in nl.outputs.items()
-            ],
-            batch,
-        )
-
 
 class BatchEntry:
     """Prepared batch entry into one netlist's compiled kernel.
@@ -683,32 +631,6 @@ class BatchEntry:
         for inputs in input_batches:
             yield self.run(inputs, materialize=materialize)
 
-    def _run_compiled(
-        self,
-        seqs: Mapping[str, "Sequence[int] | np.ndarray"],
-        batch: int,
-        materialize: bool,
-    ) -> Mapping[str, np.ndarray]:
-        zero, ones = 0, ones_mask(batch)
-        leaves = [0] * self._n_leaves
-        for pos, init in self._reg_slots:
-            leaves[pos] = ones if init else zero
-        for name, width, positions in self._input_slots:
-            packed_bus = _packed_from_ints(seqs[name], width, batch, ones)
-            for pos, value in zip(positions, packed_bus):
-                if pos is not None:
-                    leaves[pos] = value
-        outs = self.kernel.fn(leaves, {}, zero, ones)
-        _observe_sweep("compiled", batch)
-        index = self.kernel.index
-        buses = {
-            name: [outs[index[w]] for w in bus]
-            for name, bus in self.netlist.outputs.items()
-        }
-        if materialize:
-            return _outputs_from_packed(list(buses.items()), batch)
-        return PackedOutputs(buses, batch)
-
 
 class SequentialSimulator:
     """Clocked simulation with batched register state.
@@ -718,11 +640,11 @@ class SequentialSimulator:
     circuit simultaneously, or one fault per lane in fault-parallel
     campaigns.
 
-    Under the compiled engine the register state lives in packed
-    integers; the :attr:`state` property unpacks on demand and re-packs after
+    Under a packed engine the register state lives in packed lanes; the
+    :attr:`state` property unpacks on demand and re-packs after
     assignment, so callers that read or overwrite boolean state keep
     working unchanged.  (Mutating the arrays *inside* a read ``state``
-    dict in place is not supported on the compiled engine.)
+    dict in place is not supported on the packed engines.)
     """
 
     def __init__(
@@ -744,15 +666,14 @@ class SequentialSimulator:
         # so the engine resolves once, here, through the registry.
         self.engine = resolve_backend(backend, probe=probe, overlay=overlay)
         self._bool_state: dict[int, np.ndarray] | None = {}
-        self._packed_state: dict[int, int] | None = None
-        self._masks: Mapping[int, tuple[int, int]] | None = None
+        # packed engines: register lanes, the overlay's masks (converted
+        # once), incremental-kernel state and the (zero, ones) constants
+        self._lane_state: dict[int, Any] | None = None
+        self._masks: Mapping[int, tuple[Any, Any]] | None = None
         self._inc_kern: Any = None
         self._inc_state: list[Any] | None = None
-        self._zero = 0
-        self._ones = ones_mask(batch)
-        #: engine-private session scratch (e.g. the vector engine's
-        #: word-array state); cleared by the ``state`` setter
-        self._scratch: dict[str, Any] = {}
+        self._zero: Any = None
+        self._ones: Any = None
         self.reset()
 
     # -- state access --------------------------------------------------- #
@@ -769,8 +690,7 @@ class SequentialSimulator:
     @state.setter
     def state(self, value: Mapping[int, np.ndarray]) -> None:
         self._bool_state = dict(value)
-        self._packed_state = None
-        self._scratch.pop("state", None)
+        self._lane_state = None
 
     def reset(self) -> None:
         """Load every register with its init value; rewind the cycle count."""
@@ -817,162 +737,6 @@ class SequentialSimulator:
         self.cycle += 1
         return outputs
 
-    def _ensure_masks(self) -> Mapping[int, tuple[int, int]]:
-        masks = self._masks
-        if masks is None:
-            overlay = self.overlay
-            if overlay is None:
-                masks = {}
-            elif isinstance(overlay, PackedFaultPlan):
-                if overlay.lanes != self.batch:
-                    raise ValueError(
-                        f"fault plan has {overlay.lanes} lanes, "
-                        f"batch is {self.batch}"
-                    )
-                masks = overlay.masks
-            else:
-                stuck = overlay.stuck_assignments()
-                masks = (
-                    stuck_masks_from_overlay(stuck, self._ones) if stuck else {}
-                )
-            self._masks = masks
-        return masks
-
-    def _ensure_packed_state(self) -> dict[int, int]:
-        packed = self._packed_state
-        if packed is None:
-            batch, ones = self.batch, self._ones
-            bool_state = self._bool_state or {}
-            packed = {}
-            for q, lane in bool_state.items():
-                arr = np.asarray(lane, dtype=bool)
-                if arr.shape[0] != batch:
-                    arr = np.broadcast_to(arr, (batch,))
-                # constant lanes (every register right after reset()) pack
-                # to the all-ones / all-zeros masks without a bit shuffle
-                if not arr.any():
-                    packed[q] = 0
-                elif arr.all():
-                    packed[q] = ones
-                else:
-                    packed[q] = pack_lanes(arr)
-            self._packed_state = packed
-        return packed
-
-    def _advance(
-        self, input_words: Mapping[int, int]
-    ) -> tuple[tuple[int, ...], Any]:
-        """One compiled clock tick on pre-packed inputs; returns raw words."""
-        nl, batch = self.netlist, self.batch
-        masks = self._ensure_masks()
-        # without stuck-at hooks the event-driven kernel applies: gates
-        # re-evaluate only when a fanin's value changed, so pipeline-fill
-        # cycles on a held input touch just the moving wavefront
-        kern = (
-            compile_netlist(nl, patchable=True)
-            if masks
-            else compile_netlist(nl, incremental=True)
-        )
-        zero, ones = self._zero, self._ones
-        packed = self._ensure_packed_state()
-
-        if self.overlay is not None:
-            flips = getattr(self.overlay, "seu_lane_flips", None)
-            if flips is not None:
-                for q, lane_mask in flips(self.cycle).items():
-                    packed[q] = packed[q] ^ pack_lanes(
-                        np.asarray(lane_mask, dtype=bool)
-                    )
-            for q in self.overlay.seu(self.cycle):
-                packed[q] = packed[q] ^ ones
-
-        init_state = {r.q: r.init for r in nl.registers}
-        leaves: list[int] = []
-        for w in kern.leaves:
-            g = nl.gates[w]
-            if g.op is Op.INPUT:
-                if w not in input_words:
-                    raise ValueError(f"input wire {w} ({g.name}) left undriven")
-                leaves.append(input_words[w])
-            elif w in packed:
-                leaves.append(packed[w])
-            else:
-                leaves.append(ones if init_state[w] else zero)
-
-        if kern.incremental:
-            if self._inc_kern is not kern:
-                self._inc_state = [None] * kern.state_slots
-                self._inc_kern = kern
-            outs = kern.fn(leaves, masks, zero, ones, self._inc_state)
-        else:
-            outs = kern.fn(leaves, masks, zero, ones)
-        self._packed_state = {r.q: outs[kern.index[r.d]] for r in nl.registers}
-        self._bool_state = None
-        self.cycle += 1
-        _observe_sweep("compiled", batch)
-        return outs, kern
-
-    def _pack_inputs(
-        self, inputs: Mapping[str, int | Sequence[int]]
-    ) -> dict[int, int]:
-        nl, batch, ones = self.netlist, self.batch, self._ones
-        seqs, in_batch = _coerce_inputs(nl, inputs)
-        if in_batch not in (1, batch):
-            raise ValueError("inconsistent batch sizes")
-        input_words: dict[int, int] = {}
-        for name, bus in nl.inputs.items():
-            packed_bus = _packed_from_ints(seqs[name], bus.width, batch, ones)
-            for wire, value in zip(bus, packed_bus):
-                input_words[wire] = value
-        return input_words
-
-    def _step_compiled(
-        self, inputs: Mapping[str, int | Sequence[int]]
-    ) -> dict[str, np.ndarray]:
-        outs, kern = self._advance(self._pack_inputs(inputs))
-        return _outputs_from_packed(
-            [
-                (name, [outs[kern.index[w]] for w in bus])
-                for name, bus in self.netlist.outputs.items()
-            ],
-            self.batch,
-        )
-
-    def _run_stream_compiled(
-        self,
-        input_stream: Sequence[Mapping[str, int | Sequence[int]]],
-        materialize: bool,
-    ) -> list[Mapping[str, np.ndarray]]:
-        nl, batch = self.netlist, self.batch
-        results: list[Mapping[str, np.ndarray]] = []
-        prev: dict[str, Any] = {}
-        words: dict[int, int] = {}
-        for inputs in input_stream:
-            seqs, in_batch = _coerce_inputs(nl, inputs)
-            if in_batch not in (1, batch):
-                raise ValueError("inconsistent batch sizes")
-            for name, bus in nl.inputs.items():
-                val = seqs[name]
-                # a held input (the same array object cycle after cycle,
-                # as when filling a pipeline with one batch) packs once
-                if prev.get(name) is not val:
-                    packed_bus = _packed_from_ints(
-                        val, bus.width, batch, self._ones
-                    )
-                    for wire, value in zip(bus, packed_bus):
-                        words[wire] = value
-                    prev[name] = val
-            outs, kern = self._advance(words)
-            buses = {
-                name: [outs[kern.index[w]] for w in bus]
-                for name, bus in nl.outputs.items()
-            }
-            if materialize:
-                results.append(_outputs_from_packed(list(buses.items()), batch))
-            else:
-                results.append(PackedOutputs(buses, batch))
-        return results
-
     def run_stream(
         self,
         input_stream: Sequence[Mapping[str, int | Sequence[int]]],
@@ -981,16 +745,16 @@ class SequentialSimulator:
         """Feed a sequence of per-cycle inputs; collect per-cycle outputs.
 
         Scratch buffers (wire table, packed state) are allocated once and
-        reused for every cycle.  Under the compiled engine, an input bus
-        fed the *same object* on consecutive cycles is packed only once.
+        reused for every cycle.  Under a packed engine, an input bus fed
+        the *same object* on consecutive cycles is packed only once.
 
-        With ``materialize=False`` the compiled engine defers the
-        packed → word boundary transpose: each cycle's mapping converts a
-        bus the first time it is read (:class:`PackedOutputs`).  A
-        pipelined batch sweep only reads the outputs after the pipeline
-        has filled, so fill cycles cost just the kernel call.  The
+        With ``materialize=False`` a packed engine defers the lane → word
+        boundary transpose: each cycle's mapping converts a bus the
+        first time it is read (:class:`PackedOutputs`).  A pipelined
+        batch sweep only reads the outputs after the pipeline has
+        filled, so fill cycles cost just the kernel call.  The
         interpreter produces output words as a byproduct of gate
-        evaluation, so the flag is a no-op there; values read from either
+        evaluation, so the flag is a no-op there; values read from any
         engine are identical regardless.
         """
         return self.engine.seq_run_stream(self, input_stream, materialize)
@@ -1053,9 +817,321 @@ class InterpEngine(Engine):
         return {}
 
 
+def _leaves(
+    nl: Netlist,
+    kern: CompiledKernel,
+    inputs: Mapping[int, Any],
+    state: Mapping[int, Any],
+    zero: Any,
+    ones: Any,
+) -> list[Any]:
+    """The kernel's leaf values, in ``kern.leaves`` order.
+
+    Input wires read ``inputs``; register wires read ``state`` and fall
+    back to their init value.
+    """
+    init_state = {r.q: r.init for r in nl.registers}
+    leaves: list[Any] = []
+    for w in kern.leaves:
+        g = nl.gates[w]
+        if g.op is Op.INPUT:
+            if w not in inputs:
+                raise ValueError(f"input wire {w} ({g.name}) left undriven")
+            leaves.append(inputs[w])
+        elif w in state:
+            leaves.append(state[w])
+        else:
+            leaves.append(ones if init_state[w] else zero)
+    return leaves
+
+
+class PackedEngine(Engine):
+    """The packed-lane driver shared by the compiled and vector engines.
+
+    Both engines sweep :func:`~repro.hdl.compile.compile_netlist`
+    kernels over *packed lanes*: lane ``i`` of a wire is bit ``i % 64``
+    of its word ``i // 64``, little-endian, and the kernel source means
+    the same over any value type with ``&``, ``|`` and ``^``.  This
+    class implements every engine hook once over that layout; a
+    subclass supplies its lane format:
+
+    * :meth:`constants` — the shared ``(zero, ones)`` lane values;
+    * :meth:`pack_rows` / :meth:`unpack_rows` — lane values from and to
+      rows of little-endian bytes, around the shared
+      :func:`packed_bit_columns` / :func:`_fold_bits` transposes;
+    * :meth:`pack_bools` / :meth:`unpack_bools` — a boolean lane vector
+      to and from one lane value (register state, SEU flips, buses
+      wider than 64 bits);
+    * :meth:`plan_masks` — a :class:`~repro.hdl.compile.PackedFaultPlan`'s
+      masks as lane values;
+
+    and may override the kernel choices: :meth:`seq_kernel` for
+    sequential steps and :meth:`prepared_sweep` for :class:`BatchEntry`
+    sweeps.
+    """
+
+    #: the lazy output mapping :meth:`batch_run` and ``run_stream`` return
+    lazy_outputs: ClassVar[type[PackedOutputs]] = PackedOutputs
+
+    # -- lane format ---------------------------------------------------- #
+
+    @classmethod
+    @abstractmethod
+    def constants(cls, lanes: int) -> tuple[Any, Any]:
+        """Shared ``(zero, ones)`` lane values; ``ones`` sets exactly
+        the first ``lanes`` bits, so kernel inversion (``v ^ N``) never
+        sets a bit beyond the last lane."""
+
+    @classmethod
+    @abstractmethod
+    def pack_rows(cls, rows: np.ndarray, words: int) -> list[Any]:
+        """One lane value per row of a little-endian packed byte matrix
+        (rows may be shorter than ``8 * words`` bytes)."""
+
+    @classmethod
+    @abstractmethod
+    def unpack_rows(cls, values: Sequence[Any], words: int) -> np.ndarray:
+        """Lane values as a ``(len(values), 8 * words)`` uint8 matrix."""
+
+    @classmethod
+    @abstractmethod
+    def pack_bools(cls, lane: np.ndarray, words: int) -> Any:
+        """A boolean lane vector as one lane value."""
+
+    @classmethod
+    @abstractmethod
+    def unpack_bools(cls, value: Any, lanes: int) -> np.ndarray:
+        """The first ``lanes`` bits of a lane value, as bools."""
+
+    @classmethod
+    @abstractmethod
+    def plan_masks(cls, plan: PackedFaultPlan, words: int) -> Mapping[int, Any]:
+        """A fault plan's per-wire ``(keep, force)`` masks as lane values."""
+
+    # -- kernel choices ------------------------------------------------- #
+
+    @classmethod
+    def seq_kernel(cls, nl: Netlist, masks: Mapping[int, Any]) -> CompiledKernel:
+        """The kernel a sequential step sweeps."""
+        return compile_netlist(nl, patchable=bool(masks))
+
+    @classmethod
+    def prepared_sweep(
+        cls, kern: CompiledKernel, leaves: list[Any], words: int, zero: Any, ones: Any
+    ) -> Any:
+        """One unpatched sweep of a :class:`BatchEntry`'s kernel; the
+        result is indexed by ``kern.index``."""
+        return kern.fn(leaves, {}, zero, ones)
+
+    @classmethod
+    def pack(
+        cls, values: Any, width: int, batch: int, words: int, zero: Any, ones: Any
+    ) -> list[Any]:
+        """One input bus's batch as per-wire lane values (:func:`pack_bus`)."""
+        return pack_bus(cls, values, width, batch, words, zero, ones)
+
+    # -- shared plumbing ------------------------------------------------ #
+
+    @classmethod
+    def _lane_from_bools(cls, lane: Any, batch: int, words: int) -> Any:
+        arr = np.asarray(lane, dtype=bool)
+        if arr.shape[0] != batch:
+            arr = np.broadcast_to(arr, (batch,))
+        return cls.pack_bools(arr, words)
+
+    @classmethod
+    def _overlay_masks(
+        cls, overlay: Any, batch: int, words: int, zero: Any, ones: Any
+    ) -> Mapping[int, Any]:
+        """An accepted overlay's per-wire ``(keep, force)`` lane masks."""
+        if overlay is None:
+            return {}
+        if isinstance(overlay, PackedFaultPlan):
+            if overlay.lanes != batch:
+                raise ValueError(
+                    f"fault plan has {overlay.lanes} lanes, batch is {batch}"
+                )
+            return cls.plan_masks(overlay, words)
+        stuck = overlay.stuck_assignments()
+        if not stuck:
+            return {}
+        return {w: (zero, ones if v else zero) for w, v in stuck.items()}
+
+    @classmethod
+    def _outputs(
+        cls, nl: Netlist, kern: CompiledKernel, outs: Any, lanes: int, materialize: bool
+    ) -> Mapping[str, np.ndarray]:
+        index = kern.index
+        buses = {
+            name: [outs[index[w]] for w in bus] for name, bus in nl.outputs.items()
+        }
+        if materialize:
+            return unpack_buses(cls, list(buses.items()), lanes)
+        return cls.lazy_outputs(cls, buses, lanes)
+
+    # -- combinational sweep -------------------------------------------- #
+
+    @classmethod
+    def comb_run(
+        cls,
+        sim: Any,
+        seqs: Mapping[str, Any],
+        batch: int,
+        reg_state: Any,
+        overlay: Any,
+    ) -> Mapping[str, Any]:
+        nl = sim.netlist
+        if reg_state:
+            widest = max(np.asarray(v).shape[0] for v in reg_state.values())
+            batch = max(batch, widest)
+        words = words_for(batch)
+        zero, ones = cls.constants(batch)
+        masks = cls._overlay_masks(overlay, batch, words, zero, ones)
+        kern = compile_netlist(nl, patchable=bool(masks))
+        inputs: dict[int, Any] = {}
+        for name, bus in nl.inputs.items():
+            packed = cls.pack(seqs[name], bus.width, batch, words, zero, ones)
+            inputs.update(zip(bus, packed))
+        state = {
+            q: cls._lane_from_bools(lane, batch, words)
+            for q, lane in (reg_state or {}).items()
+        }
+        outs = kern.fn(_leaves(nl, kern, inputs, state, zero, ones), masks, zero, ones)
+        sim._wire_values = []  # a packed engine keeps no wire table
+        _observe_sweep(cls.name, batch)
+        return cls._outputs(nl, kern, outs, batch, materialize=True)
+
+    # -- prepared batch sweep (serving hot path) ------------------------ #
+
+    @classmethod
+    def batch_run(
+        cls, entry: Any, seqs: Mapping[str, Any], batch: int, materialize: bool
+    ) -> Mapping[str, Any]:
+        words = words_for(batch)
+        zero, ones = cls.constants(batch)
+        leaves = [zero] * entry._n_leaves
+        for pos, init in entry._reg_slots:
+            leaves[pos] = ones if init else zero
+        for name, width, positions in entry._input_slots:
+            packed = cls.pack(seqs[name], width, batch, words, zero, ones)
+            for pos, value in zip(positions, packed):
+                if pos is not None:
+                    leaves[pos] = value
+        outs = cls.prepared_sweep(entry.kernel, leaves, words, zero, ones)
+        _observe_sweep(cls.name, batch)
+        return cls._outputs(entry.netlist, entry.kernel, outs, batch, materialize)
+
+    # -- sequential session --------------------------------------------- #
+
+    @classmethod
+    def seq_reset(cls, sim: Any) -> None:
+        # constant init values are the shared constants directly — no
+        # boolean arrays, no bit shuffles
+        zero, ones = sim._zero, sim._ones = cls.constants(sim.batch)
+        sim._lane_state = {
+            r.q: ones if r.init else zero for r in sim.netlist.registers
+        }
+        sim._bool_state = None
+
+    @classmethod
+    def seq_unpack_state(cls, sim: Any) -> dict[int, Any]:
+        state = sim._lane_state or {}
+        return {q: cls.unpack_bools(value, sim.batch) for q, value in state.items()}
+
+    @classmethod
+    def seq_step(cls, sim: Any, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
+        return cls.seq_run_stream(sim, [inputs], materialize=True)[0]
+
+    @classmethod
+    def seq_run_stream(
+        cls, sim: Any, input_stream: Sequence[Mapping[str, Any]], materialize: bool
+    ) -> list[Mapping[str, Any]]:
+        held: dict[str, Any] = {}
+        lanes: dict[int, Any] = {}
+        results: list[Mapping[str, Any]] = []
+        for inputs in input_stream:
+            outs, kern = cls._advance(sim, cls._step_inputs(sim, inputs, lanes, held))
+            results.append(
+                cls._outputs(sim.netlist, kern, outs, sim.batch, materialize)
+            )
+        return results
+
+    @classmethod
+    def _step_inputs(
+        cls,
+        sim: Any,
+        inputs: Mapping[str, Any],
+        lanes: dict[int, Any],
+        held: dict[str, Any],
+    ) -> dict[int, Any]:
+        """Pack one cycle's inputs into ``lanes`` (wire → lane value).
+
+        A held input — the same object as the previous cycle's, as when
+        filling a pipeline with one batch (``held`` maps each bus to it)
+        — keeps its lanes and packs once.
+        """
+        nl, batch = sim.netlist, sim.batch
+        seqs, in_batch = _coerce_inputs(nl, inputs)
+        if in_batch not in (1, batch):
+            raise ValueError("inconsistent batch sizes")
+        words = words_for(batch)
+        for name, bus in nl.inputs.items():
+            val = seqs[name]
+            if held.get(name) is not val:
+                packed = cls.pack(val, bus.width, batch, words, sim._zero, sim._ones)
+                lanes.update(zip(bus, packed))
+                held[name] = val
+        return lanes
+
+    @classmethod
+    def _advance(
+        cls, sim: Any, inputs: Mapping[int, Any]
+    ) -> tuple[Any, CompiledKernel]:
+        """One clock tick on packed inputs; returns the raw kernel outputs."""
+        nl, batch = sim.netlist, sim.batch
+        zero, ones = sim._zero, sim._ones
+        words = words_for(batch)
+        masks = sim._masks
+        if masks is None:
+            masks = sim._masks = cls._overlay_masks(
+                sim.overlay, batch, words, zero, ones
+            )
+        kern = cls.seq_kernel(nl, masks)
+        state = sim._lane_state
+        if state is None:
+            state = {
+                q: cls._lane_from_bools(lane, batch, words)
+                for q, lane in (sim._bool_state or {}).items()
+            }
+        overlay = sim.overlay
+        if overlay is not None:
+            flips = getattr(overlay, "seu_lane_flips", None)
+            if flips is not None:
+                for q, lane_mask in flips(sim.cycle).items():
+                    state[q] = state[q] ^ cls.pack_bools(
+                        np.asarray(lane_mask, dtype=bool), words
+                    )
+            for q in overlay.seu(sim.cycle):
+                state[q] = state[q] ^ ones
+
+        leaves = _leaves(nl, kern, inputs, state, zero, ones)
+        if kern.incremental:
+            if sim._inc_kern is not kern:
+                sim._inc_state = [None] * kern.state_slots
+                sim._inc_kern = kern
+            outs = kern.fn(leaves, masks, zero, ones, sim._inc_state)
+        else:
+            outs = kern.fn(leaves, masks, zero, ones)
+        sim._lane_state = {r.q: outs[kern.index[r.d]] for r in nl.registers}
+        sim._bool_state = None
+        sim.cycle += 1
+        _observe_sweep(cls.name, batch)
+        return outs, kern
+
+
 @register_engine
-class CompiledEngine(Engine):
-    """The bit-packed bigint kernels of :mod:`repro.hdl.compile`.
+class CompiledEngine(PackedEngine):
+    """The bit-packed bigint lane format: one Python ``int`` per wire.
 
     Highest ``auto_priority``: per-sweep dispatch cost is the lowest of
     the three engines at the ≤ 63-payload-lane quantum, so ``auto``
@@ -1075,32 +1151,36 @@ class CompiledEngine(Engine):
     )
 
     @classmethod
-    def comb_run(cls, sim, seqs, batch, reg_state, overlay):
-        return sim._run_compiled(seqs, batch, reg_state, overlay)
+    def constants(cls, lanes: int) -> tuple[int, int]:
+        return 0, ones_mask(lanes)
 
     @classmethod
-    def batch_run(cls, entry, seqs, batch, materialize):
-        return entry._run_compiled(seqs, batch, materialize)
+    def pack_rows(cls, rows: np.ndarray, words: int) -> list[Any]:
+        return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     @classmethod
-    def seq_reset(cls, sim):
-        # constant init values pack to the all-ones/all-zeros words
-        # directly — no boolean arrays, no bit shuffles
-        ones = sim._ones
-        sim._packed_state = {
-            r.q: ones if r.init else 0 for r in sim.netlist.registers
-        }
-        sim._bool_state = None
+    def unpack_rows(cls, values: Sequence[Any], words: int) -> np.ndarray:
+        nbytes = words * 8
+        buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        return np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
 
     @classmethod
-    def seq_step(cls, sim, inputs):
-        return sim._step_compiled(inputs)
+    def pack_bools(cls, lane: np.ndarray, words: int) -> int:
+        return pack_lanes(lane)
 
     @classmethod
-    def seq_unpack_state(cls, sim):
-        packed = sim._packed_state or {}
-        return {q: unpack_lanes(value, sim.batch) for q, value in packed.items()}
+    def unpack_bools(cls, value: Any, lanes: int) -> np.ndarray:
+        return unpack_lanes(value, lanes)
 
     @classmethod
-    def seq_run_stream(cls, sim, input_stream, materialize):
-        return sim._run_stream_compiled(input_stream, materialize)
+    def plan_masks(cls, plan: PackedFaultPlan, words: int) -> Mapping[int, Any]:
+        return plan.masks
+
+    @classmethod
+    def seq_kernel(cls, nl: Netlist, masks: Mapping[int, Any]) -> CompiledKernel:
+        # without stuck-at hooks the event-driven kernel applies: gates
+        # re-evaluate only when a fanin's value changed, so pipeline-fill
+        # cycles on a held input touch just the moving wavefront
+        if masks:
+            return compile_netlist(nl, patchable=True)
+        return compile_netlist(nl, incremental=True)

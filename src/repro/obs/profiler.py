@@ -51,19 +51,19 @@ _PHASE_RULES: tuple[tuple[str, str, str], ...] = (
     ("kernel", "", "_kernel"),  # the generated straight-line sweep fn
     ("pack_unpack", "hdl/compile.py", "pack_lanes"),
     ("pack_unpack", "hdl/compile.py", "unpack_lanes"),
-    ("pack_unpack", "hdl/simulator.py", "_pack"),
-    ("pack_unpack", "hdl/simulator.py", "_unpack"),
-    # lane-boundary transposes, shared by the bigint and vector engines
-    ("pack_unpack", "hdl/simulator.py", "packed_bit_columns"),
+    # the packed-lane driver's boundary transposes (pack_bus,
+    # packed_bit_columns, unpack_buses, _fold_bits and the lazy bus reads
+    # of PackedOutputs / VectorOutputs) and each lane format's
+    # pack_rows / unpack_rows / pack_bools / unpack_bools
+    ("pack_unpack", "hdl/simulator.py", "pack"),
+    ("pack_unpack", "hdl/simulator.py", "unpack"),
     ("pack_unpack", "hdl/simulator.py", "_fold_bits"),
-    ("pack_unpack", "hdl/simulator.py", "_ints_from_packed"),
-    ("pack_unpack", "hdl/simulator.py", "_outputs_from_packed"),
-    ("pack_unpack", "hdl/simulator.py", "__getitem__"),  # PackedOutputs
+    ("pack_unpack", "hdl/simulator.py", "__getitem__"),
+    ("pack_unpack", "hdl/vector.py", "pack"),
+    ("pack_unpack", "hdl/vector.py", "unpack"),
     ("pack_unpack", "hdl/vector.py", "vec_from_ints"),
-    ("pack_unpack", "hdl/vector.py", "outputs_from_words"),
     ("pack_unpack", "hdl/vector.py", "lanes_to_words"),
     ("pack_unpack", "hdl/vector.py", "words_to_lanes"),
-    ("pack_unpack", "hdl/vector.py", "__getitem__"),  # VectorOutputs
     ("kernel", "hdl/compile.py", ""),
     ("kernel", "hdl/simulator.py", ""),
     ("kernel", "hdl/vector.py", ""),

@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.errors import WorkerCrashedError, WorkerStalledError
 from repro.hdl.engine import resolve_backend
-from repro.hdl.native import find_compiler, library_path
+from repro.hdl.native import clear_native_cache, find_compiler, library_path
 from repro.obs import metrics as _metrics
 from repro.obs.tracing import Tracer
 
@@ -78,10 +78,15 @@ _FORK_LOCK = threading.Lock()
 def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: int) -> None:
     """Worker-process entry point: build one engine, sweep forever.
 
-    The child's first act is disabling the (inherited, under fork) global
-    metrics registry — nobody will ever scrape a forked registry.  The
-    engine is built eagerly so a failed kernel compile surfaces as a
-    failed spawn in the parent, not as a broken first sweep.
+    The child's first acts are disabling the (inherited, under fork)
+    global metrics registry — nobody will ever scrape a forked registry —
+    and dropping the native kernel bindings it inherited: a front end
+    that swept the same kernel on the vector engine would otherwise hand
+    every worker, respawns included, the library a quarantine unlinked.
+    The inherited record of mapped library paths stays, so a rebuilt
+    library loads under a fresh name.  The engine is built eagerly so a
+    failed kernel compile surfaces as a failed spawn in the parent, not
+    as a broken first sweep.
 
     Protocol (all tiny tuples; permutation words go through the ring):
 
@@ -94,6 +99,7 @@ def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: in
     * EOF → clean exit.
     """
     _metrics.REGISTRY.disable()
+    clear_native_cache()
     # under fork the child inherits the parent's signal dispositions
     # (the CLI's listen mode remaps SIGTERM to a clean-drain raise);
     # reset to defaults so the ladder's terminate() stays a kill

@@ -4,8 +4,8 @@ The vector backend runs the *same* exec-compiled kernels as the bigint
 engine, just over NumPy ``uint64`` word arrays — so the two must agree
 bit for bit on every circuit, batch width, overlay and SEU schedule.
 Hypothesis drives random netlists through both; explicit cases pin the
-wide-sweep behaviour (≥ 1024 lanes in one sweep), the prepared-kernel
-cache tier and the native C kernel behind prepared sweeps (its builds,
+wide-sweep behaviour (≥ 1024 lanes in one sweep), the cached lane
+constants and the native C kernel behind prepared sweeps (its builds,
 fallbacks, quarantine and on-disk cache).  With no ``cc`` on ``PATH``
 the native-only cases skip and the rest run the NumPy kernel.
 """
@@ -26,7 +26,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hdl.compile import PackedFaultPlan, evict_kernel
 from repro.hdl.gates import Op
-from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
     BatchEntry,
     CombinationalSimulator,
@@ -38,13 +37,7 @@ from repro.hdl.native import (
     native_cache_info,
     native_kernel,
 )
-from repro.hdl.vector import (
-    VECTOR_SWEEP_LANES,
-    clear_vector_cache,
-    vector_cache_info,
-    vector_constants,
-    vector_kernel,
-)
+from repro.hdl.vector import VECTOR_SWEEP_LANES, vector_constants
 from repro.robustness.faults import FaultOverlay, SEUFault, StuckAtFault
 
 from .test_compile import _ints, _registered
@@ -274,42 +267,10 @@ class TestWideSweeps:
 
 
 # --------------------------------------------------------------------- #
-# the prepared-kernel cache tier
+# the cached lane constants
 
 
 class TestVectorCache:
-    def setup_method(self):
-        clear_vector_cache()
-
-    def test_same_width_hits(self):
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.AND, a[0], a[1]))
-        k1 = vector_kernel(nl, lanes=100)
-        k2 = vector_kernel(nl, lanes=100)
-        assert k1 == k2
-        info = vector_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1
-
-    def test_widths_cached_separately(self):
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.OR, a[0], a[1]))
-        vector_kernel(nl, lanes=64)
-        vector_kernel(nl, lanes=128)
-        assert vector_cache_info()["misses"] == 2
-
-    def test_kernel_eviction_propagates(self):
-        from repro.hdl.compile import evict_kernel
-
-        nl = Netlist("c")
-        a = nl.input("a", 2)
-        nl.output("y", nl.gate(Op.XOR, a[0], a[1]))
-        kern, _, _ = vector_kernel(nl, lanes=64)
-        evict_kernel(kern.fingerprint)
-        kern2, _, _ = vector_kernel(nl, lanes=64)
-        assert kern2 is not kern  # staleness check rebuilt the entry
-
     def test_constants_tail_mask(self):
         zero, ones = vector_constants(70)
         assert zero.shape == ones.shape == (2,)

@@ -75,10 +75,20 @@ class TestClassification:
         assert classify_frame("src/repro/rng/scaled.py", "scale_words") == "rng"
 
     def test_vector_pack_unpack_phase(self):
-        assert classify_frame("src/repro/hdl/vector.py", "vec_from_ints") == "pack_unpack"
-        assert classify_frame("src/repro/hdl/vector.py", "__getitem__") == "pack_unpack"
-        assert classify_frame("src/repro/hdl/simulator.py", "_fold_bits") == "pack_unpack"
-        assert classify_frame("src/repro/hdl/vector.py", "batch_run") == "kernel"
+        # the packed-lane driver's transposes and both lane formats
+        for path, func in (
+            ("src/repro/hdl/vector.py", "vec_from_ints"),
+            ("src/repro/hdl/vector.py", "pack_rows"),
+            ("src/repro/hdl/vector.py", "unpack_rows"),
+            ("src/repro/hdl/simulator.py", "pack_bus"),
+            ("src/repro/hdl/simulator.py", "unpack_buses"),
+            ("src/repro/hdl/simulator.py", "pack_bools"),
+            ("src/repro/hdl/simulator.py", "_fold_bits"),
+            ("src/repro/hdl/simulator.py", "__getitem__"),  # lazy bus reads
+        ):
+            assert classify_frame(path, func) == "pack_unpack", func
+        assert classify_frame("src/repro/hdl/simulator.py", "batch_run") == "kernel"
+        assert classify_frame("src/repro/hdl/vector.py", "prepared_sweep") == "kernel"
 
     def test_rank_phase(self):
         assert classify_frame("src/repro/core/lehmer.py", "rank_batch") == "rank"

@@ -46,8 +46,18 @@ class TestRows:
 
     def test_speedup_grows_with_n(self):
         """The paper's shape: software slows with n, hardware does not,
-        so the speedup column increases."""
-        rows = table2_rows(ns=[2, 8], iterations=3000)
+        so the speedup column increases.
+
+        n = 2 and n = 8 are timed in alternation and each keeps its best
+        (fastest-software, so highest-speedup) row of five, so a busy
+        stretch of the host slows both sides instead of just one.
+        """
+        best: dict[int, Table2Row] = {}
+        for _ in range(5):
+            for row in table2_rows(ns=[2, 8], iterations=3000):
+                if row.n not in best or row.speedup > best[row.n].speedup:
+                    best[row.n] = row
+        rows = [best[2], best[8]]
         assert rows[1].speedup > rows[0].speedup
 
     def test_render(self):

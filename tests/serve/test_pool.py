@@ -268,7 +268,6 @@ class TestProcessChaos:
         entry = BatchEntry(conv.build_netlist(), backend="vector")
         entry.run({"index": [0]})  # publish the library the worker loads
         library = native_kernel(entry.kernel).path
-        clear_native_cache()  # workers fork unbound and load the file
         monkey = ChaosMonkey(script={0: "corrupt"})
         with open(library, "rb") as loaded, make_pooled(
             chaos=monkey, backoff_s=0.0, cache_capacity=0, engine="vector"
