@@ -75,7 +75,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -88,6 +88,7 @@ __all__ = [
     "KERNEL_CACHE_LIMIT",
     "SWEEP_LANES",
     "CompiledKernel",
+    "LeafLayout",
     "PackedFaultPlan",
     "compile_netlist",
     "kernel_cache_info",
@@ -184,7 +185,10 @@ class CompiledKernel:
         argument is a list of packed integers in exactly this order.
     returns:
         Wire indices the kernel returns, in order: every output-bus wire
-        and every register D wire (``index`` maps wire → position).
+        and every register D wire.
+    layout:
+        The :class:`LeafLayout` that maps the netlist's ports onto
+        ``leaves`` and ``returns``.
     patchable:
         Whether the kernel probes the patch mapping after each wire.
     incremental:
@@ -200,7 +204,7 @@ class CompiledKernel:
         "state_slots",
         "leaves",
         "returns",
-        "index",
+        "layout",
         "source",
         "compile_s",
         "fn",
@@ -214,6 +218,7 @@ class CompiledKernel:
         state_slots: int,
         leaves: tuple[Wire, ...],
         returns: tuple[Wire, ...],
+        layout: "LeafLayout",
         source: str,
         compile_s: float,
         fn: Callable[..., tuple[int, ...]],
@@ -224,7 +229,7 @@ class CompiledKernel:
         self.state_slots = state_slots
         self.leaves = leaves
         self.returns = returns
-        self.index: dict[Wire, int] = {w: i for i, w in enumerate(returns)}
+        self.layout = layout
         self.source = source
         self.compile_s = compile_s
         self.fn = fn
@@ -235,6 +240,58 @@ class CompiledKernel:
             f"leaves={len(self.leaves)} returns={len(self.returns)} "
             f"patchable={self.patchable} incremental={self.incremental}>"
         )
+
+
+class LeafLayout(NamedTuple):
+    """Where a kernel's leaves come from and where its results go.
+
+    Worked out once per kernel by :func:`compile_netlist`, so a sweep
+    fills the leaf list and reads its results by position, without
+    consulting the netlist: the combinational, prepared and sequential
+    sweeps of :class:`~repro.hdl.simulator.PackedEngine` all go through
+    it.  A sequential simulator keeps its register state in the
+    register slots of one leaf list and writes each register's next
+    state straight back into its slot.
+    """
+
+    #: per input bus: its name and each bit's leaf slot (``None`` for a
+    #: bit outside the kernel's live cone)
+    inputs: tuple[tuple[str, tuple[int | None, ...]], ...]
+    #: per register: the leaf slot of its Q wire, the Q wire, its init
+    #: value and the position of its D wire in the results
+    registers: tuple[tuple[int, Wire, bool, int], ...]
+    #: per output bus: its name and each bit's position in the results
+    outputs: tuple[tuple[str, tuple[int, ...]], ...]
+    #: leaf wire → leaf slot
+    slots: dict[Wire, int]
+    #: input wires with a leaf slot that no input bus drives
+    undriven: tuple[Wire, ...]
+
+
+def _leaf_layout(
+    nl: Netlist, leaves: tuple[Wire, ...], returns: tuple[Wire, ...]
+) -> LeafLayout:
+    slots = {w: i for i, w in enumerate(leaves)}
+    index = {w: i for i, w in enumerate(returns)}
+    driven = {w for bus in nl.inputs.values() for w in bus}
+    return LeafLayout(
+        inputs=tuple(
+            (name, tuple(slots.get(w) for w in bus))
+            for name, bus in nl.inputs.items()
+        ),
+        registers=tuple(
+            (slots[r.q], r.q, bool(r.init), index[r.d])
+            for r in nl.registers
+            if r.q in slots
+        ),
+        outputs=tuple(
+            (name, tuple(index[w] for w in bus)) for name, bus in nl.outputs.items()
+        ),
+        slots=slots,
+        undriven=tuple(
+            w for w in leaves if nl.gates[w].op is Op.INPUT and w not in driven
+        ),
+    )
 
 
 def _live_cone(nl: Netlist) -> list[Wire]:
@@ -386,6 +443,7 @@ def compile_netlist(
         state_slots=state_slots,
         leaves=leaves,
         returns=returns,
+        layout=_leaf_layout(nl, leaves, returns),
         source=source,
         compile_s=wall,
         fn=namespace["_kernel"],
@@ -438,11 +496,14 @@ class PackedFaultPlan:
     A plan gives each bit-lane its own fault (or none — the golden
     lane): :meth:`stick` forces a wire to a constant on selected lanes,
     :meth:`upset` flips a register's state on selected lanes at the
-    start of one cycle.  The compiled engines consume the packed
-    representations (:attr:`masks`, :meth:`seu_lane_flips`); the plan
-    also implements the interpreter overlay protocol (``wires`` /
-    ``patch`` / ``seu``), so the same plan runs on ``backend="interp"``
-    lane for lane — that is how the engines are cross-checked.
+    start of one cycle.  Lane sets are kept packed — lane ``i`` at bit
+    ``i``, the :func:`pack_lanes` layout — and the packed engines take
+    :attr:`masks` and :attr:`upsets` as they are, through one lane-format
+    conversion.  The plan also implements the interpreter overlay
+    protocol (``wires`` / ``patch`` / ``seu``, plus
+    :meth:`seu_lane_flips`), unpacking boolean views on demand, so the
+    same plan runs on ``backend="interp"`` lane for lane — that is how
+    the engines are cross-checked.
     """
 
     def __init__(self, lanes: int) -> None:
@@ -450,62 +511,67 @@ class PackedFaultPlan:
             raise ValueError("a fault plan needs at least one lane")
         self.lanes = lanes
         self.n_words = words_for(lanes)
-        self._force0: dict[Wire, np.ndarray] = {}
-        self._force1: dict[Wire, np.ndarray] = {}
-        self._seu: dict[int, dict[Wire, np.ndarray]] = {}
+        self._force0: dict[Wire, int] = {}
+        self._force1: dict[Wire, int] = {}
+        self._upsets: dict[int, dict[Wire, int]] = {}
         self._masks: dict[Wire, tuple[int, int]] | None = None
 
-    def _lane_mask(self, lanes: Any) -> np.ndarray:
-        sel = np.zeros(self.lanes, dtype=bool)
+    def _lane_bits(self, lanes: Any) -> int:
+        """The selected lanes as a packed int.
+
+        A unit-step slice is packed by arithmetic; any other NumPy index
+        expression selects from a boolean lane vector.
+        """
+        n = self.lanes
+        if isinstance(lanes, slice) and lanes.step in (None, 1):
+            start, stop, _ = lanes.indices(n)
+            return ((1 << max(0, stop - start)) - 1) << start
+        sel = np.zeros(n, dtype=bool)
         sel[lanes] = True
-        return sel
+        return pack_lanes(sel)
 
     def stick(self, wire: Wire, value: bool, lanes: Any) -> None:
         """Force ``wire`` to ``value`` on the selected lanes.
 
         ``lanes`` is any NumPy index expression over the lane axis
-        (boolean mask, index array, slice...).
+        (boolean mask, index array or list, slice...).
         """
-        sel = self._lane_mask(lanes)
         target = self._force1 if value else self._force0
-        prior = target.get(wire)
-        target[wire] = sel if prior is None else (prior | sel)
+        target[wire] = target.get(wire, 0) | self._lane_bits(lanes)
         self._masks = None
 
     def upset(self, register_q: Wire, cycle: int, lanes: Any) -> None:
         """Flip register ``register_q`` on the selected lanes at ``cycle``."""
-        sel = self._lane_mask(lanes)
-        per_cycle = self._seu.setdefault(cycle, {})
-        prior = per_cycle.get(register_q)
-        per_cycle[register_q] = sel if prior is None else (prior ^ sel)
+        per_cycle = self._upsets.setdefault(cycle, {})
+        per_cycle[register_q] = per_cycle.get(register_q, 0) ^ self._lane_bits(lanes)
 
-    # -- compiled-engine view ------------------------------------------ #
+    # -- packed-engine view -------------------------------------------- #
 
     @property
     def masks(self) -> dict[Wire, tuple[int, int]]:
         """Wire → packed ``(keep, force)`` masks for the patchable kernel."""
         if self._masks is None:
-            masks: dict[Wire, tuple[int, int]] = {}
-            for w in frozenset(self._force0) | frozenset(self._force1):
-                f0 = self._force0.get(w)
-                f1 = self._force1.get(w)
-                forced = (
-                    f1
-                    if f0 is None
-                    else (f0 if f1 is None else (f0 | f1))
-                )
-                assert forced is not None
-                keep = pack_lanes(~forced)
-                force = pack_lanes(f1) if f1 is not None else 0
-                masks[w] = (keep, force)
-            self._masks = masks
+            full = ones_mask(self.lanes)
+            f0, f1 = self._force0, self._force1
+            self._masks = {
+                w: (full ^ (f0.get(w, 0) | f1.get(w, 0)), f1.get(w, 0))
+                for w in {**f0, **f1}
+            }
         return self._masks
+
+    @property
+    def upsets(self) -> dict[int, dict[Wire, int]]:
+        """Cycle → register Q → packed lane-flip mask."""
+        return self._upsets
+
+    # -- interpreter overlay protocol ---------------------------------- #
 
     def seu_lane_flips(self, cycle: int) -> dict[Wire, np.ndarray]:
         """Register Q → boolean lane-flip mask for ``cycle``."""
-        return self._seu.get(cycle, {})
-
-    # -- interpreter overlay protocol ---------------------------------- #
+        return {
+            q: unpack_lanes(bits, self.lanes)
+            for q, bits in self._upsets.get(cycle, {}).items()
+        }
 
     @property
     def wires(self) -> frozenset[Wire]:
@@ -520,10 +586,10 @@ class PackedFaultPlan:
         out = value
         f0 = self._force0.get(wire)
         if f0 is not None:
-            out = out & ~f0
+            out = out & ~unpack_lanes(f0, self.lanes)
         f1 = self._force1.get(wire)
         if f1 is not None:
-            out = out | f1
+            out = out | unpack_lanes(f1, self.lanes)
         return out
 
     def seu(self, cycle: int) -> Sequence[Wire]:
@@ -534,4 +600,3 @@ class PackedFaultPlan:
 
     def __iter__(self) -> Iterator[Wire]:  # pragma: no cover - convenience
         return iter(self.wires)
-

@@ -94,6 +94,7 @@ a probe pays exactly one ``is None`` test per sweep.
 
 from __future__ import annotations
 
+import operator
 from abc import abstractmethod
 from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
 
@@ -244,11 +245,14 @@ def packed_bit_columns(arr: np.ndarray, width: int) -> np.ndarray:
 
 
 def _fold_bits(bits: np.ndarray) -> np.ndarray:
-    """Fold a ``(width, lanes)`` bit matrix into per-lane words.
+    """Fold a ``(width, ...)`` bit array into words over its other axes.
 
-    Bits are folded a byte-group at a time — ``uint8`` shifts touch an
-    eighth of the memory ``uint64`` shifts would — and the result dtype
-    tracks the bus width exactly like :func:`ints_from_bits`.
+    Axis 0 is the bit, LSB first: a ``(width, lanes)`` matrix folds one
+    bus, a ``(width, sweeps, buses, lanes)`` stack folds many buses of
+    one width at once.  Bits are folded a byte-group at a time —
+    ``uint8`` shifts touch an eighth of the memory ``uint64`` shifts
+    would — and the result dtype tracks the bus width exactly like
+    :func:`ints_from_bits`.
     """
     width = bits.shape[0]
     if width <= 8:
@@ -257,7 +261,7 @@ def _fold_bits(bits: np.ndarray) -> np.ndarray:
             acc8 |= bits[i] << np.uint8(i)
         return acc8
     dtype = np.uint32 if width <= 32 else np.uint64
-    value = np.zeros(bits.shape[1], dtype=dtype)
+    value = np.zeros(bits.shape[1:], dtype=dtype)
     for k in range(0, width, 8):
         grp = bits[k : k + 8]
         acc8 = grp[0].copy()
@@ -281,17 +285,26 @@ def pack_bus(
     The boundary transpose (values × bits → bits × lanes) must not cost
     more than the sweep it feeds: machine-word buses go through one
     :func:`packed_bit_columns` round trip whose byte rows the engine's
-    lane format adopts, scalars broadcast to the shared ``zero`` /
-    ``ones`` constants, and wide buses fall back to per-wire boolean
-    lanes.
+    lane format adopts, a single value broadcasts straight from its
+    int's bits to the shared ``zero`` / ``ones`` constants, and wide
+    buses fall back to per-wire boolean lanes.
     """
+    if isinstance(values, np.ndarray) and values.ndim != 1:
+        raise ValueError("values must be one-dimensional")
+    if len(values) == 1 and batch != 1:
+        # broadcast: each bit of the single word fills every lane.  An
+        # unchanged bit stays the same shared constant object, which the
+        # incremental kernel's identity skip relies on.  A NumPy scalar
+        # is read as its Python value, so floats and strings are refused
+        # here as they are on the batch paths.
+        first = values[0]
+        value = operator.index(first.item() if isinstance(first, np.generic) else first)
+        if value < 0:
+            raise ValueError("bus values must be non-negative")
+        if value.bit_length() > width:
+            raise ValueError(f"value {value} does not fit in {width} bits")
+        return [ones if value >> b & 1 else zero for b in range(width)]
     arr = values if isinstance(values, np.ndarray) else np.asarray(values)
-    n_vals = arr.shape[0] if arr.ndim else 1
-    if n_vals == 1 and batch != 1:
-        # broadcast: each bit of the single word fills every lane
-        return [
-            ones if bool(lane[0]) else zero for lane in bits_from_ints(values, width)
-        ]
     if width <= 64 and arr.dtype.kind in "iu" and arr.size:
         lo = int(arr.min())
         if lo < 0:
@@ -320,33 +333,55 @@ def unpack_bus(
 
 
 def unpack_buses(
-    engine: "type[PackedEngine]",
-    buses: Sequence[tuple[str, Sequence[Any]]],
-    lanes: int,
+    sweeps: "Sequence[PackedOutputs]", names: Sequence[str] | None = None
 ) -> dict[str, np.ndarray]:
-    """:func:`unpack_bus` over every bus of a sweep at once.
+    """Read buses of one or more packed sweeps in one boundary transpose.
 
-    All machine-word buses are stacked into one byte matrix, so a
-    pipelined converter's ~n output buses of a few wires each pay one
-    ``unpackbits`` per sweep rather than one per bus.
+    Returns bus name → ``(len(sweeps), lanes)`` per-lane words for each
+    of ``names`` (default: every bus of the sweeps).  The sweeps must
+    come from one engine at one lane count — every clock of a
+    sequential pass, say.  All machine-word buses of all sweeps are
+    stacked into one byte matrix, so a pass pays one ``unpackbits``
+    rather than one per bus per sweep, and the buses of one width fold
+    to words together; buses wider than 64 bits go through
+    :func:`unpack_bus` one at a time.  Each read equals
+    :func:`unpack_bus` of the same lanes.
     """
+    first = sweeps[0]
+    engine, lanes = first._engine, first._lanes
+    if names is None:
+        names = list(first._buses)
     out: dict[str, np.ndarray] = {}
-    narrow: list[tuple[str, Sequence[Any]]] = []
-    for name, vals in buses:
-        if len(vals) > 64:
-            out[name] = unpack_bus(engine, vals, lanes)
+    groups: dict[int, list[str]] = {}  # machine-word buses by width
+    for name in names:
+        width = len(first._buses[name])
+        if width > 64:
+            out[name] = np.stack(
+                [unpack_bus(engine, s._buses[name], lanes) for s in sweeps]
+            )
         else:
-            narrow.append((name, vals))
-    if narrow:
-        rows = engine.unpack_rows(
-            [v for _, vals in narrow for v in vals], words_for(lanes)
-        )
+            groups.setdefault(width, []).append(name)
+    values = [
+        v
+        for group in groups.values()
+        for s in sweeps
+        for name in group
+        for v in s._buses[name]
+    ]
+    if values:
+        rows = engine.unpack_rows(values, words_for(lanes))
         bits = np.unpackbits(rows, axis=1, count=lanes, bitorder="little")
         row = 0
-        for name, vals in narrow:
-            out[name] = _fold_bits(bits[row : row + len(vals)])
-            row += len(vals)
-    return out
+        for width, group in groups.items():
+            size = len(sweeps) * len(group) * width
+            block = bits[row : row + size].reshape(
+                len(sweeps), len(group), width, lanes
+            )
+            words = _fold_bits(block.transpose(2, 0, 1, 3))
+            for j, name in enumerate(group):
+                out[name] = words[:, j]
+            row += size
+    return {name: out[name] for name in names}
 
 
 class PackedOutputs(Mapping[str, np.ndarray]):
@@ -355,9 +390,11 @@ class PackedOutputs(Mapping[str, np.ndarray]):
     Holds the per-wire lane values of every output bus and performs the
     lane → per-lane-word boundary transpose (:func:`unpack_bus`) the
     first time a bus is read, caching the result.  During pipeline fill
-    a batch sweep never looks at the outputs, and a population campaign
-    never reads the converter's 24-bit ``word`` bus — deferring per bus
-    makes those cost nothing.  Reading any bus yields exactly the array
+    a batch sweep never looks at the outputs, and neither a population
+    nor a fault campaign reads the converter's 24-bit ``word`` bus —
+    deferring per bus makes those cost nothing, and a fault campaign
+    reads the buses it classifies across a whole pass at once
+    (:func:`unpack_buses`).  Reading any bus yields exactly the array
     eager materialisation would have produced.
     """
 
@@ -445,7 +482,7 @@ class CombinationalSimulator:
         inputs: Mapping[str, int | Sequence[int]],
         reg_state: Mapping[int, np.ndarray] | None = None,
         overlay: Any = None,
-    ) -> dict[str, np.ndarray]:
+    ) -> Mapping[str, np.ndarray]:
         """Evaluate outputs for a batch of input words.
 
         Parameters
@@ -463,8 +500,10 @@ class CombinationalSimulator:
 
         Returns
         -------
-        dict
-            Output-bus name → object array of integers (batch-sized).
+        Mapping
+            Output-bus name → array of integers (batch-sized).  A packed
+            engine returns the lazy :class:`PackedOutputs`, which
+            converts a bus the first time it is read.
         """
         seqs, batch = _coerce_inputs(self.netlist, inputs)
         engine = resolve_backend(self.backend, probe=self.probe, overlay=overlay)
@@ -544,15 +583,12 @@ class BatchEntry:
     The serving hot path (:mod:`repro.serve`) evaluates the same
     combinational netlist on small request batches thousands of times a
     second.  Going through :meth:`CombinationalSimulator.run` would
-    re-resolve the engine, re-classify every kernel leaf and rebuild the
-    register-init words on each call; a ``BatchEntry`` freezes all of
-    that once at construction:
-
-    * the compiled kernel (fetched through the process-wide kernel
-      cache, so structurally identical netlists share one compilation);
-    * the leaf layout — which kernel argument slots are fed by which
-      input-bus bits, and which carry register init values;
-    * the per-bus wire positions of every output.
+    re-resolve the engine and re-fetch the kernel on each call; a
+    ``BatchEntry`` freezes both once at construction: the resolved
+    engine and the compiled kernel (fetched through the process-wide
+    kernel cache, so structurally identical netlists share one
+    compilation, and with it the kernel's
+    :class:`~repro.hdl.compile.LeafLayout`).
 
     A sweep then costs one boundary pack per input bus, one kernel call
     and one (lazy) boundary unpack.  Registers are held at their reset
@@ -561,15 +597,7 @@ class BatchEntry:
     special and a pipelined one reads as its reset-state fabric.
     """
 
-    __slots__ = (
-        "netlist",
-        "kernel",
-        "engine",
-        "_n_leaves",
-        "_reg_slots",
-        "_input_slots",
-        "_interp_sim",
-    )
+    __slots__ = ("netlist", "kernel", "engine", "_interp_sim")
 
     def __init__(self, netlist: Netlist, backend: str = "compiled") -> None:
         netlist.check()
@@ -580,19 +608,6 @@ class BatchEntry:
         self.engine = resolve_backend(backend)
         self.kernel = compile_netlist(netlist)
         self._interp_sim: "CombinationalSimulator | None" = None
-        kern = self.kernel
-        self._n_leaves = len(kern.leaves)
-        pos_of = {w: i for i, w in enumerate(kern.leaves)}
-        init = {r.q: r.init for r in netlist.registers}
-        self._reg_slots: list[tuple[int, bool]] = [
-            (pos_of[w], init[w]) for w in kern.leaves if w in init
-        ]
-        # Input bits outside the kernel's live cone have no leaf slot;
-        # they are packed (validation is per-bus) and then dropped.
-        self._input_slots: list[tuple[str, int, list[int | None]]] = [
-            (name, bus.width, [pos_of.get(w) for w in bus])
-            for name, bus in netlist.inputs.items()
-        ]
 
     def run(
         self,
@@ -640,11 +655,12 @@ class SequentialSimulator:
     circuit simultaneously, or one fault per lane in fault-parallel
     campaigns.
 
-    Under a packed engine the register state lives in packed lanes; the
-    :attr:`state` property unpacks on demand and re-packs after
-    assignment, so callers that read or overwrite boolean state keep
-    working unchanged.  (Mutating the arrays *inside* a read ``state``
-    dict in place is not supported on the packed engines.)
+    Under a packed engine the register state lives in packed lanes, in
+    the register slots of the kernel's leaf list; the :attr:`state`
+    property unpacks on demand and re-packs after assignment, so callers
+    that read or overwrite boolean state keep working unchanged.
+    (Mutating the arrays *inside* a read ``state`` dict in place is not
+    supported on the packed engines.)
     """
 
     def __init__(
@@ -666,10 +682,15 @@ class SequentialSimulator:
         # so the engine resolves once, here, through the registry.
         self.engine = resolve_backend(backend, probe=probe, overlay=overlay)
         self._bool_state: dict[int, np.ndarray] | None = {}
-        # packed engines: register lanes, the overlay's masks (converted
-        # once), incremental-kernel state and the (zero, ones) constants
-        self._lane_state: dict[int, Any] | None = None
+        # packed engines: the kernel's leaf list (register state in its
+        # register slots, the last packed inputs in its input slots) and
+        # the kernel it is laid out for, the overlay's masks and upsets
+        # (converted once), incremental-kernel state and the (zero, ones)
+        # constants
+        self._leaf_values: list[Any] | None = None
+        self._leaf_kern: CompiledKernel | None = None
         self._masks: Mapping[int, tuple[Any, Any]] | None = None
+        self._upsets: Mapping[int, Mapping[int, Any]] = {}
         self._inc_kern: Any = None
         self._inc_state: list[Any] | None = None
         self._zero: Any = None
@@ -690,7 +711,7 @@ class SequentialSimulator:
     @state.setter
     def state(self, value: Mapping[int, np.ndarray]) -> None:
         self._bool_state = dict(value)
-        self._lane_state = None
+        self._leaf_values = None
 
     def reset(self) -> None:
         """Load every register with its init value; rewind the cycle count."""
@@ -699,13 +720,17 @@ class SequentialSimulator:
 
     # -- stepping ------------------------------------------------------- #
 
-    def step(self, inputs: Mapping[str, int | Sequence[int]]) -> dict[str, np.ndarray]:
+    def step(
+        self, inputs: Mapping[str, int | Sequence[int]]
+    ) -> Mapping[str, np.ndarray]:
         """Advance one clock: evaluate, emit outputs, latch register Ds.
 
         With an overlay attached, any SEU scheduled for this cycle flips
         the stored register state *before* evaluation; the corrupted
         value then propagates (and is re-latched downstream) exactly
-        once — a transient upset, not a stuck bit.
+        once — a transient upset, not a stuck bit.  A packed engine
+        returns the lazy :class:`PackedOutputs`, as :meth:`run_stream`
+        does with ``materialize=False``.
         """
         return self.engine.seq_step(self, inputs)
 
@@ -817,34 +842,6 @@ class InterpEngine(Engine):
         return {}
 
 
-def _leaves(
-    nl: Netlist,
-    kern: CompiledKernel,
-    inputs: Mapping[int, Any],
-    state: Mapping[int, Any],
-    zero: Any,
-    ones: Any,
-) -> list[Any]:
-    """The kernel's leaf values, in ``kern.leaves`` order.
-
-    Input wires read ``inputs``; register wires read ``state`` and fall
-    back to their init value.
-    """
-    init_state = {r.q: r.init for r in nl.registers}
-    leaves: list[Any] = []
-    for w in kern.leaves:
-        g = nl.gates[w]
-        if g.op is Op.INPUT:
-            if w not in inputs:
-                raise ValueError(f"input wire {w} ({g.name}) left undriven")
-            leaves.append(inputs[w])
-        elif w in state:
-            leaves.append(state[w])
-        else:
-            leaves.append(ones if init_state[w] else zero)
-    return leaves
-
-
 class PackedEngine(Engine):
     """The packed-lane driver shared by the compiled and vector engines.
 
@@ -852,25 +849,28 @@ class PackedEngine(Engine):
     kernels over *packed lanes*: lane ``i`` of a wire is bit ``i % 64``
     of its word ``i // 64``, little-endian, and the kernel source means
     the same over any value type with ``&``, ``|`` and ``^``.  This
-    class implements every engine hook once over that layout; a
-    subclass supplies its lane format:
+    class implements every engine hook once over that layout, filling
+    each kernel's leaves and reading its results through the kernel's
+    :class:`~repro.hdl.compile.LeafLayout`; a subclass supplies its lane
+    format:
 
     * :meth:`constants` — the shared ``(zero, ones)`` lane values;
     * :meth:`pack_rows` / :meth:`unpack_rows` — lane values from and to
       rows of little-endian bytes, around the shared
       :func:`packed_bit_columns` / :func:`_fold_bits` transposes;
     * :meth:`pack_bools` / :meth:`unpack_bools` — a boolean lane vector
-      to and from one lane value (register state, SEU flips, buses
-      wider than 64 bits);
-    * :meth:`plan_masks` — a :class:`~repro.hdl.compile.PackedFaultPlan`'s
-      masks as lane values;
+      to and from one lane value (register state, buses wider than 64
+      bits);
+    * :meth:`pack_ints` — packed ints as lane values: how a
+      :class:`~repro.hdl.compile.PackedFaultPlan`'s masks and upsets
+      enter the format;
 
     and may override the kernel choices: :meth:`seq_kernel` for
     sequential steps and :meth:`prepared_sweep` for :class:`BatchEntry`
     sweeps.
     """
 
-    #: the lazy output mapping :meth:`batch_run` and ``run_stream`` return
+    #: the lazy output mapping sweeps return unless asked to materialize
     lazy_outputs: ClassVar[type[PackedOutputs]] = PackedOutputs
 
     # -- lane format ---------------------------------------------------- #
@@ -905,8 +905,8 @@ class PackedEngine(Engine):
 
     @classmethod
     @abstractmethod
-    def plan_masks(cls, plan: PackedFaultPlan, words: int) -> Mapping[int, Any]:
-        """A fault plan's per-wire ``(keep, force)`` masks as lane values."""
+    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
+        """Packed ints (lane ``i`` at bit ``i``) as lane values, in order."""
 
     # -- kernel choices ------------------------------------------------- #
 
@@ -920,7 +920,7 @@ class PackedEngine(Engine):
         cls, kern: CompiledKernel, leaves: list[Any], words: int, zero: Any, ones: Any
     ) -> Any:
         """One unpatched sweep of a :class:`BatchEntry`'s kernel; the
-        result is indexed by ``kern.index``."""
+        result is indexed by the positions ``kern.layout`` gives."""
         return kern.fn(leaves, {}, zero, ones)
 
     @classmethod
@@ -940,34 +940,90 @@ class PackedEngine(Engine):
         return cls.pack_bools(arr, words)
 
     @classmethod
-    def _overlay_masks(
+    def _overlay_lanes(
         cls, overlay: Any, batch: int, words: int, zero: Any, ones: Any
-    ) -> Mapping[int, Any]:
-        """An accepted overlay's per-wire ``(keep, force)`` lane masks."""
+    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+        """An accepted overlay's per-wire ``(keep, force)`` lane masks
+        and, for a fault plan, its per-cycle register flips."""
         if overlay is None:
-            return {}
+            return {}, {}
         if isinstance(overlay, PackedFaultPlan):
             if overlay.lanes != batch:
                 raise ValueError(
                     f"fault plan has {overlay.lanes} lanes, batch is {batch}"
                 )
-            return cls.plan_masks(overlay, words)
-        stuck = overlay.stuck_assignments()
-        if not stuck:
-            return {}
-        return {w: (zero, ones if v else zero) for w, v in stuck.items()}
+            masks, upsets = overlay.masks, overlay.upsets
+            packed = [m for pair in masks.values() for m in pair]
+            packed += [v for flips in upsets.values() for v in flips.values()]
+            lanes = iter(cls.pack_ints(packed, words))
+            return (
+                {w: (next(lanes), next(lanes)) for w in masks},
+                {c: {q: next(lanes) for q in flips} for c, flips in upsets.items()},
+            )
+        stuck = overlay.stuck_assignments() or {}
+        return {w: (zero, ones if v else zero) for w, v in stuck.items()}, {}
+
+    @classmethod
+    def _leaf_list(
+        cls,
+        nl: Netlist,
+        kern: CompiledKernel,
+        state: Mapping[int, Any],
+        zero: Any,
+        ones: Any,
+    ) -> list[Any]:
+        """A leaf list for ``kern`` with each register at ``state[q]``
+        (default: its init value); :meth:`_fill_inputs` fills the input
+        slots."""
+        layout = kern.layout
+        if layout.undriven:
+            w = layout.undriven[0]
+            raise ValueError(f"input wire {w} ({nl.gates[w].name}) left undriven")
+        leaves = [zero] * len(layout.slots)
+        for slot, q, init, _ in layout.registers:
+            value = state.get(q)
+            leaves[slot] = (ones if init else zero) if value is None else value
+        return leaves
+
+    @classmethod
+    def _fill_inputs(
+        cls,
+        kern: CompiledKernel,
+        leaves: list[Any],
+        seqs: Mapping[str, Any],
+        batch: int,
+        zero: Any,
+        ones: Any,
+        held: dict[str, Any] | None = None,
+    ) -> None:
+        """Pack each input bus into its leaf slots.
+
+        With ``held`` (bus → the value object it last packed), a bus fed
+        the same object again keeps the lanes already in its slots.
+        Input bits outside the kernel's live cone have no slot; they are
+        packed (validation is per bus) and then dropped.
+        """
+        words = words_for(batch)
+        for name, slots in kern.layout.inputs:
+            val = seqs[name]
+            if held is not None and held.get(name) is val:
+                continue
+            packed = cls.pack(val, len(slots), batch, words, zero, ones)
+            for slot, value in zip(slots, packed):
+                if slot is not None:
+                    leaves[slot] = value
+            if held is not None:
+                held[name] = val
 
     @classmethod
     def _outputs(
-        cls, nl: Netlist, kern: CompiledKernel, outs: Any, lanes: int, materialize: bool
+        cls, kern: CompiledKernel, outs: Any, lanes: int, materialize: bool
     ) -> Mapping[str, np.ndarray]:
-        index = kern.index
-        buses = {
-            name: [outs[index[w]] for w in bus] for name, bus in nl.outputs.items()
-        }
+        buses = {name: [outs[i] for i in pos] for name, pos in kern.layout.outputs}
+        lazy = cls.lazy_outputs(cls, buses, lanes)
         if materialize:
-            return unpack_buses(cls, list(buses.items()), lanes)
-        return cls.lazy_outputs(cls, buses, lanes)
+            return {name: words[0] for name, words in unpack_buses([lazy]).items()}
+        return lazy
 
     # -- combinational sweep -------------------------------------------- #
 
@@ -986,20 +1042,18 @@ class PackedEngine(Engine):
             batch = max(batch, widest)
         words = words_for(batch)
         zero, ones = cls.constants(batch)
-        masks = cls._overlay_masks(overlay, batch, words, zero, ones)
+        masks, _ = cls._overlay_lanes(overlay, batch, words, zero, ones)
         kern = compile_netlist(nl, patchable=bool(masks))
-        inputs: dict[int, Any] = {}
-        for name, bus in nl.inputs.items():
-            packed = cls.pack(seqs[name], bus.width, batch, words, zero, ones)
-            inputs.update(zip(bus, packed))
         state = {
             q: cls._lane_from_bools(lane, batch, words)
             for q, lane in (reg_state or {}).items()
         }
-        outs = kern.fn(_leaves(nl, kern, inputs, state, zero, ones), masks, zero, ones)
+        leaves = cls._leaf_list(nl, kern, state, zero, ones)
+        cls._fill_inputs(kern, leaves, seqs, batch, zero, ones)
+        outs = kern.fn(leaves, masks, zero, ones)
         sim._wire_values = []  # a packed engine keeps no wire table
         _observe_sweep(cls.name, batch)
-        return cls._outputs(nl, kern, outs, batch, materialize=True)
+        return cls._outputs(kern, outs, batch, materialize=False)
 
     # -- prepared batch sweep (serving hot path) ------------------------ #
 
@@ -1009,112 +1063,102 @@ class PackedEngine(Engine):
     ) -> Mapping[str, Any]:
         words = words_for(batch)
         zero, ones = cls.constants(batch)
-        leaves = [zero] * entry._n_leaves
-        for pos, init in entry._reg_slots:
-            leaves[pos] = ones if init else zero
-        for name, width, positions in entry._input_slots:
-            packed = cls.pack(seqs[name], width, batch, words, zero, ones)
-            for pos, value in zip(positions, packed):
-                if pos is not None:
-                    leaves[pos] = value
-        outs = cls.prepared_sweep(entry.kernel, leaves, words, zero, ones)
+        kern = entry.kernel
+        leaves = cls._leaf_list(entry.netlist, kern, {}, zero, ones)
+        cls._fill_inputs(kern, leaves, seqs, batch, zero, ones)
+        outs = cls.prepared_sweep(kern, leaves, words, zero, ones)
         _observe_sweep(cls.name, batch)
-        return cls._outputs(entry.netlist, entry.kernel, outs, batch, materialize)
+        return cls._outputs(kern, outs, batch, materialize)
 
     # -- sequential session --------------------------------------------- #
 
     @classmethod
     def seq_reset(cls, sim: Any) -> None:
         # constant init values are the shared constants directly — no
-        # boolean arrays, no bit shuffles
-        zero, ones = sim._zero, sim._ones = cls.constants(sim.batch)
-        sim._lane_state = {
-            r.q: ones if r.init else zero for r in sim.netlist.registers
-        }
+        # boolean arrays, no bit shuffles; the next step lays them out
+        sim._zero, sim._ones = cls.constants(sim.batch)
+        sim._leaf_values = None
         sim._bool_state = None
 
     @classmethod
     def seq_unpack_state(cls, sim: Any) -> dict[int, Any]:
-        state = sim._lane_state or {}
-        return {q: cls.unpack_bools(value, sim.batch) for q, value in state.items()}
+        leaves, batch = sim._leaf_values, sim.batch
+        if leaves is None:  # reset: every register at its init value
+            zero, ones = sim._zero, sim._ones
+            return {
+                r.q: cls.unpack_bools(ones if r.init else zero, batch)
+                for r in sim.netlist.registers
+            }
+        return {
+            q: cls.unpack_bools(leaves[slot], batch)
+            for slot, q, _, _ in sim._leaf_kern.layout.registers
+        }
 
     @classmethod
     def seq_step(cls, sim: Any, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
-        return cls.seq_run_stream(sim, [inputs], materialize=True)[0]
+        return cls._advance(sim, inputs, {}, materialize=False)
 
     @classmethod
     def seq_run_stream(
         cls, sim: Any, input_stream: Sequence[Mapping[str, Any]], materialize: bool
     ) -> list[Mapping[str, Any]]:
         held: dict[str, Any] = {}
-        lanes: dict[int, Any] = {}
-        results: list[Mapping[str, Any]] = []
-        for inputs in input_stream:
-            outs, kern = cls._advance(sim, cls._step_inputs(sim, inputs, lanes, held))
-            results.append(
-                cls._outputs(sim.netlist, kern, outs, sim.batch, materialize)
-            )
-        return results
+        return [cls._advance(sim, inputs, held, materialize) for inputs in input_stream]
 
     @classmethod
-    def _step_inputs(
-        cls,
-        sim: Any,
-        inputs: Mapping[str, Any],
-        lanes: dict[int, Any],
-        held: dict[str, Any],
-    ) -> dict[int, Any]:
-        """Pack one cycle's inputs into ``lanes`` (wire → lane value).
+    def _lay_out(cls, sim: Any, kern: CompiledKernel) -> list[Any]:
+        """A leaf list for ``kern`` holding the simulator's register
+        state: the previous kernel's register slots (after a netlist
+        edit), an assigned boolean state, or else the init values."""
+        old = sim._leaf_values
+        if old is not None:
+            state = {q: old[slot] for slot, q, _, _ in sim._leaf_kern.layout.registers}
+        else:
+            words = words_for(sim.batch)
+            state = {
+                q: cls._lane_from_bools(lane, sim.batch, words)
+                for q, lane in (sim._bool_state or {}).items()
+            }
+        sim._leaf_kern = kern
+        sim._leaf_values = cls._leaf_list(sim.netlist, kern, state, sim._zero, sim._ones)
+        return sim._leaf_values
 
-        A held input — the same object as the previous cycle's, as when
-        filling a pipeline with one batch (``held`` maps each bus to it)
-        — keeps its lanes and packs once.
+    @classmethod
+    def _advance(
+        cls, sim: Any, inputs: Mapping[str, Any], held: dict[str, Any], materialize: bool
+    ) -> Mapping[str, Any]:
+        """One clock tick: pack the inputs into the leaves, apply this
+        cycle's upsets, sweep, and write each register's next state
+        straight into its leaf slot.
+
+        A held input — the same object as the previous cycle's in one
+        stream, as when filling a pipeline with one batch (``held`` maps
+        each bus to it) — keeps its lanes and packs once.
         """
         nl, batch = sim.netlist, sim.batch
         seqs, in_batch = _coerce_inputs(nl, inputs)
         if in_batch not in (1, batch):
             raise ValueError("inconsistent batch sizes")
-        words = words_for(batch)
-        for name, bus in nl.inputs.items():
-            val = seqs[name]
-            if held.get(name) is not val:
-                packed = cls.pack(val, bus.width, batch, words, sim._zero, sim._ones)
-                lanes.update(zip(bus, packed))
-                held[name] = val
-        return lanes
-
-    @classmethod
-    def _advance(
-        cls, sim: Any, inputs: Mapping[int, Any]
-    ) -> tuple[Any, CompiledKernel]:
-        """One clock tick on packed inputs; returns the raw kernel outputs."""
-        nl, batch = sim.netlist, sim.batch
         zero, ones = sim._zero, sim._ones
-        words = words_for(batch)
         masks = sim._masks
         if masks is None:
-            masks = sim._masks = cls._overlay_masks(
-                sim.overlay, batch, words, zero, ones
+            masks, sim._upsets = cls._overlay_lanes(
+                sim.overlay, batch, words_for(batch), zero, ones
             )
+            sim._masks = masks
         kern = cls.seq_kernel(nl, masks)
-        state = sim._lane_state
-        if state is None:
-            state = {
-                q: cls._lane_from_bools(lane, batch, words)
-                for q, lane in (sim._bool_state or {}).items()
-            }
+        leaves = sim._leaf_values
+        if leaves is None or sim._leaf_kern is not kern:
+            leaves = cls._lay_out(sim, kern)
+            held.clear()
+        cls._fill_inputs(kern, leaves, seqs, batch, zero, ones, held)
         overlay = sim.overlay
         if overlay is not None:
-            flips = getattr(overlay, "seu_lane_flips", None)
-            if flips is not None:
-                for q, lane_mask in flips(sim.cycle).items():
-                    state[q] = state[q] ^ cls.pack_bools(
-                        np.asarray(lane_mask, dtype=bool), words
-                    )
+            slots = kern.layout.slots
+            for q, flip in sim._upsets.get(sim.cycle, {}).items():
+                leaves[slots[q]] = leaves[slots[q]] ^ flip
             for q in overlay.seu(sim.cycle):
-                state[q] = state[q] ^ ones
-
-        leaves = _leaves(nl, kern, inputs, state, zero, ones)
+                leaves[slots[q]] = leaves[slots[q]] ^ ones
         if kern.incremental:
             if sim._inc_kern is not kern:
                 sim._inc_state = [None] * kern.state_slots
@@ -1122,11 +1166,12 @@ class PackedEngine(Engine):
             outs = kern.fn(leaves, masks, zero, ones, sim._inc_state)
         else:
             outs = kern.fn(leaves, masks, zero, ones)
-        sim._lane_state = {r.q: outs[kern.index[r.d]] for r in nl.registers}
+        for slot, _, _, d in kern.layout.registers:
+            leaves[slot] = outs[d]
         sim._bool_state = None
         sim.cycle += 1
         _observe_sweep(cls.name, batch)
-        return outs, kern
+        return cls._outputs(kern, outs, batch, materialize)
 
 
 @register_engine
@@ -1173,8 +1218,8 @@ class CompiledEngine(PackedEngine):
         return unpack_lanes(value, lanes)
 
     @classmethod
-    def plan_masks(cls, plan: PackedFaultPlan, words: int) -> Mapping[int, Any]:
-        return plan.masks
+    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
+        return list(values)
 
     @classmethod
     def seq_kernel(cls, nl: Netlist, masks: Mapping[int, Any]) -> CompiledKernel:

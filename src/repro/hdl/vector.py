@@ -48,11 +48,11 @@ op at small batches — it is an explicit opt-in for wide sweeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from repro.hdl.compile import CompiledKernel, PackedFaultPlan, words_for
+from repro.hdl.compile import CompiledKernel, words_for
 from repro.hdl.engine import EngineCapabilities, register_engine
 from repro.hdl.native import native_kernel
 from repro.hdl.simulator import PackedEngine, PackedOutputs, pack_bus
@@ -126,8 +126,9 @@ def words_to_lanes(arr: np.ndarray, lanes: int) -> np.ndarray:
 def u64_from_int(value: int, words: int) -> np.ndarray:
     """A packed bigint (``pack_lanes`` layout) as a ``(words,)`` word array.
 
-    How :class:`~repro.hdl.compile.PackedFaultPlan` ``(keep, force)``
-    masks cross into the vector engine without re-deriving the plan.
+    How a :class:`~repro.hdl.compile.PackedFaultPlan`'s ``(keep, force)``
+    masks and upsets cross into the vector engine without re-deriving
+    the plan.
     The result is read-only (it views the immutable bytes).
     """
     raw = np.frombuffer(value.to_bytes(words * 8, "little"), dtype=_WORD_LE)
@@ -219,11 +220,8 @@ class VectorEngine(PackedEngine):
         return words_to_lanes(value, lanes)
 
     @classmethod
-    def plan_masks(cls, plan: PackedFaultPlan, words: int) -> Mapping[int, Any]:
-        return {
-            w: (u64_from_int(keep, words), u64_from_int(force, words))
-            for w, (keep, force) in plan.masks.items()
-        }
+    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
+        return [u64_from_int(value, words) for value in values]
 
     @classmethod
     def pack(

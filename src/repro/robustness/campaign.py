@@ -18,10 +18,10 @@ The campaign is itself sharded over the fault list via
 :func:`~repro.parallel.sharding.hardened_map_reduce`, so a slow or
 crashed worker costs a resubmitted shard, not the campaign.  Only the
 spec crosses the pickle boundary: every shard looks its netlist, fault
-sites and test vectors up in a per-process memo of that immutable plan
-(:func:`_plan`).  The top level fills it before sharding, so inline
-shards and fork-started workers plan nothing, and neither does a
-repeated campaign; a spawn-started worker rebuilds it from the spec.
+sites, test vectors and evaluator up in a per-process memo of that
+plan (:func:`_plan`).  The top level fills it before sharding, so
+inline shards and fork-started workers plan nothing, and neither does
+a repeated campaign; a spawn-started worker rebuilds it from the spec.
 """
 
 from __future__ import annotations
@@ -39,7 +39,12 @@ from repro.core.factorial import factorial
 from repro.hdl.compile import SWEEP_LANES, PackedFaultPlan
 from repro.hdl.engine import BACKENDS, engine_capability
 from repro.hdl.netlist import Netlist
-from repro.hdl.simulator import CombinationalSimulator, SequentialSimulator
+from repro.hdl.simulator import (
+    CombinationalSimulator,
+    PackedOutputs,
+    SequentialSimulator,
+    unpack_buses,
+)
 from repro.obs import metrics as _metrics
 from repro.obs.events import EventSink
 from repro.parallel.sharding import ShardSpec, hardened_map_reduce, index_shards
@@ -188,9 +193,12 @@ class CampaignResult:
 # the campaign plan: deterministic in the spec, memoised per process
 
 #: Netlists and campaign plans each memo keeps (least recently used
-#: evicted first).  Entries are immutable and shared read-only: a
-#: netlist is never mutated by a campaign, fault sites are frozen
-#: dataclasses, and plans are tuples.
+#: evicted first).  Entries are shared read-only: a netlist is never
+#: mutated by a campaign, fault sites are frozen dataclasses, plans are
+#: tuples, and an evaluator only caches what is deterministic in its
+#: spec (its simulator, the tiled test vectors).  A process runs its
+#: shards one at a time, so the shared simulator's interpreter scratch
+#: is never in use twice at once.
 _PLAN_MEMO = 32
 
 
@@ -250,11 +258,13 @@ class _Plan(NamedTuple):
     netlist: Netlist
     faults: tuple[Fault, ...]
     indices: tuple[int, ...]  #: converter test vectors (none on the shuffle)
+    evaluator: "_Evaluator"  #: runs the campaign's sweeps
 
 
 @functools.lru_cache(maxsize=_PLAN_MEMO)
 def _plan(spec: CampaignSpec) -> _Plan:
-    """The attacked netlist, fault sites and test vectors of a campaign."""
+    """The attacked netlist, fault sites, test vectors and evaluator of
+    a campaign."""
     # SEUs need registers to hit: use the pipelined converter datapath.
     pipelined = spec.circuit == "converter" and spec.model == "seu"
     nl = _build_netlist(spec.circuit, spec.n, pipelined, spec.optimized)
@@ -270,7 +280,7 @@ def _plan(spec: CampaignSpec) -> _Plan:
         rng = np.random.default_rng(spec.seed)
         keep = rng.choice(len(sites), size=spec.samples, replace=False)
         sites = [sites[int(i)] for i in sorted(keep)]
-    return _Plan(nl, tuple(sites), indices)
+    return _Plan(nl, tuple(sites), indices, _Evaluator(spec, nl, indices))
 
 
 def fault_list(spec: CampaignSpec) -> list[Fault]:
@@ -294,11 +304,21 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
 _LANES_PER_SLOT = 64
 
 
-def _rows(outs: Mapping[str, np.ndarray], n: int) -> np.ndarray:
-    """Output buses ``out0..out{n-1}`` of one sweep as ``(lanes, n)`` int64."""
-    return np.stack(
-        [np.asarray(outs[f"out{t}"], dtype=np.int64) for t in range(n)], axis=1
-    )
+def _frames(sweeps: Sequence[Mapping[str, np.ndarray]], n: int) -> np.ndarray:
+    """Output buses ``out0..out{n-1}`` of a pass's sweeps as ``(lanes,
+    sweeps, n)``.
+
+    A packed engine's sweeps are read in one boundary transpose
+    (:func:`~repro.hdl.simulator.unpack_buses`); the interpreter's
+    outputs are words already.
+    """
+    names = [f"out{t}" for t in range(n)]
+    if all(isinstance(outs, PackedOutputs) for outs in sweeps):
+        reads = unpack_buses(sweeps, names)
+        words = np.stack([reads[name] for name in names])
+    else:
+        words = np.array([[outs[name] for outs in sweeps] for name in names])
+    return words.transpose(2, 1, 0)
 
 
 class _Evaluator:
@@ -319,14 +339,17 @@ class _Evaluator:
 
     Both produce bit-identical rows (the engines are equivalence-tested
     property-style), so campaign counts and example lists match exactly
-    regardless of mode.  The netlist and test vectors come from the
-    per-process plan memo; the combinational simulator is the
-    evaluator's own and serves every sweep it runs.
+    regardless of mode.  One evaluator is planned per spec (it lives in
+    the per-process plan memo); its combinational simulator serves
+    every sweep it runs, and its test vectors are tiled once per slot
+    count.
     """
 
-    def __init__(self, spec: CampaignSpec):
+    def __init__(
+        self, spec: CampaignSpec, netlist: Netlist, indices: tuple[int, ...]
+    ) -> None:
         self.spec = spec
-        self.netlist, _, self.indices = _plan(spec)
+        self.netlist, self.indices = netlist, indices
         if spec.circuit == "converter":
             self.fill = (spec.n - 1) if spec.model == "seu" else 0
             stream = [{"index": i} for i in self.indices]
@@ -363,29 +386,36 @@ class _Evaluator:
                 slots = slots_cap
             self.chunk_faults = slots - 1
         self._comb: CombinationalSimulator | None = None
+        # the index bus outgrows a machine word at n >= 21: keep exact ints
+        wide = spec.circuit == "converter" and netlist.inputs["index"].width > 64
+        self._vectors = np.array(indices, dtype=object if wide else np.uint64)
+        self._tiles: dict[int, np.ndarray] = {}
 
     def _comb_sim(self) -> CombinationalSimulator:
         if self._comb is None:
             self._comb = CombinationalSimulator(self.netlist, backend=self.backend)
         return self._comb
 
+    def _tile(self, slots: int) -> np.ndarray:
+        """The test vectors once per slot, as one array."""
+        tile = self._tiles.get(slots)
+        if tile is None:
+            tile = self._tiles[slots] = np.tile(self._vectors, slots)
+        return tile
+
     def _run_stream(self, batch: int, overlay) -> np.ndarray:
         """One sequential pass: ``(lanes, cycles, n)`` outputs after fill."""
         seq = SequentialSimulator(
             self.netlist, batch=batch, overlay=overlay, backend=self.backend
         )
-        frames = []
-        for cycle, inputs in enumerate(self.stream):
-            outs = seq.step(inputs)
-            if cycle >= self.fill:
-                frames.append(_rows(outs, self.spec.n))
-        return np.stack(frames, axis=1)
+        sweeps = [seq.step(inputs) for inputs in self.stream]
+        return _frames(sweeps[self.fill :], self.spec.n)
 
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
         """One per-fault evaluation: the ``(rows, n)`` outputs."""
         if self.combinational:
-            outs = self._comb_sim().run({"index": self.indices}, overlay=overlay)
-            return _rows(outs, self.spec.n)
+            outs = self._comb_sim().run({"index": self._tile(1)}, overlay=overlay)
+            return _frames([outs], self.spec.n)[:, 0]
         return self._run_stream(1, overlay)[0]
 
     def run_packed(
@@ -407,19 +437,17 @@ class _Evaluator:
                 plan.stick(
                     fault.wire, fault.value, slice(s * per_fault, (s + 1) * per_fault)
                 )
-            outs = self._comb_sim().run(
-                {"index": self.indices * slots}, overlay=plan
-            )
-            cube = _rows(outs, n).reshape(slots, per_fault, n)
+            outs = self._comb_sim().run({"index": self._tile(slots)}, overlay=plan)
+            cube = _frames([outs], n).reshape(slots, per_fault, n)
             return cube[0], cube[1:], 1
         # sequential: one lane per slot, the whole stream in one pass
         plan = PackedFaultPlan(slots)
         for s, fault in enumerate(chunk, start=1):
             if isinstance(fault, StuckAtFault):
-                plan.stick(fault.wire, fault.value, [s])
+                plan.stick(fault.wire, fault.value, slice(s, s + 1))
             else:
                 assert isinstance(fault, SEUFault)
-                plan.upset(fault.register, fault.cycle, [s])
+                plan.upset(fault.register, fault.cycle, slice(s, s + 1))
         cube = self._run_stream(slots, plan)
         return cube[0], cube[1:], len(self.stream)
 
@@ -429,11 +457,22 @@ def _classify(golden: np.ndarray, cube: np.ndarray, n: int) -> np.ndarray:
 
     Returns indices into :data:`_CLASSES`: benign when all of a fault's
     rows equal ``golden``, silent when some differ yet every row is
-    still a permutation of ``0..n-1``, detected otherwise.
+    still a permutation of ``0..n-1``, detected otherwise.  A row of n
+    entries is a permutation exactly when its seen-bitmask (bit v set
+    for each entry v) is the n low bits: an entry v >= n sets a higher
+    bit, or none once it shifts out of the mask word, and a repeated
+    entry leaves some low bit clear.  The mask word is the narrowest
+    with n bits (Python ints past 64), so it holds every bus value.
     """
     faults = cube.shape[0]
     changed = (cube != golden).reshape(faults, -1).any(axis=1)
-    valid = (np.sort(cube, axis=2) == np.arange(n)).reshape(faults, -1).all(axis=1)
+    word = np.min_scalar_type((1 << n) - 1)
+    bits = np.left_shift(np.ones((), dtype=word), cube.astype(word, copy=False))
+    seen = bits[..., 0]
+    for t in range(1, n):
+        seen = seen | bits[..., t]
+    full = np.array((1 << n) - 1, dtype=word)
+    valid = (seen == full).reshape(faults, -1).all(axis=1)
     return np.where(changed, np.where(valid, 2, 1), 0)
 
 
@@ -448,8 +487,9 @@ class _CampaignWork:
         self.spec = spec
 
     def __call__(self, shard: ShardSpec) -> dict:
-        faults = _plan(self.spec).faults[shard.start : shard.stop]
-        ev = _Evaluator(self.spec)
+        plan = _plan(self.spec)
+        faults = plan.faults[shard.start : shard.stop]
+        ev = plan.evaluator
         n = self.spec.n
         counts = {k: 0 for k in _CLASSES}
         examples: dict[str, list[str]] = {k: [] for k in _CLASSES}
@@ -518,7 +558,7 @@ def run_campaign(
     faults = fault_list(spec)
     if not faults:
         raise ValueError(f"no {spec.model} fault sites in the {spec.circuit} netlist")
-    ev = _Evaluator(spec)
+    ev = _plan(spec).evaluator
     test_vectors = len(ev.indices) if spec.circuit == "converter" else spec.stream_length
     engine_used = ev.backend
     # Never cut the fault list finer than one packed chunk per shard

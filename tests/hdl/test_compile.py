@@ -304,6 +304,171 @@ def test_packed_plan_lane_mismatch_rejected():
         )
 
 
+class _BoolPlan:
+    """Fault-plan lane sets kept as boolean lane vectors, the way plans
+    stored them before they were packed: the reference model."""
+
+    def __init__(self, lanes):
+        self.lanes = lanes
+        self.force0, self.force1, self.seu = {}, {}, {}
+
+    def _sel(self, lanes):
+        sel = np.zeros(self.lanes, dtype=bool)
+        sel[lanes] = True
+        return sel
+
+    def stick(self, wire, value, lanes):
+        target = self.force1 if value else self.force0
+        prior = target.get(wire)
+        sel = self._sel(lanes)
+        target[wire] = sel if prior is None else prior | sel
+
+    def upset(self, q, cycle, lanes):
+        per_cycle = self.seu.setdefault(cycle, {})
+        prior = per_cycle.get(q)
+        sel = self._sel(lanes)
+        per_cycle[q] = sel if prior is None else prior ^ sel
+
+    def masks(self):
+        none = np.zeros(self.lanes, dtype=bool)
+        out = {}
+        for w in set(self.force0) | set(self.force1):
+            f0 = self.force0.get(w, none)
+            f1 = self.force1.get(w, none)
+            out[w] = (pack_lanes(~(f0 | f1)), pack_lanes(f1))
+        return out
+
+    def patch(self, wire, value):
+        out = value
+        if wire in self.force0:
+            out = out & ~self.force0[wire]
+        if wire in self.force1:
+            out = out | self.force1[wire]
+        return out
+
+
+@st.composite
+def lane_selection(draw, lanes):
+    """A lane selector of every kind a plan accepts."""
+    kind = draw(st.sampled_from(["slice", "list", "array", "mask"]))
+    if kind == "slice":
+        bound = st.one_of(st.none(), st.integers(-lanes - 2, lanes + 2))
+        step = draw(st.sampled_from([None, 1, 2, 3, -1, -2]))
+        return slice(draw(bound), draw(bound), step)
+    index = st.lists(st.integers(-lanes, lanes - 1), max_size=6)
+    if kind == "list":
+        return draw(index)
+    if kind == "array":
+        return np.array(draw(index), dtype=np.int64)
+    return np.array(draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)))
+
+
+@given(st.integers(1, 150), st.data())
+@settings(max_examples=120)
+def test_packed_plan_lane_sets_match_boolean_reference(lanes, data):
+    """Masks, upsets and the interpreter views equal the boolean plan's."""
+    plan, ref = PackedFaultPlan(lanes), _BoolPlan(lanes)
+    for _ in range(data.draw(st.integers(0, 8))):
+        sel = data.draw(lane_selection(lanes))
+        if data.draw(st.booleans()):
+            wire, value = data.draw(st.integers(0, 3)), data.draw(st.booleans())
+            plan.stick(wire, value, sel)
+            ref.stick(wire, value, sel)
+        else:
+            q, cycle = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 2))
+            plan.upset(q, cycle, sel)
+            ref.upset(q, cycle, sel)
+    assert plan.masks == ref.masks()
+    assert plan.wires == frozenset(ref.force0) | frozenset(ref.force1)
+    for cycle in range(3):
+        flips = ref.seu.get(cycle, {})
+        assert plan.upsets.get(cycle, {}) == {
+            q: pack_lanes(sel) for q, sel in flips.items()
+        }
+        views = plan.seu_lane_flips(cycle)
+        assert views.keys() == flips.keys()
+        assert all(np.array_equal(views[q], flips[q]) for q in flips)
+    value = np.array(data.draw(st.lists(st.booleans(), min_size=lanes, max_size=lanes)))
+    for wire in range(5):  # wire 4 is never in the plan
+        assert np.array_equal(plan.patch(wire, value, None), ref.patch(wire, value))
+
+
+def test_packed_plan_rejects_out_of_range_lanes():
+    plan = PackedFaultPlan(8)
+    for bad in ([8], [-9], np.array([8])):
+        with pytest.raises(IndexError):
+            plan.stick(3, True, bad)
+        with pytest.raises(IndexError):
+            plan.upset(3, 0, bad)
+
+
+# --------------------------------------------------------------------- #
+# per-kernel leaf layouts
+
+
+class TestLeafLayout:
+    """Every sweep fills its kernel's leaves from that kernel's layout."""
+
+    def test_incremental_and_patchable_kernels_interleaved(self):
+        """One netlist's incremental kernel (a plain stream) and patchable
+        kernel (a stream under a stuck-at plan, and a combinational
+        simulator switching between the patchable and plain kernels)
+        sweep in turn, each stream keeping its register state in its own
+        leaf list, and all stay equal to the interpreter."""
+        from repro.flow import build_circuit
+        from repro.robustness.faults import stuck_fault_sites
+
+        nl = build_circuit("converter", 3, pipelined=True)
+        fault = stuck_fault_sites(nl)[7]
+        plan = PackedFaultPlan(4)
+        plan.stick(fault.wire, fault.value, [1, 3])
+        engines = ("interp", "compiled")
+        plain = {b: SequentialSimulator(nl, batch=4, backend=b) for b in engines}
+        patched = {
+            b: SequentialSimulator(nl, batch=4, overlay=plan, backend=b)
+            for b in engines
+        }
+        comb = {b: CombinationalSimulator(nl, backend=b) for b in engines}
+        for cycle in range(9):
+            vec = [(cycle * 5 + lane) % 6 for lane in range(4)]
+            for sims in (plain, patched):
+                outs = [_ints(sims[b].step({"index": vec})) for b in engines]
+                assert outs[0] == outs[1], cycle
+            overlay = plan if cycle % 2 else None
+            outs = [_ints(comb[b].run({"index": vec}, overlay=overlay)) for b in engines]
+            assert outs[0] == outs[1], cycle
+        assert plain["compiled"]._leaf_kern.incremental
+        assert patched["compiled"]._leaf_kern.patchable
+
+    def test_netlist_edit_between_sweeps(self):
+        """An edit between sweeps (new fingerprint, new kernel and layout)
+        keeps the register state already latched, and a new register
+        starts at its init value, as on the interpreter."""
+        from repro.flow import build_circuit
+
+        nl = build_circuit("converter", 3, pipelined=True)
+        engines = ("interp", "compiled", "vector")
+        seqs = {b: SequentialSimulator(nl, batch=3, backend=b) for b in engines}
+        combs = {b: CombinationalSimulator(nl, backend=b) for b in engines}
+
+        def sweep(vec):
+            steps = [_ints(seqs[b].step({"index": vec})) for b in engines]
+            runs = [_ints(combs[b].run({"index": vec})) for b in engines]
+            assert steps[0] == steps[1] == steps[2]
+            assert runs[0] == runs[1] == runs[2]
+            return steps[0]
+
+        sweep([0, 5, 3])
+        sweep([1, 2, 4])
+        before = compile_netlist(nl, incremental=True)
+        bit = nl.outputs["out0"][0]
+        q = nl.register(nl.gate(Op.NOT, bit), init=True)
+        nl.output("flag", Bus([q, nl.gate(Op.XOR, q, bit)]))
+        assert compile_netlist(nl, incremental=True) is not before
+        flags = [sweep(vec)["flag"] for vec in ([5, 5, 0], [2, 3, 1], [4, 0, 2])]
+        assert [v & 1 for v in flags[0]] == [1, 1, 1]  # init value
+
+
 # --------------------------------------------------------------------- #
 # kernel cache
 

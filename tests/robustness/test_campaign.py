@@ -1,8 +1,10 @@
 """Campaign runner: classification, determinism, sharded execution."""
 
+import json
 import multiprocessing
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,6 +96,29 @@ class TestClassify:
         want = [self._one_fault(golden, cube[f], n) for f in range(len(cube))]
         assert got == want
         assert set(want) == {"benign", "detected", "silent"}
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_bitmask_matches_sort_rule_over_the_bus_range(self, n, rng):
+        """Entries span the whole output bus, 0 .. 2^ceil(log2 n) - 1, so
+        rows hold out-of-range values (5-7 at n = 5 and 6) as well as
+        duplicates and all-equal rows."""
+        top = 1 << (n - 1).bit_length()
+        rows = 6
+        golden = np.array([rng.permutation(n) for _ in range(rows)])
+        cube = np.repeat(golden[None], 250, axis=0)
+        for f in range(50, 100):  # one row re-permuted
+            cube[f, rng.integers(rows)] = rng.permutation(n)
+        for f in range(100, 150):  # one row drawn over the bus range
+            cube[f, rng.integers(rows)] = rng.integers(0, top, n)
+        for f in range(150, 200):  # one row all equal
+            cube[f, rng.integers(rows)] = rng.integers(0, top)
+        for f in range(200, 250):  # one entry redrawn: a duplicate or out of range
+            cube[f, rng.integers(rows), rng.integers(n)] = rng.integers(0, top)
+        want = [self._one_fault(golden, cube[f], n) for f in range(len(cube))]
+        assert set(want) == {"benign", "detected", "silent"}
+        for dtype in (np.int64, np.uint8):  # as drawn, and as a sweep reads
+            classes = campaign._classify(golden.astype(dtype), cube.astype(dtype), n)
+            assert [campaign._CLASSES[k] for k in classes] == want
 
 
 class TestPlanMemo:
@@ -259,6 +284,34 @@ class TestEngineIdentity:
     def test_engine_validation(self):
         with pytest.raises(ValueError):
             CampaignSpec(engine="verilator")
+
+
+GOLDEN = Path(__file__).parent / "golden_campaigns.json"
+SIGNATURE = ("total", "benign", "detected", "silent", "test_vectors", "examples", "sweeps")
+
+
+class TestGoldenSignatures:
+    """Exhaustive campaigns pinned to recorded signatures.
+
+    :class:`TestEngineIdentity` compares engines with each other, so a
+    defect shared by every engine — in the classification rule, the
+    fault-plan masks or the output read — would pass it.  The values in
+    ``golden_campaigns.json`` were recorded from the campaign code before
+    its fault plans, leaf layouts and output reads were rewritten for
+    speed; this test only reads them.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(GOLDEN.read_text()),
+        ids=lambda c: f"{c['circuit']}-n{c['n']}-{c['model']}-{c['engine']}",
+    )
+    def test_signature(self, case):
+        spec = CampaignSpec(
+            circuit=case["circuit"], n=case["n"], model=case["model"], engine=case["engine"]
+        )
+        res = run_campaign(spec)
+        assert {k: getattr(res, k) for k in SIGNATURE} == {k: case[k] for k in SIGNATURE}
 
 
 class TestShuffleCampaign:
