@@ -44,7 +44,6 @@ from conftest import write_report
 from repro.core.converter import IndexToPermutationConverter
 from repro.serve import (
     PermutationService,
-    Request,
     ServiceConfig,
     SupervisedService,
     run_closed_loop,
@@ -79,11 +78,14 @@ def _no_cache(max_batch: int, engine: str = "auto") -> ServiceConfig:
     )
 
 
+def _submit(svc: PermutationService, index: int):
+    """One request: a one-lane unrank entry."""
+    return svc.submit_wide("unrank", N, 1, [index])
+
+
 def _warm(svc: PermutationService) -> None:
     """One throwaway wave so engine construction is outside the timing."""
-    futs = [
-        svc.submit(Request("unrank", N, i)) for i in range(svc.config.max_batch)
-    ]
+    futs = [_submit(svc, i) for i in range(svc.config.max_batch)]
     for f in futs:
         f.result(timeout=10.0)
 
@@ -94,7 +96,7 @@ def _time_unbatched(count: int) -> float:
         _warm(svc)
         t0 = time.perf_counter()
         for i in range(count):
-            svc.submit(Request("unrank", N, 1 + i)).result(timeout=10.0)
+            _submit(svc, 1 + i).result(timeout=10.0)
         return (time.perf_counter() - t0) / count
 
 
@@ -104,9 +106,7 @@ def _drive_waves(svc, waves: int, lanes: int = LANES) -> float:
     t0 = time.perf_counter()
     for w in range(waves):
         base = 1 + lanes * (w + 1)
-        futs = [
-            svc.submit(Request("unrank", N, base + i)) for i in range(lanes)
-        ]
+        futs = [_submit(svc, base + i) for i in range(lanes)]
         for f in futs:
             f.result(timeout=30.0)
     return (time.perf_counter() - t0) / (waves * lanes)
@@ -155,18 +155,18 @@ def test_batched_serving_speedup_and_load_profile(benchmark, results_dir):
 
     # -- correctness spot check through the batched path ----------------- #
     with PermutationService(_no_cache(LANES)) as svc:
-        futs = [svc.submit(Request("unrank", N, i * 7)) for i in range(LANES)]
+        futs = [_submit(svc, i * 7) for i in range(LANES)]
         for i, f in enumerate(futs):
-            assert f.result(timeout=10.0).permutation == conv.convert(i * 7)
+            (row,) = f.result(timeout=10.0).permutations
+            assert tuple(row) == conv.convert(i * 7)
 
     # -- and through a single wide vector sweep -------------------------- #
     with PermutationService(_no_cache(VEC_LANES, engine="vector")) as svc:
         assert svc.config.max_batch == VEC_LANES > LANES
-        futs = [
-            svc.submit(Request("unrank", N, i * 5)) for i in range(VEC_LANES)
-        ]
+        futs = [_submit(svc, i * 5) for i in range(VEC_LANES)]
         for i, f in enumerate(futs):
-            assert f.result(timeout=30.0).permutation == conv.convert(i * 5)
+            (row,) = f.result(timeout=30.0).permutations
+            assert tuple(row) == conv.convert(i * 5)
 
     # -- batched vs unbatched (best of TRIALS: scheduler noise only ever
     #    slows a trial down, so min() is the honest per-path cost) ------- #

@@ -215,11 +215,11 @@ class CheckpointMismatchError(CheckpointError):
 class ServiceOverloadedError(ReproError):
     """The serving queue is at capacity; this request was shed.
 
-    Raised by :meth:`repro.serve.PermutationService.submit` when the
-    number of queued-but-unserved requests has reached the configured
-    ``max_queue_depth``.  Shedding at admission keeps the queue — and
-    therefore every accepted request's latency — bounded; the client
-    should back off and retry.  ``queue_depth`` and ``limit`` record
+    Raised by :meth:`repro.serve.PermutationService.submit_wide` when
+    the request's lanes would take the queued-but-unserved lanes past
+    the configured ``max_queue_depth``.  Shedding at admission keeps
+    the queue — and therefore every accepted request's latency —
+    bounded; the client should back off and retry.  ``queue_depth`` and ``limit`` record
     the pressure at the moment of rejection.
     """
 
@@ -253,9 +253,9 @@ class ServiceDegradedError(ReproError):
 class ServiceShutdownError(ReproError, RuntimeError):
     """The service was closed while this request was pending.
 
-    Raised (a) by ``submit`` on a closed service and (b) on any future
-    still unresolved when ``close()`` finishes draining — shutdown must
-    settle every waiter, never leave one hung.  Subclasses
+    Raised (a) by ``submit_wide`` on a closed service and (b) on any
+    future still unresolved when ``close()`` finishes draining —
+    shutdown must settle every waiter, never leave one hung.  Subclasses
     :class:`RuntimeError` so callers guarding with ``except
     RuntimeError`` keep working.
     """

@@ -7,7 +7,7 @@ work into contiguous index ranges; each worker processes its own range
 and results reduce associatively.
 
 * :mod:`repro.parallel.sharding` — deterministic work decomposition
-  (index ranges, capacity-bounded ranges) and the one map-reduce runner,
+  (contiguous index ranges) and the one map-reduce runner,
   :func:`~repro.parallel.sharding.hardened_map_reduce`: an ordered,
   associative reduce with retries, timeouts, crash recovery and partial
   results.

@@ -48,7 +48,6 @@ from repro.obs.tracing import Span
 __all__ = [
     "ShardSpec",
     "index_shards",
-    "bounded_shards",
     "hardened_map_reduce",
     "ShardFailure",
     "PartialResult",
@@ -134,28 +133,6 @@ def index_shards(total: int, shards: int) -> list[ShardSpec]:
         start += size
     assert start == total
     return out
-
-
-def bounded_shards(total: int, max_size: int) -> list[ShardSpec]:
-    """Split ``range(total)`` into the fewest shards of at most ``max_size``.
-
-    The dual of :func:`index_shards`: instead of a target shard *count*,
-    the caller fixes a per-shard capacity and takes however many shards
-    that needs.  This is the natural decomposition when each shard maps
-    onto a fixed hardware resource — e.g. the serving layer's bulk path,
-    where one shard must fit the compiled engine's
-    :data:`~repro.hdl.compile.SWEEP_LANES` lane quantum.  Like
-    :func:`index_shards` the split is deterministic, contiguous and
-    near-equal (sizes differ by at most one), and ``total == 0`` yields
-    ``[]``.
-    """
-    if total < 0:
-        raise ValueError("total must be non-negative")
-    if max_size < 1:
-        raise ValueError("max_size must be positive")
-    if total == 0:
-        return []
-    return index_shards(total, -(-total // max_size))
 
 
 def default_workers() -> int:

@@ -1,14 +1,19 @@
 """Batch-serving layer over the compiled permutation engines.
 
 This package turns the bit-packed compiled simulator into a
-request-serving hot path: a typed request/response model
-(:mod:`repro.serve.model`), a micro-batcher that coalesces concurrent
-requests into packed sweep lanes (:mod:`repro.serve.batcher`), a bounded
-LRU result cache (:mod:`repro.serve.cache`), admission control with
-typed load-shedding, and the :class:`PermutationService` front end tying
-them together (:mod:`repro.serve.service`).  A closed-loop synthetic
-load generator (:mod:`repro.serve.loadgen`) drives it for the CLI
-``serve`` subcommand and the serving benchmark.
+request-serving hot path.  Every request is ``count`` lanes of one
+``(workload, n)`` sweep, admitted through one call,
+:meth:`PermutationService.submit_wide`, and resolved through one future
+into one :class:`~repro.serve.model.WideResponse` (:mod:`repro.serve.model`
+holds the validator and the response type); a one-lane caller submits
+``count=1``.  A micro-batcher coalesces concurrent entries into packed
+sweep lanes (:mod:`repro.serve.batcher`), a bounded LRU result cache
+answers one-lane deterministic requests (:mod:`repro.serve.cache`),
+admission control sheds with typed errors, and the
+:class:`PermutationService` front end ties them together
+(:mod:`repro.serve.service`).  Two closed-loop synthetic load generators
+(:mod:`repro.serve.loadgen`) drive it in-process and over TCP for the
+CLI ``serve`` subcommand and the serving benchmarks.
 
 On top of the single-process service sits one degradation ladder
 (:mod:`repro.serve.supervisor`): per-shard workers, stall detection,
@@ -43,22 +48,10 @@ from repro.serve.loadgen import (
     run_closed_loop,
     run_socket_loadgen,
 )
-from repro.serve.model import (
-    WORKLOADS,
-    Request,
-    Response,
-    WideResponse,
-    validate_request,
-    validate_wide,
-)
+from repro.serve.model import WORKLOADS, WideResponse, validate_wide
 from repro.serve.net import NetServer, ServeConnection
 from repro.serve.pool import PooledService, WorkerPool
-from repro.serve.service import (
-    CompletionFuture,
-    PermutationService,
-    ServiceConfig,
-    serve_bulk,
-)
+from repro.serve.service import CompletionFuture, PermutationService, ServiceConfig
 from repro.serve.supervisor import (
     BREAKER_STATES,
     BreakerConfig,
@@ -72,9 +65,8 @@ from repro.serve.supervisor import (
 
 __all__ = [
     "WORKLOADS",
-    "Request",
-    "Response",
-    "validate_request",
+    "WideResponse",
+    "validate_wide",
     "MicroBatcher",
     "Batch",
     "PendingEntry",
@@ -85,13 +77,10 @@ __all__ = [
     "CompletionFuture",
     "PermutationService",
     "ServiceConfig",
-    "serve_bulk",
     "LoadReport",
     "run_closed_loop",
     "run_socket_loadgen",
     "percentile",
-    "WideResponse",
-    "validate_wide",
     "NetServer",
     "ServeConnection",
     "WorkerPool",

@@ -43,11 +43,10 @@ __all__ = ["PendingEntry", "Batch", "MicroBatcher"]
 class PendingEntry:
     """One queued request: the work item, its future, and when it arrived.
 
-    ``lanes`` is how many sweep lanes the entry occupies — 1 for the
-    classic single-request path, ``count`` for a *wide* entry (one
-    socket frame carrying many indices that resolve through one future).
-    Wide entries are what let the network front end amortise its
-    per-frame decode/submit cost over many lanes.
+    ``lanes`` is how many sweep lanes the entry occupies — the request's
+    ``count`` (one socket frame carrying many indices resolves through
+    one future).  Multi-lane entries are what let the network front end
+    amortise its per-frame decode/submit cost over many lanes.
     """
 
     request: object

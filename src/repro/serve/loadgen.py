@@ -8,17 +8,24 @@ way to measure a batching layer, because an open-loop generator with a
 fixed rate either underfills batches (rate too low) or measures queueing
 collapse (rate too high).
 
-Two drivers share one :class:`LoadReport`:
+Two drivers share one :class:`LoadReport`, one per-response tally
+(:meth:`LoadReport._record`) and one response check:
 
-* :func:`run_closed_loop` — in-process, one thread per client calling
-  :meth:`~repro.serve.service.PermutationService.submit` directly; the
-  PR-5/PR-6 benchmark driver.
+* :func:`run_closed_loop` — in-process, one thread per client submitting
+  one-lane entries through
+  :meth:`~repro.serve.service.PermutationService.submit_wide`; the
+  driver behind ``repro-perm serve`` and the serving benchmark.
 * :func:`run_socket_loadgen` — over real TCP connections speaking
   ``repro-serve/1``: ``connections`` sockets, each keeping ``depth``
   frames of ``frame_count`` lanes pipelined.  Typed wire statuses map
   onto the same counters the in-process driver uses (``OVERLOADED`` →
   ``shed``, ``DEGRADED`` → ``degraded_shed``), so availability means the
   same thing measured through the network as measured in-process.
+
+Both read the same response shape — ``count`` rows in
+``permutations``, the unranked ``indices`` (``None`` for shuffles),
+``mode`` and ``lanes`` — whether it is a
+:class:`~repro.serve.model.WideResponse` or its decoded wire form.
 
 Latency samples fold into a :class:`~repro.obs.digests.LatencyDigest`
 instead of a per-request float list, so a multi-million-request run
@@ -47,8 +54,6 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.core.factorial import factorial
 from repro.errors import (
     FaultDetectedError,
@@ -57,7 +62,7 @@ from repro.errors import (
 )
 from repro.obs.digests import LatencyDigest
 from repro.robustness.checkers import check_served_batch
-from repro.serve.model import WORKLOADS, Request
+from repro.serve.model import WORKLOADS
 from repro.serve.net.client import ServeConnection
 from repro.serve.service import PermutationService
 
@@ -127,6 +132,28 @@ class LoadReport:
             return 1.0
         return self.completed / attempts
 
+    def _record(self, resp, workload: str, latency: float, ok: bool) -> None:
+        """Tally one served response; the caller holds the report lock.
+
+        ``ok`` is the verdict of :func:`_verified` (``True`` when the run
+        does not verify).  A cached response counts as a cache hit, any
+        other one adds its batch's lane count to the occupancy sums.
+        """
+        self.completed += 1
+        self.lanes_completed += resp.count
+        self.latency_digest.observe(latency)
+        self.by_workload[workload] = self.by_workload.get(workload, 0) + 1
+        self.modes[resp.mode] = self.modes.get(resp.mode, 0) + 1
+        if resp.mode == "fallback":
+            self.degraded_responses += 1
+        if not ok:
+            self.incorrect += 1
+        if resp.mode == "cached":
+            self.cache_hits += 1
+        else:
+            self.batch_lane_sum += resp.lanes
+            self.batched_responses += 1
+
     def latency_percentiles(self) -> dict[str, float]:
         d = self.latency_digest
         return {
@@ -135,6 +162,19 @@ class LoadReport:
             "p99": d.quantile(0.99),
             "max": d.max,
         }
+
+
+def _verified(resp) -> bool:
+    """True when every served row survives the oracle.
+
+    Bijectivity for every row; with echoed ``indices`` (the two
+    deterministic workloads) also the rank of each row.
+    """
+    try:
+        check_served_batch(resp.permutations, resp.indices)
+    except FaultDetectedError:
+        return False
+    return True
 
 
 def _build_mix(mix: dict[str, float] | None):
@@ -158,8 +198,10 @@ def run_closed_loop(
     max_attempts: int = 400,
     verify: bool = False,
 ) -> LoadReport:
-    """Drive ``total`` completed requests through ``service``.
+    """Drive ``total`` completed one-lane requests through ``service``.
 
+    Each request is a ``count=1``
+    :meth:`~repro.serve.service.PermutationService.submit_wide` entry.
     ``mix`` maps workload name → weight (default: uniform over all
     three).  Returns a :class:`LoadReport`; every latency sample is the
     full client-observed round trip (submit → response).  A request that
@@ -179,18 +221,6 @@ def run_closed_loop(
     lock = threading.Lock()
     remaining = [total]
 
-    def check_response(resp) -> bool:
-        """True when the served permutation survives the oracle."""
-        perms = np.asarray([resp.permutation], dtype=np.int64)
-        indices = None
-        if resp.workload != "shuffle" and resp.index is not None:
-            indices = [resp.index]
-        try:
-            check_served_batch(perms, indices)
-        except FaultDetectedError:
-            return False
-        return True
-
     def client(client_id: int) -> None:
         rng = random.Random((seed << 16) ^ client_id)
         while True:
@@ -199,16 +229,14 @@ def run_closed_loop(
                     return
                 remaining[0] -= 1
             workload = rng.choices(names, weights)[0]
-            index = rng.randrange(limit) if workload == "unrank" else None
             if workload == "shuffle" and n < 2:
                 workload = "unrank"
-                index = rng.randrange(limit)
-            req = Request(workload=workload, n=n, index=index)
+            indices = [rng.randrange(limit)] if workload == "unrank" else None
             t0 = time.perf_counter()
             resp = None
             for _ in range(max_attempts):
                 try:
-                    resp = service.submit(req).result(timeout=30.0)
+                    resp = service.submit_wide(workload, n, 1, indices).result(30.0)
                     break
                 except ServiceOverloadedError:
                     with lock:
@@ -223,22 +251,9 @@ def run_closed_loop(
                     report.abandoned += 1
                 continue
             latency = time.perf_counter() - t0
-            ok = check_response(resp) if verify else True
+            ok = _verified(resp) if verify else True
             with lock:
-                report.completed += 1
-                report.lanes_completed += 1
-                report.latency_digest.observe(latency)
-                report.by_workload[workload] = report.by_workload.get(workload, 0) + 1
-                report.modes[resp.mode] = report.modes.get(resp.mode, 0) + 1
-                if resp.mode == "fallback":
-                    report.degraded_responses += 1
-                if not ok:
-                    report.incorrect += 1
-                if resp.cached:
-                    report.cache_hits += 1
-                else:
-                    report.batch_lane_sum += resp.lanes
-                    report.batched_responses += 1
+                report._record(resp, workload, latency, ok)
 
     threads = [
         threading.Thread(target=client, args=(i,), name=f"loadgen-{i}")
@@ -307,18 +322,6 @@ def run_socket_loadgen(
             remaining[0] -= 1
             return True
 
-    def check_response(resp) -> bool:
-        indices = (
-            list(resp.indices)
-            if resp.workload != "shuffle" and resp.indices is not None
-            else None
-        )
-        try:
-            check_served_batch(np.asarray(resp.permutations), indices)
-        except FaultDetectedError:
-            return False
-        return True
-
     def client(client_id: int) -> None:
         rng = random.Random((seed << 20) ^ client_id)
         # request_id -> [t0, workload, attempts, indices]
@@ -355,24 +358,9 @@ def run_socket_loadgen(
                 t0, workload, attempts, indices = rec
                 if resp.status == "ok":
                     latency = time.perf_counter() - t0
-                    ok = check_response(resp) if verify else True
+                    ok = _verified(resp) if verify else True
                     with lock:
-                        report.completed += 1
-                        report.lanes_completed += resp.count
-                        report.latency_digest.observe(latency)
-                        report.by_workload[workload] = (
-                            report.by_workload.get(workload, 0) + 1
-                        )
-                        report.modes[resp.mode] = report.modes.get(resp.mode, 0) + 1
-                        if resp.mode == "fallback":
-                            report.degraded_responses += 1
-                        if not ok:
-                            report.incorrect += 1
-                        if resp.mode == "cached":
-                            report.cache_hits += 1
-                        else:
-                            report.batch_lane_sum += resp.lanes
-                            report.batched_responses += 1
+                        report._record(resp, workload, latency, ok)
                     launch()
                     continue
                 retryable = resp.status in ("overloaded", "degraded")

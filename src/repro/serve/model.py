@@ -1,23 +1,25 @@
-"""Typed request/response model for the permutation-serving layer.
+"""Request validation and the response type of the permutation-serving layer.
 
-A :class:`Request` names one unit of work:
+Every request names ``count`` lanes of one ``(workload, n)`` sweep:
 
-* ``unrank`` — convert a caller-supplied index to its permutation
+* ``unrank`` — convert caller-supplied indices to their permutations
   (paper §II, the index-to-permutation converter);
 * ``random_perm`` — the §II-C random permutation generator: the service
-  draws the index from its scaled-LFSR source and unranks it;
-* ``shuffle`` — one output of the §III Knuth-shuffle cascade.
+  draws each index from its scaled-LFSR source and unranks it;
+* ``shuffle`` — outputs of the §III Knuth-shuffle cascade.
 
-Validation is centralised in :func:`validate_request` so the CLI, the
-service and the load generator all reject malformed requests with the
-same :class:`~repro.errors.InvalidRequestError` (a ``ValueError``
-subclass, like the rest of the caller-mistake taxonomy).
+A one-lane request is a ``count=1`` request; there is no separate
+single-lane form.  Validation is centralised in :func:`validate_wide`,
+which the service's one entry point runs before touching shared state,
+so library callers and socket frames are rejected with the same
+:class:`~repro.errors.InvalidRequestError` (a ``ValueError`` subclass,
+like the rest of the caller-mistake taxonomy).
 
-The :class:`Response` carries the permutation plus the serving
-provenance the benchmarks and traces rely on: which batch the request
-rode in (``batch_id``/``lanes``), whether the result came straight from
-the cache, and the per-stage timing split (time queued in the
-micro-batcher vs. time in the compiled sweep).
+The :class:`WideResponse` carries the ``(count, n)`` permutation rows
+plus the serving provenance the benchmarks and traces rely on: which
+batch the request rode in (``batch_id``/``lanes``), whether the result
+came straight from the cache, and the per-stage timing split (time
+queued in the micro-batcher vs. time in the compiled sweep).
 """
 
 from __future__ import annotations
@@ -27,81 +29,34 @@ from dataclasses import dataclass
 from repro.core.factorial import factorial
 from repro.errors import InvalidRequestError
 
-__all__ = [
-    "WORKLOADS",
-    "Request",
-    "Response",
-    "WideResponse",
-    "validate_request",
-    "validate_wide",
-]
+__all__ = ["WORKLOADS", "WideResponse", "validate_wide"]
 
 #: The serveable workloads, in documentation order.
 WORKLOADS = ("unrank", "random_perm", "shuffle")
 
 
 @dataclass(frozen=True)
-class Request:
-    """One unit of serving work.
+class WideResponse:
+    """A served request: ``count`` permutations behind one future.
 
-    ``index`` is required for ``unrank`` and must be absent for the two
-    random workloads (the service owns the randomness — a caller who
-    already has an index wants ``unrank``).
-    """
+    ``permutations`` is a ``(count, n)`` int64 array (rows in request
+    order) rather than per-row tuples — the socket encoder reads it
+    straight into packed wire bytes, so nothing materialises a million
+    Python ints on the hot path.  ``indices`` are the indices actually
+    unranked — for ``random_perm`` the ones the service drew; for
+    ``shuffle`` ``None`` (the cascade never materialises an index).
 
-    workload: str
-    n: int
-    index: int | None = None
-
-
-@dataclass(frozen=True)
-class Response:
-    """A served permutation plus its serving provenance.
-
-    ``index`` is the index actually unranked — for ``random_perm`` the
-    one the service drew; for ``shuffle`` ``None`` (the cascade never
-    materialises an index).  ``batch_id`` is ``None`` when the result
-    short-circuited through the cache and never entered the batcher;
-    otherwise it identifies the compiled sweep this request shared with
-    ``lanes − 1`` others and links the response to its batch span in the
-    trace.
-
+    ``batch_id`` is ``None`` when the result short-circuited through the
+    cache and never entered the batcher; otherwise it identifies the
+    compiled sweep this request shared with other entries (``lanes``
+    lanes in all) and links the response to its batch span in the trace.
     ``mode`` records which rung of the serving ladder produced the
     result: ``"direct"`` (the base service's in-process engine),
-    ``"worker"`` (a supervised tier's compiled worker), ``"fallback"``
-    (the supervised tier degraded to its in-process interp fallback for
-    this sweep) or ``"cached"`` (never swept at all).  Clients and the
-    load generator use it to count degraded-mode service separately
-    from healthy service.
-    """
-
-    request_id: int
-    workload: str
-    n: int
-    index: int | None
-    permutation: tuple[int, ...]
-    batch_id: int | None
-    lanes: int
-    cached: bool
-    queued_s: float
-    sweep_s: float
-    total_s: float
-    mode: str = "direct"
-
-
-@dataclass(frozen=True)
-class WideResponse:
-    """A served *wide* request: ``count`` permutations behind one future.
-
-    The network front end submits one entry per socket frame however
-    many indices the frame carries; the whole frame resolves through a
-    single future into this response.  ``permutations`` is a
-    ``(count, n)`` int64 array (rows in request order) rather than
-    per-row tuples — the socket encoder reads it straight into packed
-    wire bytes, so nothing materialises a million Python ints on the hot
-    path.  ``indices`` are the indices actually unranked (server-drawn
-    for ``random_perm``), ``None`` for shuffles.  Provenance fields
-    mirror :class:`Response`.
+    ``"worker"`` (a supervised tier's worker), ``"fallback"`` (the
+    supervised tier degraded to its in-process fallback for this sweep)
+    or ``"cached"`` (never swept at all).  Clients and the load
+    generators use it to count degraded-mode service separately from
+    healthy service.
     """
 
     request_id: int
@@ -119,43 +74,6 @@ class WideResponse:
     mode: str = "direct"
 
 
-def validate_request(req: Request, max_n: int) -> None:
-    """Reject a malformed request with :class:`InvalidRequestError`.
-
-    Checks workload spelling, the ``n`` bounds (``shuffle`` needs at
-    least two elements; everything is capped at ``max_n`` so one request
-    cannot make the service compile an astronomically large netlist),
-    and the index contract described on :class:`Request`.
-    """
-    if req.workload not in WORKLOADS:
-        raise InvalidRequestError(
-            f"unknown workload {req.workload!r}; expected one of "
-            + ", ".join(WORKLOADS)
-        )
-    if isinstance(req.n, bool) or not isinstance(req.n, int):
-        raise InvalidRequestError(f"n must be an integer, got {req.n!r}")
-    floor = 2 if req.workload == "shuffle" else 1
-    if not (floor <= req.n <= max_n):
-        raise InvalidRequestError(
-            f"n={req.n} outside {floor}..{max_n} for workload {req.workload!r}"
-        )
-    if req.workload == "unrank":
-        if req.index is None:
-            raise InvalidRequestError("unrank requires an index")
-        if isinstance(req.index, bool) or not isinstance(req.index, int):
-            raise InvalidRequestError(f"index must be an integer, got {req.index!r}")
-        limit = factorial(req.n)
-        if not (0 <= req.index < limit):
-            raise InvalidRequestError(
-                f"index {req.index} outside 0..{limit - 1} for n={req.n}"
-            )
-    elif req.index is not None:
-        raise InvalidRequestError(
-            f"workload {req.workload!r} draws its own randomness; "
-            "index must not be supplied"
-        )
-
-
 def validate_wide(
     workload: str,
     n: int,
@@ -164,14 +82,16 @@ def validate_wide(
     max_n: int,
     max_count: int,
 ) -> None:
-    """Reject a malformed wide submission with :class:`InvalidRequestError`.
+    """Reject a malformed request with :class:`InvalidRequestError`.
 
-    Same rules as :func:`validate_request` applied per frame: workload
-    spelling, the ``n`` bounds, the index contract (``unrank`` supplies
-    exactly ``count`` in-range indices, the random workloads none), plus
-    the wide-specific ``count`` bounds — at least one lane, at most
-    ``max_count`` (the service's ``max_batch``: a wider entry could
-    never fit one sweep).
+    Checks workload spelling, the ``n`` bounds (``shuffle`` needs at
+    least two elements; everything is capped at ``max_n`` so one request
+    cannot make the service compile an astronomically large netlist),
+    the ``count`` bounds — at least one lane, at most ``max_count`` (the
+    service's ``max_batch``: a wider entry could never fit one sweep) —
+    and the index contract: ``unrank`` supplies exactly ``count``
+    in-range indices, the random workloads none (the service owns the
+    randomness — a caller who already has an index wants ``unrank``).
     """
     if workload not in WORKLOADS:
         raise InvalidRequestError(

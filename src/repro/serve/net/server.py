@@ -203,8 +203,6 @@ class NetServer:
     def _dispatch(self, request: wire.WireRequest, writer) -> None:
         """Submit one decoded frame; answer admission failures inline."""
         try:
-            if request.count == 0:
-                raise InvalidRequestError("count must be at least 1")
             future = self.service.submit_wide(
                 request.workload,
                 request.n,

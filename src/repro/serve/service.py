@@ -1,28 +1,33 @@
 """The permutation-serving hot path: admission, batching, execution.
 
 :class:`PermutationService` turns the compiled bit-packed engine into a
-request server.  The life of a request:
+request server.  Every request enters through one call,
+:meth:`PermutationService.submit_wide`: ``count`` lanes of one
+``(workload, n)`` sweep behind a single future (a one-lane caller is a
+``count=1`` entry).  The life of a request:
 
-1. **Validate** — :func:`~repro.serve.model.validate_request`; malformed
+1. **Validate** — :func:`~repro.serve.model.validate_wide`; malformed
    requests raise :class:`~repro.errors.InvalidRequestError` before
    touching any shared state.
-2. **Resolve randomness** — a ``random_perm`` draws its index from the
-   service's per-``n`` scaled-LFSR source (§II-C: "the index generator
-   is simply a random number generator"), after which it is an unrank.
-3. **Cache** — deterministic results are looked up in a bounded LRU
-   keyed ``(workload, n, index)``; a hit returns a completed future
-   without ever entering the batcher.
-4. **Admit** — if the batcher already holds ``max_queue_depth`` entries
-   the request is *shed* with
+2. **Resolve randomness** — a ``random_perm`` draws each lane's index
+   from the service's per-``n`` scaled-LFSR source (§II-C: "the index
+   generator is simply a random number generator"), after which it is
+   an unrank.
+3. **Cache** — a one-lane deterministic result is looked up in a
+   bounded LRU keyed ``(workload, n, index)``; a hit returns a
+   completed future without ever entering the batcher.
+4. **Admit** — if the entry's lanes would take the batcher past
+   ``max_queue_depth`` queued lanes the request is *shed* with
    :class:`~repro.errors.ServiceOverloadedError` (admission control: the
-   queue, and with it every accepted request's latency, stays bounded).
-5. **Batch** — the request joins its ``(engine, n)`` group in the
+   queue, and with it every accepted request's latency, stays bounded;
+   an entry that finds the queue empty always admits).
+5. **Batch** — the entry joins its ``(engine, n)`` group in the
    micro-batcher.  The group flushes when it reaches ``max_batch`` lanes
    (executed inline on the submitting thread — no handoff latency) or
    when the group's deadline expires (executed by the dispatcher
    thread).
-6. **Sweep** — the whole batch rides one compiled sweep; per-lane
-   results resolve the futures, with per-stage timings and the batch id
+6. **Sweep** — the whole batch rides one compiled sweep; each entry's
+   rows resolve its future, with per-stage timings and the batch id
    attached to every response.
 
 Everything observable is recorded when the global metrics registry is
@@ -39,12 +44,6 @@ span is threaded through :meth:`PermutationService._run_sweep` so
 supervised tiers hang their failover/fallback spans off the same
 ``trace_id`` — a response's ``batch_id`` links it to its exact sweep in
 the trace.
-
-:func:`serve_bulk` is the offline cousin: a large index array is split
-into sweep-quantum-sized shards (one shard per sweep, the quantum
-reported by the selected engine's capability record) and dispatched
-across worker processes through the hardened map-reduce runner,
-inheriting its retry/timeout machinery.
 """
 
 from __future__ import annotations
@@ -67,25 +66,17 @@ from repro.hdl.engine import resolve_backend
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import FAST_LATENCY_BUCKETS
 from repro.obs.tracing import Span, Tracer
-from repro.parallel.sharding import bounded_shards, hardened_map_reduce
 from repro.rng.lfsr import FibonacciLFSR, dense_seed
 from repro.rng.scaled import ScaledRandomInteger
 from repro.serve.batcher import Batch, MicroBatcher, PendingEntry
 from repro.serve.cache import ResultCache
-from repro.serve.engine import ConverterEngine, EngineBank
-from repro.serve.model import (
-    Request,
-    Response,
-    WideResponse,
-    validate_request,
-    validate_wide,
-)
+from repro.serve.engine import EngineBank
+from repro.serve.model import WideResponse, validate_wide
 
 __all__ = [
     "CompletionFuture",
     "ServiceConfig",
     "PermutationService",
-    "serve_bulk",
     "batch_indices",
 ]
 
@@ -195,7 +186,7 @@ class _TelemetryFlusher(threading.Thread):
             _REQUESTS.inc(len(totals), workload=wl, outcome="ok")
         if front_misses:
             # entries that consulted the front cache at admission and
-            # missed (hits resolve inline in submit; wide entries with
+            # missed (hits resolve inline in submit_wide; entries with
             # count > 1 never consult the cache, so they are not counted)
             _CACHE_TOTAL.inc(front_misses, result="miss")
         _QUEUE_DEPTH.set(pending)
@@ -217,7 +208,7 @@ class CompletionFuture:
 
     def __init__(self, cond: threading.Condition) -> None:
         self._cond = cond
-        self._value: Response | None = None
+        self._value: WideResponse | None = None
         self._exc: BaseException | None = None
         self._done = False
         self._callbacks: list | None = None
@@ -245,7 +236,7 @@ class CompletionFuture:
                 return
         fn(self)
 
-    def _finish(self, value: Response | None, exc: BaseException | None) -> None:
+    def _finish(self, value: WideResponse | None, exc: BaseException | None) -> None:
         """Resolve; the caller must hold the shared condition."""
         self._value = value
         self._exc = exc
@@ -259,7 +250,7 @@ class CompletionFuture:
                 except Exception:  # noqa: BLE001 - see add_done_callback
                     pass
 
-    def result(self, timeout: float | None = None) -> Response:
+    def result(self, timeout: float | None = None) -> WideResponse:
         # ``_done`` is written under the condition but read here without
         # it: the flag flips once, and a stale False only sends us down
         # the locked slow path.
@@ -419,114 +410,6 @@ class PermutationService:
     # ------------------------------------------------------------------ #
     # submission
 
-    def submit(self, request: Request) -> CompletionFuture:
-        """Admit one request; returns a future for its response.
-
-        Raises :class:`~repro.errors.InvalidRequestError` on malformed
-        input, :class:`~repro.errors.ServiceOverloadedError` when the
-        queue is at ``max_queue_depth`` (the request was shed — back off
-        and retry), :class:`~repro.errors.ServiceDegradedError` when a
-        supervised tier has degraded this request's shard past the rung
-        that could serve it, and :class:`~repro.errors.ServiceShutdownError`
-        on a closed service.  The future resolves when the request's
-        batch executes; a cache hit returns an already-resolved future.
-        """
-        validate_request(request, self.config.max_n)
-        metrics_on = _metrics.REGISTRY.enabled
-        t_submit = time.perf_counter()
-        run_inline: list[Batch] = []
-        with self._cond:
-            if self._closed:
-                raise ServiceShutdownError("service is closed")
-            request_id = self._next_request_id
-            self._next_request_id += 1
-            workload, n = request.workload, request.n
-            key = ("shuffle", n) if workload == "shuffle" else ("converter", n)
-            index = request.index
-            if workload == "random_perm":
-                index = self._draw_index(n)
-            future = CompletionFuture(self._cond)
-            if workload != "shuffle":
-                cached = self._cache.get(("unrank", n, index))
-                if cached is not None:
-                    if metrics_on:
-                        _CACHE_TOTAL.inc(result="hit")
-                        _REQUESTS.inc(workload=workload, outcome="ok")
-                    total = time.perf_counter() - t_submit
-                    # the future is not visible to any other thread yet,
-                    # so resolving it needs no notify
-                    future._finish(
-                        Response(
-                            request_id=request_id,
-                            workload=workload,
-                            n=n,
-                            index=index,
-                            permutation=cached,  # type: ignore[arg-type]
-                            batch_id=None,
-                            lanes=0,
-                            cached=True,
-                            queued_s=0.0,
-                            sweep_s=0.0,
-                            total_s=total,
-                            mode="cached",
-                        ),
-                        None,
-                    )
-                    if metrics_on:
-                        _MODE_TOTAL.inc(mode="cached")
-                        _LATENCY_DIGEST.observe(
-                            total, workload=workload, mode="cached"
-                        )
-                    return future
-                # misses are counted at batch granularity in _execute:
-                # every admitted converter-batch entry was a miss here
-            try:
-                # Supervised tiers veto here when the shard's degradation
-                # ladder has stepped down to cache-only: hits (above)
-                # still serve, everything else is shed with a typed
-                # signal the client can distinguish from overload.
-                # Pooled tiers also raise ServiceOverloadedError here
-                # when the shard's worker queue is saturated — counted
-                # as a shed, exactly like the batcher-depth shed below.
-                self._degrade_gate(workload, key)
-            except ServiceDegradedError:
-                self._degraded_shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="degraded")
-                raise
-            except ServiceOverloadedError:
-                self._shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="shed")
-                raise
-            depth = self._batcher.pending
-            if depth >= self.config.max_queue_depth:
-                self._shed += 1
-                if metrics_on:
-                    _REQUESTS.inc(workload=workload, outcome="shed")
-                raise ServiceOverloadedError(
-                    f"queue depth {depth} at limit; request shed",
-                    queue_depth=depth,
-                    limit=self.config.max_queue_depth,
-                )
-            entry = PendingEntry(
-                request=_Admitted(request_id, workload, n, index, t_submit),
-                future=future,
-                enqueued_at=_monotonic(),
-            )
-            was_empty = self._batcher.pending == 0
-            run_inline = self._batcher.add(key, entry, entry.enqueued_at)
-            if not run_inline and was_empty:
-                # The dispatcher only needs waking when it had nothing
-                # to wait for: any later-opened group's deadline is by
-                # construction later than the one it is already armed
-                # on, so per-request notifies would be pure wakeup
-                # overhead on the hot path.
-                self._cond.notify_all()
-        for batch in run_inline:
-            self._execute(batch)
-        return future
-
     def submit_wide(
         self,
         workload: str,
@@ -534,19 +417,29 @@ class PermutationService:
         count: int,
         indices=None,
     ) -> CompletionFuture:
-        """Admit one *wide* request: ``count`` lanes behind one future.
+        """Admit one request: ``count`` lanes behind one future.
 
-        The network front end's amortisation primitive — one socket
-        frame carrying ``count`` indices becomes a single batcher entry
-        occupying ``count`` sweep lanes, so the per-request admission
-        cost (validation, locking, future allocation) is paid once per
-        frame instead of once per lane.  The future resolves to a
+        The only way work enters the service.  ``unrank`` supplies
+        ``count`` indices; ``random_perm`` and ``shuffle`` supply none
+        (the service draws them).  The request becomes a single batcher
+        entry occupying ``count`` sweep lanes, so the admission cost
+        (validation, locking, future allocation) is paid once per
+        request however many lanes it carries — one socket frame is one
+        call.  The future resolves to a
         :class:`~repro.serve.model.WideResponse` whose ``permutations``
-        is a ``(count, n)`` array.  Raises exactly the same taxonomy as
-        :meth:`submit`.  A ``count == 1`` deterministic request checks
-        the front result cache like ``submit`` does; wider requests skip
-        it — a sweep costs about the same at any width, so a cache only
-        saves one when every lane hits.
+        is a ``(count, n)`` array; it resolves when the entry's batch
+        executes, and a cache hit returns an already-resolved future.
+
+        Raises :class:`~repro.errors.InvalidRequestError` on malformed
+        input, :class:`~repro.errors.ServiceOverloadedError` when the
+        queue has no room for ``count`` more lanes (the request was shed
+        — back off and retry), :class:`~repro.errors.ServiceDegradedError`
+        when a supervised tier has degraded this request's shard past
+        the rung that could serve it, and
+        :class:`~repro.errors.ServiceShutdownError` on a closed service.
+        A ``count == 1`` deterministic request checks the front result
+        cache; wider requests skip it — a sweep costs about the same at
+        any width, so a cache only saves one when every lane hits.
         """
         validate_wide(
             workload, n, count, indices, self.config.max_n, self.config.max_batch
@@ -575,6 +468,8 @@ class PermutationService:
                         _CACHE_TOTAL.inc(result="hit")
                         _REQUESTS.inc(workload=workload, outcome="ok")
                     total = time.perf_counter() - t_submit
+                    # the future is not visible to any other thread yet,
+                    # so resolving it needs no notify
                     future._finish(
                         WideResponse(
                             request_id=request_id,
@@ -597,7 +492,10 @@ class PermutationService:
                         _MODE_TOTAL.inc(mode="cached")
                         _LATENCY_DIGEST.observe(total, workload=workload, mode="cached")
                     return future
+                # misses are counted at batch granularity in _execute:
+                # every admitted one-lane converter entry was a miss here
             try:
+                # cache hits (above) still serve from a degraded shard
                 self._degrade_gate(workload, key)
             except ServiceDegradedError:
                 self._degraded_shed += 1
@@ -610,7 +508,7 @@ class PermutationService:
                     _REQUESTS.inc(workload=workload, outcome="shed")
                 raise
             depth = self._batcher.pending
-            # a lone wide entry always admits (liveness even when count
+            # a lone entry always admits (liveness even when count
             # exceeds the depth limit); with company, shed on projected
             # lane depth so wide traffic respects the same bound
             if depth > 0 and depth + count > self.config.max_queue_depth:
@@ -628,17 +526,17 @@ class PermutationService:
                 enqueued_at=_monotonic(),
                 lanes=count,
             )
-            was_empty = self._batcher.pending == 0
             run_inline = self._batcher.add(key, entry, entry.enqueued_at)
-            if not run_inline and was_empty:
+            if not run_inline and depth == 0:
+                # The dispatcher only needs waking when it had nothing
+                # to wait for: any later-opened group's deadline is by
+                # construction later than the one it is already armed
+                # on, so per-request notifies would be pure wakeup
+                # overhead on the hot path.
                 self._cond.notify_all()
         for batch in run_inline:
             self._execute(batch)
         return future
-
-    def convert(self, request: Request, timeout: float | None = 10.0) -> Response:
-        """Blocking convenience wrapper: submit and wait."""
-        return self.submit(request).result(timeout=timeout)
 
     # ------------------------------------------------------------------ #
     # statistics
@@ -818,47 +716,27 @@ class PermutationService:
             adm = e.request
             queued = max(0.0, exec_start - adm.submitted_at)
             total = done - adm.submitted_at
-            if type(adm) is _Admitted:
-                perm = tuple(int(v) for v in perms[off])
-                off += 1
-                resp = Response(
-                    request_id=adm.request_id,
-                    workload=adm.workload,
-                    n=adm.n,
-                    index=adm.index,
-                    permutation=perm,
-                    batch_id=batch.batch_id,
-                    lanes=batch.lanes,
-                    cached=False,
-                    queued_s=queued,
-                    sweep_s=sweep_s,
-                    total_s=total,
-                    mode=mode,
-                )
-                if kind == "converter":
-                    front_misses += 1
-            else:
-                # wide entry: its rows stay an ndarray slice — the
-                # socket encoder packs them straight into wire bytes
-                rows = perms[off : off + adm.count]
-                off += adm.count
-                resp = WideResponse(
-                    request_id=adm.request_id,
-                    workload=adm.workload,
-                    n=adm.n,
-                    count=adm.count,
-                    indices=adm.indices,
-                    permutations=rows,
-                    batch_id=batch.batch_id,
-                    lanes=batch.lanes,
-                    cached=False,
-                    queued_s=queued,
-                    sweep_s=sweep_s,
-                    total_s=total,
-                    mode=mode,
-                )
-                if kind == "converter" and adm.count == 1:
-                    front_misses += 1
+            # the entry's rows stay an ndarray slice — the socket
+            # encoder packs them straight into wire bytes
+            rows = perms[off : off + adm.count]
+            off += adm.count
+            resp = WideResponse(
+                request_id=adm.request_id,
+                workload=adm.workload,
+                n=adm.n,
+                count=adm.count,
+                indices=adm.indices,
+                permutations=rows,
+                batch_id=batch.batch_id,
+                lanes=batch.lanes,
+                cached=False,
+                queued_s=queued,
+                sweep_s=sweep_s,
+                total_s=total,
+                mode=mode,
+            )
+            if kind == "converter" and adm.count == 1:
+                front_misses += 1
             responses.append((e.future, resp))
             if metrics_on:
                 queued_vals.append(queued)
@@ -900,11 +778,7 @@ class PermutationService:
         with self._cond:
             if kind == "converter":
                 for _, resp in responses:
-                    if type(resp) is Response:
-                        self._cache.put(
-                            ("unrank", resp.n, resp.index), resp.permutation
-                        )
-                    elif resp.count == 1:
+                    if resp.count == 1:
                         # symmetric with the count==1 get in submit_wide;
                         # wider entries stay out of the front tier
                         self._cache.put(
@@ -924,22 +798,12 @@ class PermutationService:
 
 
 @dataclass(frozen=True)
-class _Admitted:
-    """An admitted request with its server-resolved index and timestamps."""
-
-    request_id: int
-    workload: str
-    n: int
-    index: int | None
-    submitted_at: float
-
-    def lane_indices(self) -> tuple:
-        return (self.index,)
-
-
-@dataclass(frozen=True)
 class _AdmittedWide:
-    """An admitted wide request: ``count`` lanes, one future."""
+    """An admitted request: ``count`` lanes behind one future.
+
+    ``indices`` are the lanes' server-resolved indices (``None`` for
+    shuffles); ``submitted_at`` is the ``perf_counter`` submit time.
+    """
 
     request_id: int
     workload: str
@@ -948,92 +812,12 @@ class _AdmittedWide:
     indices: tuple[int, ...] | None
     submitted_at: float
 
-    def lane_indices(self) -> tuple:
-        return self.indices  # type: ignore[return-value]
-
 
 def batch_indices(batch: Batch) -> list[int]:
     """Flatten a converter batch's entries into per-lane indices.
 
-    Single entries contribute one index, wide entries ``count`` — the
-    flat list lines up with the sweep's lane order, which is how
-    ``_execute`` slices the result rows back out.
+    Each entry contributes its ``count`` indices — the flat list lines
+    up with the sweep's lane order, which is how ``_execute`` slices the
+    result rows back out.
     """
-    return [i for e in batch.entries for i in e.request.lane_indices()]
-
-
-# ---------------------------------------------------------------------- #
-# offline bulk path
-
-
-class _BulkShard:
-    """Picklable shard worker: unrank a contiguous slice of the indices.
-
-    Each worker process memoises one :class:`ConverterEngine` per
-    ``(n, engine)`` (module-level, so repeated shards in the same
-    process pay the netlist build once) and returns its shard's
-    ``(size, n)`` rows.
-    """
-
-    def __init__(self, n: int, indices: tuple[int, ...], engine: str = "auto"):
-        self.n = n
-        self.indices = indices
-        self.engine = engine
-
-    def __call__(self, shard) -> np.ndarray:
-        engine = _bulk_engine(self.n, self.engine)
-        return engine.run(self.indices[shard.start : shard.stop])
-
-
-_BULK_ENGINES: dict[tuple[int, str], ConverterEngine] = {}
-
-
-def _bulk_engine(n: int, backend: str = "auto") -> ConverterEngine:
-    key = (n, backend)
-    engine = _BULK_ENGINES.get(key)
-    if engine is None:
-        engine = _BULK_ENGINES[key] = ConverterEngine(n, backend=backend)
-    return engine
-
-
-def _stack_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.concatenate([a, b], axis=0)
-
-
-def serve_bulk(
-    n: int,
-    indices,
-    workers: int | None = None,
-    timeout: float | None = None,
-    retries: int = 2,
-    tracer: Tracer | None = None,
-    engine: str = "auto",
-) -> np.ndarray:
-    """Unrank a whole index array offline → ``(len(indices), n)`` rows.
-
-    The batch is cut into sweep-quantum-lane shards — each exactly one
-    sweep of the selected ``engine``, 63 lanes compiled / 4096 vector —
-    and dispatched through
-    :func:`~repro.parallel.sharding.hardened_map_reduce`, inheriting its
-    retry/timeout/backoff behaviour.  Results are concatenated in shard
-    order, so the output row order always matches the input regardless
-    of worker count.
-    """
-    idx = tuple(int(i) for i in indices)
-    limit = factorial(n)
-    for i in idx:
-        if not (0 <= i < limit):
-            raise ValueError(f"index {i} outside 0..{limit - 1} for n={n}")
-    if not idx:
-        return np.empty((0, n), dtype=np.int64)
-    quantum = resolve_backend(engine).capabilities.sweep_lanes
-    shards = bounded_shards(len(idx), quantum)
-    return hardened_map_reduce(
-        _BulkShard(n, idx, engine),
-        shards,
-        _stack_rows,
-        workers=workers,
-        timeout=timeout,
-        retries=retries,
-        tracer=tracer,
-    )
+    return [i for e in batch.entries for i in e.request.indices]

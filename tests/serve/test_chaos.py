@@ -10,7 +10,6 @@ from repro.serve import (
     ChaosMonkey,
     ChaosSpec,
     LadderConfig,
-    Request,
     ServiceConfig,
     SupervisedService,
     SweepPlan,
@@ -102,7 +101,7 @@ class TestSettleShards:
         )
         try:
             for _ in range(3):  # three crashes trip the breaker OPEN
-                svc.convert(Request("unrank", 5, 7))
+                svc.submit_wide("unrank", 5, 1, [7]).result(10.0)
             key = ("converter", 5)
             assert svc.supervisor.mode_for(key) == "degraded"
             monkey.disarm()
@@ -115,7 +114,7 @@ class TestSettleShards:
     def test_no_probes_when_already_full(self):
         svc = SupervisedService(ServiceConfig(cache_capacity=0))
         try:
-            svc.convert(Request("unrank", 5, 7))
+            svc.submit_wide("unrank", 5, 1, [7]).result(10.0)
             assert _settle_shards(svc, timeout_s=1.0) == 0
         finally:
             svc.close()

@@ -7,7 +7,11 @@ engines), the thread executor, and the process executor with one and
 two workers per shard — each both in-process (``submit_wide``) and over
 TCP (``NetServer`` and its client, pipelined on one connection), each
 run on a fresh service so the ``random_perm`` index draws start from the
-same seed.  Every run must return the same bytes.
+same seed.  Every run must return the same bytes, and the reference run
+must match the oracle: ``unrank`` rows are ``unrank_batch`` of the frame's
+indices, ``random_perm`` rows the unrank of the indices the response
+echoes.  A defect every mode shares (a mis-sliced row block, say) makes
+all runs agree with each other; only the oracle sees it.
 
 ``shuffle`` frames ride a second stream, sent one at a time so every
 frame is its own sweep: valid permutations everywhere, and
@@ -20,6 +24,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.lehmer import unrank_batch
 from repro.serve import (
     LadderConfig,
     NetServer,
@@ -71,17 +76,18 @@ def _rows(perms) -> bytes:
     return np.asarray(perms, dtype=np.int64).tobytes()
 
 
-def _in_process(svc, stream, pipelined: bool) -> list[bytes]:
+def _blobs(replies) -> list[bytes]:
+    return [_rows(r.permutations) for r in replies]
+
+
+def _in_process(svc, stream, pipelined: bool) -> list:
     if not pipelined:
-        return [
-            _rows(svc.submit_wide(*frame).result(30.0).permutations)
-            for frame in stream
-        ]
+        return [svc.submit_wide(*frame).result(30.0) for frame in stream]
     futures = [svc.submit_wide(*frame) for frame in stream]
-    return [_rows(f.result(30.0).permutations) for f in futures]
+    return [f.result(30.0) for f in futures]
 
 
-def _over_tcp(svc, stream, pipelined: bool) -> list[bytes]:
+def _over_tcp(svc, stream, pipelined: bool) -> list:
     with NetServer(svc) as server:
         with ServeConnection(*server.address, timeout=30.0) as conn:
             if not pipelined:
@@ -91,17 +97,17 @@ def _over_tcp(svc, stream, pipelined: bool) -> list[bytes]:
                 by_id = {r.request_id: r for r in (conn.recv() for _ in ids)}
                 replies = [by_id[i] for i in ids]
     assert all(r.ok for r in replies), [r.message for r in replies if not r.ok]
-    return [_rows(r.permutations) for r in replies]
+    return replies
 
 
-def _run(mode: str, transport: str, stream, pipelined: bool) -> list[bytes]:
+def _run(mode: str, transport: str, stream, pipelined: bool) -> list:
     send = _in_process if transport == "in-process" else _over_tcp
     with MODES[mode]() as svc:
         return send(svc, stream, pipelined)
 
 
 @pytest.fixture(scope="module")
-def reference() -> list[bytes]:
+def reference() -> list:
     return _run("direct", "in-process", UNRANK_STREAM, pipelined=False)
 
 
@@ -111,16 +117,29 @@ def test_stream_covers_both_deterministic_workloads(reference):
     assert len(reference) == len(UNRANK_STREAM)
 
 
+def test_reference_rows_match_the_oracle(reference):
+    for (workload, n, count, indices), resp in zip(UNRANK_STREAM, reference):
+        assert resp.permutations.shape == (count, n)
+        if workload == "unrank":
+            assert resp.indices == tuple(indices)
+            want = unrank_batch(indices, n)
+        else:
+            assert indices is None and len(resp.indices) == count
+            want = unrank_batch(resp.indices, n)
+        assert _rows(resp.permutations) == _rows(want)
+
+
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_every_mode_returns_the_same_rows(mode, transport, reference):
-    assert _run(mode, transport, UNRANK_STREAM, pipelined=True) == reference
+    rows = _blobs(_run(mode, transport, UNRANK_STREAM, pipelined=True))
+    assert rows == _blobs(reference)
 
 
 @pytest.fixture(scope="module")
 def shuffles() -> dict:
     return {
-        (mode, transport): _run(mode, transport, SHUFFLE_STREAM, pipelined=False)
+        (mode, transport): _blobs(_run(mode, transport, SHUFFLE_STREAM, False))
         for mode in MODES
         for transport in ("in-process", "tcp")
     }

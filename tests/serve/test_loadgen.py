@@ -8,12 +8,13 @@ decided by a canned per-call schedule, not by timing.
 import itertools
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.factorial import factorial
 from repro.errors import ServiceDegradedError, ServiceOverloadedError
-from repro.serve import LoadReport, Request, Response, run_closed_loop
+from repro.serve import LoadReport, WideResponse, run_closed_loop
 
 
 class _DoneFuture:
@@ -25,7 +26,7 @@ class _DoneFuture:
 
 
 class _ScriptedService:
-    """Yields one scripted outcome per submit, cycling when exhausted.
+    """Yields one scripted outcome per submission, cycling when exhausted.
 
     Outcomes: ``"ok"``, ``"fallback"``, ``"cached"`` (a served response
     in that mode), ``"shed"`` / ``"degraded"`` (the typed rejection), or
@@ -38,7 +39,8 @@ class _ScriptedService:
         self._ids = itertools.count()
         self.conv = IndexToPermutationConverter(4)
 
-    def submit(self, request: Request):
+    def submit_wide(self, workload, n, count, indices=None):
+        assert count == 1  # the in-process driver sends one-lane entries
         with self._lock:
             outcome = next(self._outcomes)
             rid = next(self._ids)
@@ -46,17 +48,18 @@ class _ScriptedService:
             raise ServiceOverloadedError("queue full", queue_depth=1, limit=1)
         if outcome == "degraded":
             raise ServiceDegradedError("cache-only", mode="cache_only")
-        index = request.index if request.index is not None else 0
-        perm = self.conv.convert(index)
+        indices = tuple(indices) if indices is not None else (0,) * count
+        perms = self.conv.convert_batch(indices)
         if outcome == "wrong":
-            perm = tuple(perm[1:]) + (perm[0],)  # valid but wrong rank
+            perms = np.roll(perms, -1, axis=1)  # valid but wrong rank
         return _DoneFuture(
-            Response(
+            WideResponse(
                 request_id=rid,
-                workload=request.workload,
-                n=request.n,
-                index=index,
-                permutation=perm,
+                workload=workload,
+                n=n,
+                count=count,
+                indices=indices,
+                permutations=perms,
                 batch_id=None if outcome == "cached" else rid,
                 lanes=0 if outcome == "cached" else 4,
                 cached=outcome == "cached",
@@ -137,11 +140,12 @@ class TestRealServiceSmoke:
     def test_shuffle_verification_checks_bijectivity_only(self):
         # shuffles carry no index: any valid permutation must pass
         class _ShuffleService(_ScriptedService):
-            def submit(self, request):
-                fut = super().submit(Request("unrank", 4, 5))
+            def submit_wide(self, workload, n, count, indices=None):
+                assert (workload, count, indices) == ("shuffle", 1, None)
+                fut = super().submit_wide("unrank", n, count, [5])
                 resp = fut._response
                 object.__setattr__(resp, "workload", "shuffle")
-                object.__setattr__(resp, "index", None)
+                object.__setattr__(resp, "indices", None)
                 return fut
 
         report = run_closed_loop(

@@ -19,7 +19,6 @@ from repro.serve import (
     ChaosMonkey,
     LadderConfig,
     PooledService,
-    Request,
     ServiceConfig,
     SupervisedService,
     run_closed_loop,
@@ -39,7 +38,10 @@ def test_pooled_tier_publishes_the_ladder_metrics():
     REGISTRY.enable()
     try:
         with pooled({0: "crash", 1: "corrupt"}) as svc:
-            modes = [svc.convert(Request("unrank", 5, i)).mode for i in (1, 2, 3)]
+            modes = [
+                svc.submit_wide("unrank", 5, 1, [i]).result(10.0).mode
+                for i in (1, 2, 3)
+            ]
         # rendered after close: close() drains the telemetry flusher
         text = REGISTRY.render_exposition()
     finally:
@@ -76,8 +78,8 @@ def test_pooled_tier_publishes_the_ladder_metrics():
 def test_pooled_failover_story_is_in_the_batch_traces():
     tracer = Tracer()
     with pooled({0: "crash"}, tracer=tracer) as svc:
-        assert svc.convert(Request("unrank", 5, 6)).mode == "fallback"
-        assert svc.convert(Request("unrank", 5, 8)).mode == "worker"
+        assert svc.submit_wide("unrank", 5, 1, [6]).result(10.0).mode == "fallback"
+        assert svc.submit_wide("unrank", 5, 1, [8]).result(10.0).mode == "worker"
     assert all(r.name == "serve.batch" for r in tracer.roots)
     crashed = next(r for r in tracer.roots if r.find_all("serve.failover"))
     names = {s.name for s in crashed.walk()}
@@ -90,7 +92,7 @@ def test_pooled_failover_story_is_in_the_batch_traces():
 
 def test_supervised_health_has_worker_rows_for_obs_top():
     with SupervisedService(ServiceConfig(batch_deadline_s=0.001)) as svc:
-        svc.convert(Request("unrank", 5, 3))
+        svc.submit_wide("unrank", 5, 1, [3]).result(10.0)
         health = _serve_health(svc)
     assert health["status"] == "ok"
     assert health["shards"]["converter:5"]["alive"] == 1

@@ -16,10 +16,20 @@ from repro.serve import (
     LadderConfig,
     PermutationService,
     PooledService,
-    Request,
     ServiceConfig,
     run_closed_loop,
 )
+
+
+def unrank_one(svc, n, index, timeout=10.0):
+    """Serve a one-lane unrank entry and wait for its response."""
+    return svc.submit_wide("unrank", n, 1, [index]).result(timeout)
+
+
+def row(resp) -> tuple:
+    """The one permutation of a one-lane response."""
+    (perm,) = resp.permutations
+    return tuple(int(v) for v in perm)
 
 
 def make_pooled(workers: int = 1, chaos=None, backoff_s=0.01, **svc_kw) -> PooledService:
@@ -36,8 +46,8 @@ class TestCorrectness:
         conv = IndexToPermutationConverter(6)
         with make_pooled() as svc:
             for idx in (0, 1, 100, 719):
-                resp = svc.convert(Request("unrank", 6, idx))
-                assert resp.permutation == conv.convert(idx)
+                resp = unrank_one(svc, 6, idx)
+                assert row(resp) == conv.convert(idx)
 
     def test_wide_frame_sweeps_once_in_a_worker(self):
         conv = IndexToPermutationConverter(7)
@@ -64,8 +74,8 @@ class TestCorrectness:
 
     def test_two_shard_groups_coexist(self):
         with make_pooled() as svc:
-            a = svc.convert(Request("unrank", 5, 10))
-            b = svc.convert(Request("unrank", 6, 10))
+            a = unrank_one(svc, 5, 10)
+            b = unrank_one(svc, 6, 10)
             shards = svc.stats()["pool"]["shards"]
         assert a.n == 5 and b.n == 6
         assert len(shards) == 2
@@ -75,16 +85,16 @@ class TestSupervision:
     def test_killed_worker_respawns_and_serves(self):
         conv = IndexToPermutationConverter(6)
         with make_pooled(workers=1) as svc:
-            assert svc.convert(Request("unrank", 6, 1)).permutation == conv.convert(1)
+            assert row(unrank_one(svc, 6, 1)) == conv.convert(1)
             assert svc.pool.kill_worker() is not None
             # the only replica is gone: the next sweep fails over at once
             # (still the right answer), and once the restart backoff has
             # run out the one after respawns it
-            resp = svc.convert(Request("unrank", 6, 2))
-            assert resp.permutation == conv.convert(2)
+            resp = unrank_one(svc, 6, 2)
+            assert row(resp) == conv.convert(2)
             time.sleep(0.05)
-            again = svc.convert(Request("unrank", 6, 3))
-            assert again.permutation == conv.convert(3)
+            again = unrank_one(svc, 6, 3)
+            assert row(again) == conv.convert(3)
             assert again.mode == "worker"
             stats = svc.stats()["pool"]
         assert stats["restarts"] >= 1
@@ -116,7 +126,7 @@ class TestSupervision:
 
     def test_worker_rows_shape(self):
         with make_pooled() as svc:
-            svc.convert(Request("unrank", 6, 3))
+            unrank_one(svc, 6, 3)
             rows = svc.pool.worker_rows()
         assert rows, "expected at least one worker row"
         for row in rows:
@@ -131,13 +141,13 @@ class TestCacheAccounting:
         """A count-1 repeat hits the front cache and never reaches the
         pool; a wide frame skips the front tier and sweeps every lane."""
         with make_pooled(workers=1) as svc:
-            svc.convert(Request("unrank", 6, 5))
+            unrank_one(svc, 6, 5)
             first = svc.stats()
             assert (first["cache_hits"], first["cache_misses"]) == (0, 1)
             assert first["pool"]["served_worker"] == 1
 
             # count-1 repeat: front tier answers, pool never sees it
-            again = svc.convert(Request("unrank", 6, 5))
+            again = unrank_one(svc, 6, 5)
             second = svc.stats()
             assert again.cached
             assert second["cache_hits"] == 1
@@ -172,19 +182,19 @@ class TestBackpressure:
     def test_saturated_shard_sheds_with_overloaded(self):
         key = ("converter", 6)
         with make_pooled(workers=1) as svc:
-            svc.convert(Request("unrank", 6, 0))  # materialise the shard
+            unrank_one(svc, 6, 0)  # materialise the shard
             limit = svc.pool.max_in_flight
             for _ in range(limit):  # pin the shard at its ceiling
                 svc.pool.track(key, 1)
             try:
                 with pytest.raises(ServiceOverloadedError) as exc_info:
-                    svc.submit(Request("unrank", 6, 123))
+                    svc.submit_wide("unrank", 6, 1, [123])
             finally:
                 for _ in range(limit):
                     svc.pool.track(key, -1)
             assert exc_info.value.queue_depth == limit
             # a fresh shard admits unconditionally (lazy shards are healthy)
-            assert svc.convert(Request("unrank", 5, 0)).permutation is not None
+            assert row(unrank_one(svc, 5, 0)) is not None
 
     def test_untouched_pool_admits_everything(self):
         with make_pooled() as svc:
@@ -223,11 +233,11 @@ class TestProcessChaos:
         conv = IndexToPermutationConverter(5)
         monkey = ChaosMonkey(script={0: "crash"})
         with make_pooled(chaos=monkey, backoff_s=0.0, cache_capacity=0) as svc:
-            first = svc.convert(Request("unrank", 5, 10))
-            second = svc.convert(Request("unrank", 5, 11))
+            first = unrank_one(svc, 5, 10)
+            second = unrank_one(svc, 5, 11)
             stats = svc.stats()["pool"]
-        assert (first.permutation, first.mode) == (conv.convert(10), "fallback")
-        assert (second.permutation, second.mode) == (conv.convert(11), "worker")
+        assert (row(first), first.mode) == (conv.convert(10), "fallback")
+        assert (row(second), second.mode) == (conv.convert(11), "worker")
         assert stats["restarts"] == 1
 
     def test_stall_fails_over(self):
@@ -237,10 +247,10 @@ class TestProcessChaos:
             LadderConfig(sweep_deadline_s=0.1, restart_backoff_s=0.0),
             chaos=ChaosMonkey(script={0: "stall"}),
         ) as svc:
-            first = svc.convert(Request("unrank", 5, 7))
-            second = svc.convert(Request("unrank", 5, 8))
+            first = unrank_one(svc, 5, 7)
+            second = unrank_one(svc, 5, 8)
             stats = svc.stats()["pool"]
-        assert (first.permutation, first.mode) == (conv.convert(7), "fallback")
+        assert (row(first), first.mode) == (conv.convert(7), "fallback")
         assert second.mode == "worker"
         assert stats["restarts"] == 1
 
@@ -249,10 +259,10 @@ class TestProcessChaos:
         conv = IndexToPermutationConverter(5)
         monkey = ChaosMonkey(script={0: event})
         with make_pooled(chaos=monkey, backoff_s=0.0, cache_capacity=0) as svc:
-            first = svc.convert(Request("unrank", 5, 23))
-            second = svc.convert(Request("unrank", 5, 24))
+            first = unrank_one(svc, 5, 23)
+            second = unrank_one(svc, 5, 24)
             stats = svc.stats()["pool"]
-        assert (first.permutation, first.mode) == (conv.convert(23), "fallback")
+        assert (row(first), first.mode) == (conv.convert(23), "fallback")
         assert second.mode == "worker"
         assert stats["check_failures"] == 1
         assert stats["quarantines"] == 1  # the convicted process is gone
@@ -272,20 +282,20 @@ class TestProcessChaos:
         with open(library, "rb") as loaded, make_pooled(
             chaos=monkey, backoff_s=0.0, cache_capacity=0, engine="vector"
         ) as svc:
-            first = svc.convert(Request("unrank", 5, 23))
+            first = unrank_one(svc, 5, 23)
             assert os.fstat(loaded.fileno()).st_nlink == 0  # unlinked
-            second = svc.convert(Request("unrank", 5, 24))
+            second = unrank_one(svc, 5, 24)
             stats = svc.stats()["pool"]
             # the respawn rebuilt and published a new file
             assert os.stat(library).st_ino != os.fstat(loaded.fileno()).st_ino
-        assert (first.permutation, first.mode) == (conv.convert(23), "fallback")
-        assert (second.permutation, second.mode) == (conv.convert(24), "worker")
+        assert (row(first), first.mode) == (conv.convert(23), "fallback")
+        assert (row(second), second.mode) == (conv.convert(24), "worker")
         assert stats["quarantines"] == 1
 
     def test_delay_inside_the_deadline_is_not_a_failure(self):
         monkey = ChaosMonkey(script={0: "delay"})
         with make_pooled(chaos=monkey, cache_capacity=0) as svc:
-            resp = svc.convert(Request("unrank", 5, 3))
+            resp = unrank_one(svc, 5, 3)
             stats = svc.stats()["pool"]
         assert resp.mode == "worker"
         assert stats["restarts"] == 0
@@ -294,7 +304,7 @@ class TestProcessChaos:
 class TestLifecycle:
     def test_close_is_idempotent_and_kills_workers(self):
         svc = make_pooled()
-        svc.convert(Request("unrank", 5, 1))
+        unrank_one(svc, 5, 1)
         rows = svc.pool.worker_rows()
         assert any(r["alive"] for r in rows)
         svc.close()
@@ -303,7 +313,7 @@ class TestLifecycle:
 
     def test_stats_shape(self):
         with make_pooled() as svc:
-            svc.convert(Request("unrank", 5, 1))
+            unrank_one(svc, 5, 1)
             stats = svc.stats()
         assert "pool" in stats
         pool = stats["pool"]

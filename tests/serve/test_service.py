@@ -1,6 +1,9 @@
-"""PermutationService end to end: correctness, cache, admission, obs."""
+"""PermutationService end to end: correctness, cache, admission, obs.
 
-import numpy as np
+Every request here is a ``submit_wide`` entry; most are one-lane
+(``count=1``), the shape a single caller submits.
+"""
+
 import pytest
 
 from repro.core.converter import IndexToPermutationConverter
@@ -8,13 +11,7 @@ from repro.errors import InvalidRequestError, ServiceOverloadedError
 from repro.hdl.compile import SWEEP_LANES
 from repro.obs.metrics import REGISTRY
 from repro.obs.tracing import Tracer
-from repro.serve import (
-    PermutationService,
-    Request,
-    ServiceConfig,
-    run_closed_loop,
-    serve_bulk,
-)
+from repro.serve import PermutationService, ServiceConfig, run_closed_loop
 
 
 def make_service(**kw) -> PermutationService:
@@ -22,22 +19,35 @@ def make_service(**kw) -> PermutationService:
     return PermutationService(ServiceConfig(**kw))
 
 
+def submit_one(svc, workload, n, index=None):
+    """Admit a one-lane entry: ``index`` for unrank, else ``None``."""
+    return svc.submit_wide(workload, n, 1, None if index is None else [index])
+
+
+def serve_one(svc, workload, n, index=None):
+    return submit_one(svc, workload, n, index).result(timeout=10.0)
+
+
+def row(resp) -> tuple:
+    """The one permutation of a one-lane response."""
+    (perm,) = resp.permutations
+    return tuple(int(v) for v in perm)
+
+
 class TestCorrectness:
     def test_unrank_matches_functional_model(self):
         conv = IndexToPermutationConverter(6)
         with make_service() as svc:
             for idx in (0, 1, 100, 719):
-                resp = svc.convert(Request("unrank", 6, idx))
-                assert resp.permutation == conv.convert(idx)
+                resp = serve_one(svc, "unrank", 6, idx)
+                assert row(resp) == conv.convert(idx)
                 assert resp.workload == "unrank" and resp.n == 6
-                assert resp.index == idx
+                assert resp.count == 1 and resp.indices == (idx,)
 
     def test_batch_full_executes_inline_as_one_sweep(self):
         conv = IndexToPermutationConverter(7)
         with make_service(batch_deadline_s=60.0, max_batch=SWEEP_LANES) as svc:
-            futures = [
-                svc.submit(Request("unrank", 7, i)) for i in range(SWEEP_LANES)
-            ]
+            futures = [submit_one(svc, "unrank", 7, i) for i in range(SWEEP_LANES)]
             # the 63rd submission filled the batch and ran it inline on
             # the submitting thread; nothing waits on the 60 s deadline
             responses = [f.result(timeout=1.0) for f in futures]
@@ -45,28 +55,37 @@ class TestCorrectness:
         assert len(ids) == 1
         assert all(r.lanes == SWEEP_LANES for r in responses)
         for i, r in enumerate(responses):
-            assert r.permutation == conv.convert(i)
+            assert row(r) == conv.convert(i)
+
+    def test_one_wide_entry_is_one_packed_sweep(self):
+        want = IndexToPermutationConverter(8).convert_batch(range(SWEEP_LANES))
+        with make_service(batch_deadline_s=60.0, cache_capacity=0) as svc:
+            future = svc.submit_wide("unrank", 8, SWEEP_LANES, range(SWEEP_LANES))
+            assert future.done()  # it filled the batch, so it ran inline
+            resp = future.result(0)
+        assert resp.lanes == resp.count == SWEEP_LANES
+        assert resp.indices == tuple(range(SWEEP_LANES))
+        assert (resp.permutations == want).all()
 
     def test_deadline_flush_serves_a_lone_request(self):
         with make_service(batch_deadline_s=0.002) as svc:
-            resp = svc.submit(Request("unrank", 5, 42)).result(timeout=2.0)
+            resp = submit_one(svc, "unrank", 5, 42).result(timeout=2.0)
         assert resp.lanes == 1 and not resp.cached
 
     def test_random_perm_draws_and_unranks(self):
         conv = IndexToPermutationConverter(6)
         with make_service() as svc:
-            resp = svc.convert(Request("random_perm", 6))
-            assert 0 <= resp.index < conv.index_limit
-            assert resp.permutation == conv.convert(resp.index)
+            resp = serve_one(svc, "random_perm", 6)
+            (index,) = resp.indices
+            assert 0 <= index < conv.index_limit
+            assert row(resp) == conv.convert(index)
             # deterministic per seed: a second service replays the draw
         with make_service() as svc2:
-            assert svc2.convert(Request("random_perm", 6)).index == resp.index
+            assert serve_one(svc2, "random_perm", 6).indices == resp.indices
 
     def test_shuffle_yields_valid_permutations(self):
         with make_service() as svc:
-            perms = [
-                svc.convert(Request("shuffle", 8)).permutation for _ in range(5)
-            ]
+            perms = [row(serve_one(svc, "shuffle", 8)) for _ in range(5)]
         for p in perms:
             assert sorted(p) == list(range(8))
         assert len(set(perms)) > 1  # draws advance the LFSR state
@@ -75,50 +94,51 @@ class TestCorrectness:
         conv5 = IndexToPermutationConverter(5)
         conv6 = IndexToPermutationConverter(6)
         with make_service(batch_deadline_s=60.0, max_batch=2) as svc:
-            f5a = svc.submit(Request("unrank", 5, 3))
-            f6a = svc.submit(Request("unrank", 6, 9))
-            f5b = svc.submit(Request("unrank", 5, 4))  # fills the n=5 group
-            f6b = svc.submit(Request("unrank", 6, 10))  # fills the n=6 group
-            assert f5a.result(1.0).permutation == conv5.convert(3)
-            assert f5b.result(1.0).permutation == conv5.convert(4)
-            assert f6a.result(1.0).permutation == conv6.convert(9)
-            assert f6b.result(1.0).permutation == conv6.convert(10)
+            f5a = submit_one(svc, "unrank", 5, 3)
+            f6a = submit_one(svc, "unrank", 6, 9)
+            f5b = submit_one(svc, "unrank", 5, 4)  # fills the n=5 group
+            f6b = submit_one(svc, "unrank", 6, 10)  # fills the n=6 group
+            assert row(f5a.result(1.0)) == conv5.convert(3)
+            assert row(f5b.result(1.0)) == conv5.convert(4)
+            assert row(f6a.result(1.0)) == conv6.convert(9)
+            assert row(f6b.result(1.0)) == conv6.convert(10)
             assert f5a.result(0).batch_id != f6a.result(0).batch_id
 
 
 class TestCache:
     def test_cache_hit_short_circuits_the_batcher(self):
         with make_service(batch_deadline_s=60.0, max_batch=2) as svc:
-            a = svc.submit(Request("unrank", 6, 5))
-            b = svc.submit(Request("unrank", 6, 7))  # fills + runs inline
+            a = submit_one(svc, "unrank", 6, 5)
+            b = submit_one(svc, "unrank", 6, 7)  # fills + runs inline
             a.result(1.0), b.result(1.0)
-            hit = svc.submit(Request("unrank", 6, 5))
+            hit = submit_one(svc, "unrank", 6, 5)
             # resolved immediately: never queued behind the 60 s deadline
             assert hit.done()
             resp = hit.result(0)
             assert resp.cached and resp.batch_id is None
-            assert resp.permutation == a.result(0).permutation
+            assert resp.mode == "cached" and resp.indices == (5,)
+            assert row(resp) == row(a.result(0))
             stats = svc.stats()
             assert stats["queued"] == 0
             assert stats["cache_hits"] == 1
 
     def test_random_perm_results_prime_the_unrank_cache(self):
         with make_service(max_batch=1) as svc:
-            rp = svc.convert(Request("random_perm", 6))
-            hit = svc.convert(Request("unrank", 6, rp.index))
-            assert hit.cached and hit.permutation == rp.permutation
+            rp = serve_one(svc, "random_perm", 6)
+            hit = serve_one(svc, "unrank", 6, rp.indices[0])
+            assert hit.cached and row(hit) == row(rp)
 
     def test_shuffles_are_never_cached(self):
         with make_service(max_batch=1) as svc:
-            svc.convert(Request("shuffle", 6))
-            svc.convert(Request("shuffle", 6))
+            serve_one(svc, "shuffle", 6)
+            serve_one(svc, "shuffle", 6)
             assert svc.stats()["cache_hits"] == 0
             assert svc.stats()["cache_entries"] == 0
 
     def test_capacity_zero_disables_caching(self):
         with make_service(max_batch=1, cache_capacity=0) as svc:
-            svc.convert(Request("unrank", 5, 9))
-            again = svc.convert(Request("unrank", 5, 9))
+            serve_one(svc, "unrank", 5, 9)
+            again = serve_one(svc, "unrank", 5, 9)
             assert not again.cached
 
 
@@ -126,9 +146,9 @@ class TestAdmissionControl:
     def test_overload_sheds_with_bounded_queue_depth(self):
         cfg = dict(batch_deadline_s=60.0, max_batch=SWEEP_LANES, max_queue_depth=3)
         with make_service(**cfg) as svc:
-            held = [svc.submit(Request("unrank", 5, i)) for i in range(3)]
+            held = [submit_one(svc, "unrank", 5, i) for i in range(3)]
             with pytest.raises(ServiceOverloadedError) as exc_info:
-                svc.submit(Request("unrank", 5, 99))
+                submit_one(svc, "unrank", 5, 99)
             assert exc_info.value.queue_depth == 3
             assert exc_info.value.limit == 3
             assert svc.stats()["queued"] <= 3  # depth stayed bounded
@@ -136,31 +156,33 @@ class TestAdmissionControl:
         # close() drained the held batch: every accepted request completes
         conv = IndexToPermutationConverter(5)
         for i, f in enumerate(held):
-            assert f.result(timeout=1.0).permutation == conv.convert(i)
+            assert row(f.result(timeout=1.0)) == conv.convert(i)
 
     def test_cache_hits_bypass_admission_control(self):
         """The cache lookup precedes the queue-depth check, so a full
         queue sheds only requests that actually need a sweep."""
         cfg = dict(batch_deadline_s=60.0, max_batch=SWEEP_LANES, max_queue_depth=1)
-        perm = IndexToPermutationConverter(5).convert(9)
+        want = IndexToPermutationConverter(5).convert(9)
         with make_service(**cfg) as svc:
-            svc._cache.put(("unrank", 5, 9), perm)  # white-box prime
-            svc.submit(Request("unrank", 5, 0))  # queue now at the limit
-            hit = svc.submit(Request("unrank", 5, 9))
-            assert hit.result(0).cached and hit.result(0).permutation == perm
+            svc._cache.put(("unrank", 5, 9), want)  # white-box prime
+            submit_one(svc, "unrank", 5, 0)  # queue now at the limit
+            hit = submit_one(svc, "unrank", 5, 9)
+            assert hit.result(0).cached and row(hit.result(0)) == want
             with pytest.raises(ServiceOverloadedError):
-                svc.submit(Request("unrank", 5, 10))
+                submit_one(svc, "unrank", 5, 10)
 
     def test_rejects_after_close(self):
         svc = make_service()
         svc.close()
         with pytest.raises(RuntimeError, match="closed"):
-            svc.submit(Request("unrank", 5, 0))
+            submit_one(svc, "unrank", 5, 0)
 
     def test_invalid_requests_never_touch_the_queue(self):
         with make_service(batch_deadline_s=60.0) as svc:
             with pytest.raises(InvalidRequestError):
-                svc.submit(Request("unrank", 5, -1))
+                submit_one(svc, "unrank", 5, -1)
+            with pytest.raises(InvalidRequestError):
+                svc.submit_wide("unrank", 5, 0, [])
             assert svc.stats()["queued"] == 0
             assert svc.stats()["submitted"] == 0
 
@@ -170,9 +192,9 @@ class TestObservability:
         REGISTRY.enable()
         try:
             with make_service(max_batch=1) as svc:
-                svc.convert(Request("unrank", 5, 3))
-                svc.convert(Request("unrank", 5, 3))  # cache hit
-                svc.convert(Request("shuffle", 5))
+                serve_one(svc, "unrank", 5, 3)
+                serve_one(svc, "unrank", 5, 3)  # cache hit
+                serve_one(svc, "shuffle", 5)
             text = REGISTRY.render_exposition()
         finally:
             REGISTRY.disable()
@@ -180,6 +202,7 @@ class TestObservability:
         assert 'repro_serve_requests_total{workload="unrank",outcome="ok"} 2' in text
         assert 'repro_serve_requests_total{workload="shuffle",outcome="ok"} 1' in text
         assert 'repro_serve_cache_total{result="hit"} 1' in text
+        assert 'repro_serve_cache_total{result="miss"} 1' in text
         assert "repro_serve_batch_lanes_count 2" in text
         assert 'repro_serve_stage_seconds_bucket{stage="sweep"' in text
         assert "repro_serve_queue_depth" in text
@@ -189,9 +212,9 @@ class TestObservability:
         try:
             cfg = dict(batch_deadline_s=60.0, max_queue_depth=1)
             with make_service(**cfg) as svc:
-                svc.submit(Request("unrank", 5, 0))
+                submit_one(svc, "unrank", 5, 0)
                 with pytest.raises(ServiceOverloadedError):
-                    svc.submit(Request("unrank", 5, 1))
+                    submit_one(svc, "unrank", 5, 1)
             text = REGISTRY.render_exposition()
         finally:
             REGISTRY.disable()
@@ -204,8 +227,8 @@ class TestObservability:
             ServiceConfig(batch_deadline_s=60.0, max_batch=2), tracer=tracer
         )
         with svc:
-            a = svc.submit(Request("unrank", 5, 1))
-            b = svc.submit(Request("unrank", 5, 2))
+            a = submit_one(svc, "unrank", 5, 1)
+            b = submit_one(svc, "unrank", 5, 2)
             resp = a.result(1.0)
             b.result(1.0)
         batches = [s for r in tracer.roots for s in r.walk() if s.name == "serve.batch"]
@@ -217,28 +240,6 @@ class TestObservability:
         assert len(children) == 2
         for child in children:
             assert child.attrs["batch_id"] == resp.batch_id
-
-
-class TestServeBulk:
-    def test_matches_convert_batch_in_order(self):
-        indices = list(range(0, 5040, 7))
-        got = serve_bulk(7, indices, workers=1)
-        want = IndexToPermutationConverter(7).convert_batch(indices)
-        assert np.array_equal(got, want)
-
-    def test_empty_input(self):
-        out = serve_bulk(5, [])
-        assert out.shape == (0, 5)
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError, match="outside"):
-            serve_bulk(4, [0, 24])
-
-    def test_multi_worker_row_order_is_deterministic(self):
-        indices = list(range(200))
-        a = serve_bulk(6, indices, workers=1)
-        b = serve_bulk(6, indices, workers=2)
-        assert np.array_equal(a, b)
 
 
 class TestLoadGenerator:

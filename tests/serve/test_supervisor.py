@@ -27,12 +27,22 @@ from repro.serve import (
     ChaosSpec,
     CircuitBreaker,
     LadderConfig,
-    Request,
     ServiceConfig,
     SupervisedService,
 )
 from repro.serve.supervisor import ShardWorker
 from repro.serve import supervisor as sup_mod
+
+
+def unrank_one(svc, n, index, timeout=10.0):
+    """Serve a one-lane unrank entry and wait for its response."""
+    return svc.submit_wide("unrank", n, 1, [index]).result(timeout)
+
+
+def row(resp) -> tuple:
+    """The one permutation of a one-lane response."""
+    (perm,) = resp.permutations
+    return tuple(int(v) for v in perm)
 
 
 class FakeClock:
@@ -174,21 +184,21 @@ class TestDegradationLadder:
     def test_clean_sweeps_serve_from_the_worker_rung(self):
         conv = IndexToPermutationConverter(5)
         with make_supervised(cache_capacity=0) as svc:
-            resp = svc.convert(Request("unrank", 5, 42))
-        assert resp.permutation == conv.convert(42)
+            resp = unrank_one(svc, 5, 42)
+        assert row(resp) == conv.convert(42)
         assert resp.mode == "worker"
 
     def test_crash_fails_over_and_restarts_the_worker(self):
         conv = IndexToPermutationConverter(5)
         with make_supervised(script={0: "crash"}, cache_capacity=0) as svc:
-            first = svc.convert(Request("unrank", 5, 10))
-            second = svc.convert(Request("unrank", 5, 11))
+            first = unrank_one(svc, 5, 10)
+            second = unrank_one(svc, 5, 11)
             stats = svc.supervisor.stats()
         # the crashed sweep still served — from the interp fallback
-        assert first.permutation == conv.convert(10)
+        assert row(first) == conv.convert(10)
         assert first.mode == "fallback"
         # the next sweep found a respawned worker
-        assert second.permutation == conv.convert(11)
+        assert row(second) == conv.convert(11)
         assert second.mode == "worker"
         assert stats["restarts"] == 1
         shard = stats["shards"]["('converter', 5)"]
@@ -199,17 +209,17 @@ class TestDegradationLadder:
         with make_supervised(
             script={0: "stall"}, cache_capacity=0, deadline=0.1
         ) as svc:
-            resp = svc.convert(Request("unrank", 5, 7), timeout=10.0)
-            after = svc.convert(Request("unrank", 5, 8), timeout=10.0)
+            resp = unrank_one(svc, 5, 7, timeout=10.0)
+            after = unrank_one(svc, 5, 8, timeout=10.0)
             stats = svc.supervisor.stats()
-        assert resp.permutation == conv.convert(7)
+        assert row(resp) == conv.convert(7)
         assert resp.mode == "fallback"
         assert after.mode == "worker"  # replacement worker took over
         assert stats["restarts"] == 1
 
     def test_delay_inside_deadline_is_not_a_failure(self):
         with make_supervised(script={0: "delay"}, cache_capacity=0) as svc:
-            resp = svc.convert(Request("unrank", 5, 3))
+            resp = unrank_one(svc, 5, 3)
             stats = svc.supervisor.stats()
         assert resp.mode == "worker"
         assert stats["restarts"] == 0
@@ -217,14 +227,14 @@ class TestDegradationLadder:
     def test_corrupt_payload_is_never_served(self):
         conv = IndexToPermutationConverter(5)
         with make_supervised(script={0: "corrupt"}, cache_capacity=0) as svc:
-            resp = svc.convert(Request("unrank", 5, 23))
-            after = svc.convert(Request("unrank", 5, 24))
+            resp = unrank_one(svc, 5, 23)
+            after = unrank_one(svc, 5, 24)
             stats = svc.supervisor.stats()
         # bijectivity conviction: the fallback served the true result
-        assert resp.permutation == conv.convert(23)
+        assert row(resp) == conv.convert(23)
         assert resp.mode == "fallback"
         # the replacement worker recompiled a clean kernel and took over
-        assert after.permutation == conv.convert(24)
+        assert row(after) == conv.convert(24)
         assert after.mode == "worker"
         assert stats["check_failures"] == 1
         assert stats["quarantines"] == 1  # the compiled kernel was evicted
@@ -233,9 +243,9 @@ class TestDegradationLadder:
     def test_valid_but_wrong_payload_is_caught_by_the_rank_oracle(self):
         conv = IndexToPermutationConverter(5)
         with make_supervised(script={0: "swap"}, cache_capacity=0) as svc:
-            resp = svc.convert(Request("unrank", 5, 99))
+            resp = unrank_one(svc, 5, 99)
             stats = svc.supervisor.stats()
-        assert resp.permutation == conv.convert(99)
+        assert row(resp) == conv.convert(99)
         assert resp.mode == "fallback"
         assert stats["check_failures"] == 1
 
@@ -256,11 +266,11 @@ class TestDegradationLadder:
             with pytest.raises(ServiceDegradedError):
                 # first sweep crashes; the fallback is convicted → the
                 # batch degrades
-                svc.convert(Request("unrank", 5, 1))
+                unrank_one(svc, 5, 1)
             # breaker now open → shard pinned cache-only; misses shed at
             # admission with the typed signal …
             with pytest.raises(ServiceDegradedError) as err:
-                svc.convert(Request("unrank", 5, 2))
+                unrank_one(svc, 5, 2)
             assert err.value.mode == "cache_only"
             assert svc.stats()["degraded_shed"] == 1
             assert svc.supervisor.mode_for(("converter", 5)) == "cache_only"
@@ -272,11 +282,11 @@ class TestDegradationLadder:
             breaker=BreakerConfig(failure_threshold=1, recovery_s=0.05),
             cache_capacity=0,
         ) as svc:
-            first = svc.convert(Request("unrank", 5, 4))
+            first = unrank_one(svc, 5, 4)
             assert first.mode == "fallback"
             assert svc.supervisor.mode_for(("converter", 5)) == "degraded"
             time.sleep(0.08)  # recovery window elapses → half-open
-            probe = svc.convert(Request("unrank", 5, 5))
+            probe = unrank_one(svc, 5, 5)
             stats = svc.supervisor.stats()
         assert probe.mode == "worker"  # the half-open probe succeeded
         assert stats["shards"]["('converter', 5)"]["breaker"] == "closed"
@@ -288,7 +298,7 @@ class TestObservability:
         try:
             with make_supervised(script={0: "crash", 1: "corrupt"}) as svc:
                 for idx in (1, 2, 3):
-                    svc.convert(Request("unrank", 5, idx))
+                    unrank_one(svc, 5, idx)
             # render only after close: the telemetry flusher folds batch
             # records asynchronously, and close() is the drain barrier —
             # rendering inside the block races the last batch's record
@@ -331,8 +341,8 @@ class TestObservability:
             tracer=tracer,
         )
         try:
-            svc.convert(Request("unrank", 5, 6))
-            svc.convert(Request("unrank", 5, 8))
+            unrank_one(svc, 5, 6)
+            unrank_one(svc, 5, 8)
         finally:
             svc.close()
         assert all(r.name == "serve.batch" for r in tracer.roots)
@@ -354,7 +364,7 @@ class TestCloseSemantics:
         # a huge deadline + huge batch: submissions queue and only the
         # close() drain can ever execute them
         svc = make_supervised(batch_deadline_s=60.0, max_batch=63)
-        futures = [svc.submit(Request("unrank", 6, i)) for i in range(20)]
+        futures = [svc.submit_wide("unrank", 6, 1, [i]) for i in range(20)]
 
         settled = []
 
@@ -375,22 +385,22 @@ class TestCloseSemantics:
         conv = IndexToPermutationConverter(6)
         for i, resp in enumerate(settled):
             if resp is not None:
-                assert resp.permutation == conv.convert(i)
+                assert row(resp) == conv.convert(i)
 
     def test_submit_after_close_raises_typed_shutdown(self):
         svc = make_supervised()
         svc.close()
         with pytest.raises(ServiceShutdownError):
-            svc.submit(Request("unrank", 5, 0))
+            svc.submit_wide("unrank", 5, 1, [0])
         # back-compat: ServiceShutdownError still is a RuntimeError
         with pytest.raises(RuntimeError, match="closed"):
-            svc.submit(Request("unrank", 5, 0))
+            svc.submit_wide("unrank", 5, 1, [0])
 
     def test_fail_pending_settles_stranded_entries(self):
         # the dispatcher-death belt: anything still queued is failed,
         # not forgotten
         svc = make_supervised(batch_deadline_s=60.0, max_batch=63)
-        future = svc.submit(Request("unrank", 6, 1))
+        future = svc.submit_wide("unrank", 6, 1, [1])
         svc._fail_pending(ServiceShutdownError("dispatcher died"))
         with pytest.raises(ServiceShutdownError):
             future.result(timeout=1.0)

@@ -15,7 +15,6 @@ from repro.obs.tracing import Span, Tracer
 from repro.serve import (
     ChaosMonkey,
     LadderConfig,
-    Request,
     ServiceConfig,
     SupervisedService,
 )
@@ -30,8 +29,8 @@ def serve_crash_then_recover(tracer: Tracer) -> None:
         tracer=tracer,
     )
     try:
-        assert svc.convert(Request("unrank", 5, 6)).mode == "fallback"
-        assert svc.convert(Request("unrank", 5, 8)).mode == "worker"
+        assert svc.submit_wide("unrank", 5, 1, [6]).result(10.0).mode == "fallback"
+        assert svc.submit_wide("unrank", 5, 1, [8]).result(10.0).mode == "worker"
     finally:
         svc.close()
 
