@@ -17,6 +17,10 @@ Three views are provided:
 * :meth:`build_netlist` — the gate-level Fig.-3 cascade, each stage with
   its own embedded LFSR + shift-and-add scaler, one register bank per
   stage when pipelined.  This netlist feeds the Table-IV resource model.
+
+Both sampling views run one swap network, :func:`crossover_cascade`,
+over a draw matrix; :func:`fold_draws` packs one shuffle's draws into
+an index that :func:`repro.core.orders.mr_rank` recovers from the row.
 """
 
 from __future__ import annotations
@@ -32,7 +36,54 @@ from repro.hdl.simulator import SequentialSimulator
 from repro.rng.lfsr import FibonacciLFSR, add_lfsr
 from repro.rng.scaled import ScaledRandomInteger
 
-__all__ = ["KnuthShuffleCircuit"]
+__all__ = ["KnuthShuffleCircuit", "crossover_cascade", "fold_draws", "unfold_draws"]
+
+
+def crossover_cascade(draws: np.ndarray, pool: Sequence[int]) -> np.ndarray:
+    """The Fig.-3 swap network over a ``(B, n − 1)`` draw matrix → ``(B, n)``.
+
+    Row ``b`` starts as ``pool``; stage ``t`` swaps its position ``t``
+    with position ``t + draws[b, t]``, column-parallel over the batch.
+    """
+    draws = np.asarray(draws, dtype=np.int64)
+    count = draws.shape[0]
+    perms = np.broadcast_to(
+        np.asarray(pool, dtype=np.int64), (count, len(pool))
+    ).copy()
+    rows = np.arange(count)
+    for t in range(draws.shape[1]):
+        j = t + draws[:, t]
+        left = perms[rows, t].copy()
+        perms[rows, t] = perms[rows, j]
+        perms[rows, j] = left
+    return perms
+
+
+def fold_draws(draws: Sequence[int], n: int) -> int:
+    """One shuffle's ``n − 1`` stage draws as its index in ``0..n!−1``.
+
+    Draw ``r_t`` is the digit ``n − 1 − t − r_t`` at weight
+    ``n!/(n − t)!``, stage 0 least significant: the Myrvold–Ruskey
+    digits in mirrored coordinates (a shuffle driven by given draws is
+    unranking in transposition order; Blekos, arXiv 0806.1371).  So the
+    identity shuffled by index ``I`` is ``n − 1 − mr_unrank(I, n)[::-1]``
+    and ``mr_rank(n − 1 − row[::-1]) == I``.
+    """
+    index = 0
+    for t in range(n - 2, -1, -1):
+        index = index * (n - t) + (n - 1 - t - int(draws[t]))
+    return index
+
+
+def unfold_draws(indices: Sequence[int], n: int) -> np.ndarray:
+    """Inverse of :func:`fold_draws` over a batch → ``(B, n − 1)`` draws
+    (past int64, NumPy holds the indices as Python ints)."""
+    rest = np.asarray(list(indices))
+    draws = np.empty((rest.size, n - 1), dtype=np.int64)
+    for t in range(n - 1):
+        draws[:, t] = n - 1 - t - rest % (n - t)
+        rest = rest // (n - t)
+    return draws
 
 
 class KnuthShuffleCircuit:
@@ -164,38 +215,23 @@ class KnuthShuffleCircuit:
             perm[t], perm[j] = perm[j], perm[t]
         return tuple(perm)
 
-    def sample(self, count: int) -> np.ndarray:
-        """Vectorised sampling: ``count`` permutations as ``(B, n)``.
+    def next_index(self) -> int:
+        """The next shuffle's stage draws, folded (:func:`fold_draws`)."""
+        return fold_draws([gen.next_int() for gen in self.generators], self.n)
 
-        Each stage's LFSR sequence is drawn as a batch, then the swaps are
-        applied column-parallel with fancy indexing — the batched analogue
-        of the pipeline processing one shuffle per clock.
-        """
-        perms = np.broadcast_to(
-            np.asarray(self.input_permutation, dtype=np.int64), (count, self.n)
-        ).copy()
-        rows = np.arange(count)
-        for t, gen in enumerate(self.generators):
-            r = gen.ints(count)
-            j = t + r
-            left = perms[rows, t].copy()
-            perms[rows, t] = perms[rows, j]
-            perms[rows, j] = left
-        return perms
+    def sample(self, count: int) -> np.ndarray:
+        """Vectorised sampling: ``count`` permutations as ``(B, n)``."""
+        draws = np.stack([gen.ints(count) for gen in self.generators], axis=1)
+        return crossover_cascade(draws, self.input_permutation)
 
     def sample_ideal(self, count: int, rng: np.random.Generator | None = None) -> np.ndarray:
         """Sampling with ideal uniform stage draws (no LFSR bias)."""
         rng = rng if rng is not None else np.random.default_rng(0)
-        perms = np.broadcast_to(
-            np.asarray(self.input_permutation, dtype=np.int64), (count, self.n)
-        ).copy()
-        rows = np.arange(count)
-        for t in range(self.num_stages):
-            j = t + rng.integers(0, self.n - t, size=count)
-            left = perms[rows, t].copy()
-            perms[rows, t] = perms[rows, j]
-            perms[rows, j] = left
-        return perms
+        draws = np.stack(
+            [rng.integers(0, self.n - t, size=count) for t in range(self.num_stages)],
+            axis=1,
+        )
+        return crossover_cascade(draws, self.input_permutation)
 
     def exact_distribution(self) -> dict[tuple[int, ...], float]:
         """Exact output law under the *actual* per-period LFSR biases.

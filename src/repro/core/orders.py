@@ -10,7 +10,10 @@ orders, both provided here as drop-in comparisons and ablation baselines:
   software unranker, at the price of a non-lexicographic order.  Its swap
   recurrence is, not coincidentally, a derandomised Fisher–Yates: the
   Fig.-3 shuffle circuit with digits instead of random draws computes
-  exactly this order, linking the paper's two circuits.
+  this order up to reversal (positions and values mirrored,
+  :func:`repro.core.knuth.fold_draws`), linking the paper's two
+  circuits — which is why :func:`mr_rank` is the served shuffle's rank
+  oracle.
 * **Steinhaus–Johnson–Trotter** (plain changes): enumerates all n!
   permutations so that successive permutations differ by one adjacent
   transposition — the minimal-change property hardware generators use to

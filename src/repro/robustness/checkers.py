@@ -8,7 +8,8 @@ permutation — for that, the exact end-to-end oracle is inversion:
 implementation in :mod:`repro.core.lehmer` (a different algorithm and
 different code path from the stage-accurate datapath, so a common-mode
 bug cannot hide).  The same invertibility trick underpins hardware
-self-checking in the unranking literature (Blekos; Vaez et al.).
+self-checking in the unranking literature (Blekos; Vaez et al.), and
+covers served Knuth shuffles too (:func:`check_served_batch`).
 
 :class:`CheckedConverter` layers these checks over any converter
 backend, in escalating strength:
@@ -39,6 +40,7 @@ import numpy as np
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.lehmer import rank_batch, rank_naive, unrank_fenwick
+from repro.core.orders import mr_rank
 from repro.errors import FaultDetectedError, InvalidIndexError, SilentCorruptionError
 from repro.hdl.simulator import CombinationalSimulator
 
@@ -50,25 +52,29 @@ __all__ = [
 ]
 
 
-def check_served_batch(perms, indices: Sequence[int] | None = None) -> None:
+def check_served_batch(
+    perms, indices: Sequence[int] | None = None, kind: str = "converter"
+) -> None:
     """End-to-end oracle for a served sweep: bijectivity, then rank.
 
     The supervised serving tier (:mod:`repro.serve.supervisor`) runs
-    every worker-produced batch through this before resolving any
-    future — the serving-layer analogue of :class:`CheckedConverter`'s
-    per-conversion checks, vectorised so a full 63-lane batch costs a
-    small fraction of its sweep:
+    every batch through this before resolving any future — the
+    serving-layer analogue of :class:`CheckedConverter`'s checks:
 
     1. every row of ``perms`` (a ``(B, n)`` array over the identity
        pool) must be a permutation of ``0..n−1``, else
        :class:`~repro.errors.FaultDetectedError` — this catches any
        corruption that knocks a result off the permutation group
        (bit-flips, stuck lanes);
-    2. with ``indices`` given (converter sweeps; shuffles have no
-       index), ``rank(perms[i]) == indices[i]`` is checked through the
-       independent Lehmer-code ranker, else
-       :class:`~repro.errors.SilentCorruptionError` — the
-       valid-but-wrong class a structural check cannot see.
+    2. with ``indices`` given, each row must be the one its lane's index
+       names, else :class:`~repro.errors.SilentCorruptionError` — the
+       valid-but-wrong class a structural check cannot see.  A
+       ``"converter"`` batch is ranked by the independent, vectorised
+       Lehmer ranker; a ``"shuffle"`` row, whose index folds its stage
+       draws (:func:`repro.core.knuth.fold_draws`), must satisfy
+       ``mr_rank(n − 1 − row[::-1]) == index`` (Myrvold–Ruskey, Python
+       ints, no code shared with the swap network).  Without
+       ``indices`` (a socket client's shuffle rows) only 1. runs.
 
     A failure means the batch must **not** be served: the supervisor
     quarantines the producing worker's kernel and fails the sweep over
@@ -94,7 +100,13 @@ def check_served_batch(perms, indices: Sequence[int] | None = None) -> None:
     # indices stay Python ints until the vectorised branch: n! overflows
     # int64 from n = 21, and the serving layer's max_n is a config knob
     want = [int(i) for i in indices]
-    if n <= 20:
+    if kind == "shuffle":
+        mirrored = (n - 1 - p[:, ::-1]).tolist()
+        lane = next(
+            (k for k, (i, row) in enumerate(zip(want, mirrored)) if mr_rank(row) != i),
+            None,
+        )
+    elif n <= 20:
         got = rank_batch(p, validate=False)  # bijectivity already held
         mismatch = np.nonzero(got != np.asarray(want, dtype=np.int64))[0]
         lane = int(mismatch[0]) if mismatch.size else None

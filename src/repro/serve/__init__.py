@@ -19,8 +19,9 @@ On top of the single-process service sits one degradation ladder
 (:mod:`repro.serve.supervisor`): per-shard workers, stall detection,
 restart-with-backoff, circuit breakers and a worker → fallback →
 cache-only → shed ladder, with every served batch end-to-end
-oracle-checked.  It runs over two executors that differ only in their
-worker handle: one supervised thread per shard
+oracle-checked against the index each lane was admitted with.  It runs
+over two executors that differ only in their worker handle: one
+supervised thread per shard
 (:class:`SupervisedService`) or W worker processes per shard returning
 rows through shared-memory rings (:class:`PooledService`,
 :mod:`repro.serve.pool`).  The chaos harness (:mod:`repro.serve.chaos`)
@@ -41,7 +42,7 @@ from repro.serve.chaos import (
     SweepPlan,
     run_chaos_campaign,
 )
-from repro.serve.engine import ConverterEngine, EngineBank, ShuffleEngine
+from repro.serve.engine import ConverterEngine, ShuffleEngine
 from repro.serve.loadgen import (
     LoadReport,
     percentile,
@@ -73,7 +74,6 @@ __all__ = [
     "ResultCache",
     "ConverterEngine",
     "ShuffleEngine",
-    "EngineBank",
     "CompletionFuture",
     "PermutationService",
     "ServiceConfig",

@@ -62,10 +62,7 @@ class Batch:
     batch_id: int
     key: Hashable
     entries: tuple[PendingEntry, ...]
-
-    @property
-    def lanes(self) -> int:
-        return sum(e.lanes for e in self.entries)
+    lanes: int  #: sweep lanes of all entries, counted as they joined
 
 
 @dataclass
@@ -152,7 +149,7 @@ class MicroBatcher:
         del self._groups[key]
         self._pending -= group.lanes
         batch = Batch(
-            batch_id=self._next_batch_id, key=key, entries=tuple(group.entries)
+            self._next_batch_id, key, tuple(group.entries), group.lanes
         )
         self._next_batch_id += 1
         return batch

@@ -1,9 +1,9 @@
 """Bounded LRU result cache for the serving layer.
 
 Keys are ``(workload, n, index)`` tuples — in practice always
-``("unrank", n, index)``, because both deterministic workloads resolve
-to an unrank once the service has drawn the index, and shuffles (a fresh
-random permutation each time) are never cached.
+``("unrank", n, index)``, because both converter workloads resolve to an
+unrank once the service has drawn the index; shuffles are never cached
+(a shuffle's folded index would collide with that key).
 
 The cache is thread-safe: a private lock serialises every ``get`` /
 ``put`` / ``clear`` / ``len``, so concurrent readers during an LRU

@@ -32,10 +32,10 @@ events cover the failure taxonomy:
     ``0..n−1``).  Exercises the bijectivity check and kernel quarantine.
 ``swap``
     Two elements of one lane are swapped: still a valid permutation,
-    just the *wrong* one.  Only the independent rank-oracle can convict
-    it — this is the silent-corruption case the end-to-end check exists
-    for.  (A swapped *shuffle* lane is indistinguishable from a fair
-    draw and is deliberately not convicted.)
+    just the *wrong* one.  Only the independent rank oracle can convict
+    it — the rank of the row against the lane's admitted index, for
+    converter and shuffle lanes alike — and this is the silent-corruption
+    case the end-to-end check exists for.
 
 For exact unit tests, ``script`` mode replaces the dice entirely: a
 mapping of global sweep ordinal → event name fires each event at a known
@@ -279,8 +279,9 @@ def _settle_shards(service: LadderService, timeout_s: float = 5.0) -> int:
     backoff, while a short recovery phase finishes inside that window —
     the tier is healing, the final read is just too early.  Breakers
     only close and slots only refill on *traffic*, so waiting alone is
-    not enough either.  This loop sends one oracle-checked sweep through
-    the ladder per lagging shard (:meth:`DegradationLadder.lagging
+    not enough either.  This loop sends one oracle-checked one-lane sweep
+    of index 0 through the ladder per lagging shard
+    (:meth:`DegradationLadder.lagging
     <repro.serve.supervisor.DegradationLadder.lagging>`) per round —
     bypassing the cache, which would otherwise swallow the probe — until
     none lags.  Returns the number of probe sweeps it took.
@@ -293,10 +294,9 @@ def _settle_shards(service: LadderService, timeout_s: float = 5.0) -> int:
         if not lagging:
             break
         for key in lagging:
-            payload = 1 if key[0] == "shuffle" else [0]
             probes += 1
             try:
-                ladder.execute(key, payload)
+                ladder.execute(key, [0])
             except ReproError:
                 pass  # still degraded; the next round retries
         _sup._sleep(0.02)  # let recovery_s / restart backoff elapse

@@ -23,9 +23,9 @@ Two drivers share one :class:`LoadReport`, one per-response tally
   same thing measured through the network as measured in-process.
 
 Both read the same response shape — ``count`` rows in
-``permutations``, the unranked ``indices`` (``None`` for shuffles),
-``mode`` and ``lanes`` — whether it is a
-:class:`~repro.serve.model.WideResponse` or its decoded wire form.
+``permutations``, the lanes' ``indices``, ``mode`` and ``lanes`` —
+whether it is a :class:`~repro.serve.model.WideResponse` or its decoded
+wire form.  The wire form omits a shuffle's indices (``None``).
 
 Latency samples fold into a :class:`~repro.obs.digests.LatencyDigest`
 instead of a per-request float list, so a multi-million-request run
@@ -167,11 +167,13 @@ class LoadReport:
 def _verified(resp) -> bool:
     """True when every served row survives the oracle.
 
-    Bijectivity for every row; with echoed ``indices`` (the two
-    deterministic workloads) also the rank of each row.
+    Bijectivity for every row; with ``indices`` (every in-process
+    response, and the two converter workloads over the wire) also the
+    rank of each row against its lane's index.
     """
+    kind = "shuffle" if resp.workload == "shuffle" else "converter"
     try:
-        check_served_batch(resp.permutations, resp.indices)
+        check_served_batch(resp.permutations, resp.indices, kind)
     except FaultDetectedError:
         return False
     return True
@@ -297,8 +299,8 @@ def run_socket_loadgen(
     client-observed latency including its backoffs — and a frame that
     keeps failing for ``max_attempts`` attempts is abandoned.  With
     ``verify=True`` each ``OK`` frame's permutations are oracle-checked
-    (rank oracle included for deterministic workloads, using the indices
-    echoed on the wire).
+    (rank oracle included for the converter workloads, using the indices
+    echoed on the wire; shuffle frames echo none).
     """
     if total < 1:
         raise ValueError("total must be positive")

@@ -42,9 +42,11 @@ class WideResponse:
     ``permutations`` is a ``(count, n)`` int64 array (rows in request
     order) rather than per-row tuples — the socket encoder reads it
     straight into packed wire bytes, so nothing materialises a million
-    Python ints on the hot path.  ``indices`` are the indices actually
-    unranked — for ``random_perm`` the ones the service drew; for
-    ``shuffle`` ``None`` (the cascade never materialises an index).
+    Python ints on the hot path.  ``indices`` hold one index in
+    ``0..n!−1`` per row: the caller's or the drawn one for the unrank
+    workloads; for ``shuffle`` the lane's stage draws folded by
+    :func:`~repro.core.knuth.fold_draws` — not an unrank index: the row
+    is ``n − 1 − mr_unrank(index, n)[::-1]`` (Myrvold–Ruskey order).
 
     ``batch_id`` is ``None`` when the result short-circuited through the
     cache and never entered the batcher; otherwise it identifies the

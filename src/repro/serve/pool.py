@@ -8,9 +8,11 @@ the same shard) run on separate cores.  Only the worker handle differs:
 
 * each shard has ``LadderConfig.workers`` replica processes, each owning
   a private engine built by the same
-  :func:`~repro.serve.supervisor.worker_engine` rule as a thread worker;
-* a **control pipe** per replica carries tiny messages only: the sweep
-  order (indices or lane count) down, ``("ok", job, rows)`` back.  The
+  :func:`~repro.serve.engine.make_engine` rule as a thread worker — a
+  pure function of the lane indices, so every replica serves the same
+  rows;
+* a **control pipe** per replica carries tiny messages only: the sweep's
+  lane indices down, ``("ok", job, rows)`` back.  The
   permutation words travel through a ``multiprocessing.shared_memory``
   **ring** of one sweep, written by the child as a NumPy view and
   copied out by the parent in one vectorised memcpy.  Result arrays are
@@ -52,13 +54,9 @@ from repro.obs.tracing import Tracer
 # Not called here — the ladder's checks run in repro.serve.supervisor —
 # but perfbench/spans.py patches this binding in both serving modules.
 from repro.robustness.checkers import check_served_batch  # noqa: F401
+from repro.serve.engine import make_engine
 from repro.serve.service import PermutationService, ServiceConfig
-from repro.serve.supervisor import (
-    DegradationLadder,
-    LadderConfig,
-    LadderService,
-    worker_engine,
-)
+from repro.serve.supervisor import DegradationLadder, LadderConfig, LadderService
 
 __all__ = ["WorkerPool", "PooledService"]
 
@@ -75,7 +73,7 @@ _FORK_LOCK = threading.Lock()
 # the worker process
 
 
-def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: int) -> None:
+def _worker_main(conn, shm_name: str, key, service: ServiceConfig) -> None:
     """Worker-process entry point: build one engine, sweep forever.
 
     The child's first acts are disabling the (inherited, under fork)
@@ -90,7 +88,7 @@ def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: in
 
     Protocol (all tiny tuples; permutation words go through the ring):
 
-    * ``("sweep", job_id, payload)`` → write the ``(rows, n)`` result
+    * ``("sweep", job_id, indices)`` → write the ``(rows, n)`` result
       into the ring, reply ``("ok", job_id, rows)`` — or ``("err",
       job_id, type_name, detail)`` if the sweep raised;
     * ``("crash",)`` → ``os._exit(13)`` (the chaos harness's simulated
@@ -126,7 +124,7 @@ def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: in
             resource_tracker.register = orig_register
     ring = np.ndarray((service.max_batch, n), dtype=np.int64, buffer=shm.buf)
     try:
-        engine = worker_engine(kind, n, service, worker_id)
+        engine = make_engine(kind, n, service.engine)
         conn.send(("ready", os.getpid()))
         while True:
             try:
@@ -135,9 +133,9 @@ def _worker_main(conn, shm_name: str, key, service: ServiceConfig, worker_id: in
                 return
             tag = msg[0]
             if tag == "sweep":
-                _, job_id, payload = msg
+                _, job_id, indices = msg
                 try:
-                    perms = engine.run(payload)
+                    perms = engine.run(indices)
                     ring[: len(perms)] = perms
                     conn.send(("ok", job_id, len(perms)))
                 except Exception as exc:  # noqa: BLE001 - reported upstream
@@ -186,7 +184,7 @@ class _WorkerProc:
             self._conn, child_conn = ctx.Pipe()
             self._proc = ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._shm.name, key, service, worker_id),
+                args=(child_conn, self._shm.name, key, service),
                 name=f"serve-pool-{key[0]}-{n}-{worker_id}",
                 daemon=True,
             )
@@ -216,14 +214,14 @@ class _WorkerProc:
     def alive(self) -> bool:
         return not self._dead and self._proc.is_alive()
 
-    def run(self, payload, deadline_s: float, parent=None) -> np.ndarray:
+    def run(self, indices, deadline_s: float, parent=None) -> np.ndarray:
         """One sweep → a fresh ``(rows, n)`` copy; raises typed failures."""
         plan = (
             self.chaos.plan_sweep(self.key, self.worker_id)
             if self.chaos is not None
             else None
         )
-        rows = payload if isinstance(payload, int) else len(payload)
+        rows = len(indices)
         job_id = self._jobs
         self._jobs += 1
         try:
@@ -231,7 +229,7 @@ class _WorkerProc:
                 self._conn.send(("crash",))
             elif plan is not None and plan.sleep_s:
                 self._conn.send(("stall", plan.sleep_s))
-            self._conn.send(("sweep", job_id, payload))
+            self._conn.send(("sweep", job_id, indices))
             if not self._conn.poll(deadline_s):
                 raise WorkerStalledError(
                     f"worker {self.worker_id} for shard {self.key} missed its "
@@ -258,7 +256,8 @@ class _WorkerProc:
         return False  # liveness is the process itself (``alive``)
 
     def quarantine(self) -> int | None:
-        """A convicted converter worker's kernel dies with its process.
+        """A convicted converter worker's kernel dies with its process
+        (a shuffle worker has no kernel: ``None``).
 
         A vector worker also loaded the native library from the disk
         cache; the parent unlinks it, as
@@ -270,7 +269,7 @@ class _WorkerProc:
         cc = find_compiler()
         if cc is None or resolve_backend(self.service.engine).name != "vector":
             return 1
-        engine = worker_engine(*self.key, self.service, self.worker_id)
+        engine = make_engine(*self.key, self.service.engine)
         try:
             os.unlink(library_path(engine.kernel, cc))
         except OSError:

@@ -12,7 +12,10 @@ request server.  Every request enters through one call,
 2. **Resolve randomness** — a ``random_perm`` draws each lane's index
    from the service's per-``n`` scaled-LFSR source (§II-C: "the index
    generator is simply a random number generator"), after which it is
-   an unrank.
+   an unrank; a ``shuffle`` folds each lane's ``n − 1`` stage draws
+   (§III) into one index.  Every lane is then an index and every engine
+   a pure function of it, so served rows depend on the seed and the
+   admission order only, not on the executor, worker or rung.
 3. **Cache** — a one-lane deterministic result is looked up in a
    bounded LRU keyed ``(workload, n, index)``; a hit returns a
    completed future without ever entering the batcher.
@@ -57,6 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.factorial import factorial, index_width
+from repro.core.knuth import KnuthShuffleCircuit
 from repro.errors import (
     ServiceDegradedError,
     ServiceOverloadedError,
@@ -70,7 +74,7 @@ from repro.rng.lfsr import FibonacciLFSR, dense_seed
 from repro.rng.scaled import ScaledRandomInteger
 from repro.serve.batcher import Batch, MicroBatcher, PendingEntry
 from repro.serve.cache import ResultCache
-from repro.serve.engine import EngineBank
+from repro.serve.engine import make_engine
 from repro.serve.model import WideResponse, validate_wide
 
 __all__ = [
@@ -295,7 +299,6 @@ class ServiceConfig:
     cache_capacity: int = 4096
     max_n: int = 12
     rng_seed: int = 0
-    shuffle_m: int = 31
     engine: str = "auto"
 
     @property
@@ -334,16 +337,12 @@ class PermutationService:
             self.config.max_batch, self.config.batch_deadline_s
         )
         self._cache = ResultCache(self.config.cache_capacity)
-        self._engines = EngineBank(
-            shuffle_m=self.config.shuffle_m,
-            shuffle_seed_salt=self.config.rng_seed,
-            backend=self.config.engine,
-        )
+        self._engines: dict[tuple[str, int], object] = {}
         # per-group execution locks: batches of one engine run serially
-        # (the shuffle engine advances LFSR state per sweep), batches of
-        # different engines in parallel
+        # (the interpreter behind engine="interp" reuses scratch
+        # buffers), batches of different engines in parallel
         self._engine_locks: dict[tuple[str, int], threading.Lock] = {}
-        self._index_sources: dict[int, ScaledRandomInteger] = {}
+        self._index_sources: dict[tuple[str, int], object] = {}  # bound draws
         self._next_request_id = 0
         self._shed = 0
         self._degraded_shed = 0
@@ -421,11 +420,11 @@ class PermutationService:
 
         The only way work enters the service.  ``unrank`` supplies
         ``count`` indices; ``random_perm`` and ``shuffle`` supply none
-        (the service draws them).  The request becomes a single batcher
-        entry occupying ``count`` sweep lanes, so the admission cost
-        (validation, locking, future allocation) is paid once per
-        request however many lanes it carries — one socket frame is one
-        call.  The future resolves to a
+        (the service draws them here, before the entry is queued).  The
+        request becomes a single batcher entry occupying ``count`` sweep
+        lanes, so the admission cost (validation, locking, future
+        allocation) is paid once per request however many lanes it
+        carries — one socket frame is one call.  The future resolves to a
         :class:`~repro.serve.model.WideResponse` whose ``permutations``
         is a ``(count, n)`` array; it resolves when the entry's batch
         executes, and a cache hit returns an already-resolved future.
@@ -453,13 +452,10 @@ class PermutationService:
             request_id = self._next_request_id
             self._next_request_id += 1
             key = ("shuffle", n) if workload == "shuffle" else ("converter", n)
-            idx: tuple[int, ...] | None
             if workload == "unrank":
                 idx = tuple(int(i) for i in indices)
-            elif workload == "random_perm":
-                idx = tuple(self._draw_index(n) for _ in range(count))
             else:
-                idx = None
+                idx = tuple(self._draw_index(workload, n) for _ in range(count))
             future = CompletionFuture(self._cond)
             if count == 1 and workload != "shuffle":
                 cached = self._cache.get(("unrank", n, idx[0]))
@@ -557,23 +553,36 @@ class PermutationService:
     # ------------------------------------------------------------------ #
     # internals
 
-    def _draw_index(self, n: int) -> int:
-        """One random index in ``0..n!−1`` from the per-``n`` source.
+    def _draw_index(self, workload: str, n: int) -> int:
+        """One lane's random index in ``0..n!−1`` from the per-``(workload,
+        n)`` source, in admission order (caller holds the lock).
 
-        The source is the paper's own index generator: a scaled-LFSR
-        random integer with ``k = n!``.  The LFSR width extends the
-        index width by 8 bits (floored at 31, the paper's generator) so
-        the §III-A pigeonhole bias stays below 1/256.
+        ``random_perm`` uses the paper's own index generator: a
+        scaled-LFSR random integer with ``k = n!``, its LFSR 8 bits wider
+        than the index (floored at 31) so the §III-A pigeonhole bias
+        stays below 1/256.  ``shuffle`` folds one draw of each stage
+        generator of a Knuth-shuffle circuit, re-seeded from a nonzero
+        ``rng_seed``.
         """
-        source = self._index_sources.get(n)
-        if source is None:
-            m = max(31, index_width(n) + 8)
-            source = ScaledRandomInteger(
-                factorial(n),
-                lfsr=FibonacciLFSR(m, seed=dense_seed(m, salt=self.config.rng_seed + n)),
-            )
-            self._index_sources[n] = source
-        return source.next_int()
+        draw = self._index_sources.get((workload, n))
+        if draw is None:
+            salt = self.config.rng_seed
+            if workload == "shuffle":
+                circuit = KnuthShuffleCircuit(n)
+                if salt:
+                    circuit = KnuthShuffleCircuit(n, seeds=[
+                        (s * 0x9E3779B9 + salt) % ((1 << w) - 1) + 1
+                        for s, w in zip(circuit.seeds, circuit.widths)
+                    ])
+                draw = circuit.next_index
+            else:
+                m = max(31, index_width(n) + 8)
+                draw = ScaledRandomInteger(
+                    factorial(n),
+                    lfsr=FibonacciLFSR(m, seed=dense_seed(m, salt=salt + n)),
+                ).next_int
+            self._index_sources[(workload, n)] = draw
+        return draw()
 
     def _engine_lock(self, key: tuple[str, int]) -> threading.Lock:
         lock = self._engine_locks.get(key)
@@ -608,7 +617,7 @@ class PermutationService:
         The execution seam of the serving layer: everything above it
         (admission, batching, futures, caching, per-request metrics) is
         shared between tiers, everything below it is how a sweep
-        actually runs.  The base implementation runs the engine-bank
+        actually runs.  The base implementation runs the shard's memoised
         engine in-process (mode ``"direct"``); the supervised tier
         overrides it to route the sweep through its worker/fallback
         degradation ladder and returns the rung that served it.
@@ -619,10 +628,12 @@ class PermutationService:
         ladder shares the batch's ``trace_id``.
         """
         with self._lock:
-            engine = self._engines.for_key(batch.key)
+            engine = self._engines.get(batch.key)
+            if engine is None:
+                engine = self._engines[batch.key] = make_engine(
+                    kind, n, self.config.engine
+                )
         with self._engine_lock(batch.key):
-            if kind == "shuffle":
-                return engine.run(batch.lanes), "direct"
             return engine.run(batch_indices(batch)), "direct"
 
     def _run_dispatcher(self) -> None:
@@ -776,11 +787,12 @@ class PermutationService:
                 )
             )
         with self._cond:
-            if kind == "converter":
+            if kind == "converter" and self._cache.capacity:
                 for _, resp in responses:
                     if resp.count == 1:
                         # symmetric with the count==1 get in submit_wide;
-                        # wider entries stay out of the front tier
+                        # wider entries stay out of the front tier, and a
+                        # shuffle's index would collide with this key
                         self._cache.put(
                             ("unrank", resp.n, resp.indices[0]),
                             tuple(int(v) for v in resp.permutations[0]),
@@ -801,20 +813,21 @@ class PermutationService:
 class _AdmittedWide:
     """An admitted request: ``count`` lanes behind one future.
 
-    ``indices`` are the lanes' server-resolved indices (``None`` for
-    shuffles); ``submitted_at`` is the ``perf_counter`` submit time.
+    ``indices`` are the lanes' server-resolved indices (a shuffle's are
+    its folded stage draws); ``submitted_at`` is the ``perf_counter``
+    submit time.
     """
 
     request_id: int
     workload: str
     n: int
     count: int
-    indices: tuple[int, ...] | None
+    indices: tuple[int, ...]
     submitted_at: float
 
 
 def batch_indices(batch: Batch) -> list[int]:
-    """Flatten a converter batch's entries into per-lane indices.
+    """Flatten a batch's entries into per-lane indices.
 
     Each entry contributes its ``count`` indices — the flat list lines
     up with the sweep's lane order, which is how ``_execute`` slices the

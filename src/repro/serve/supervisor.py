@@ -19,18 +19,17 @@ Every sweep of a batch-group key ``(kind, n)`` — a *shard* — walks
 2. **fallback** — while no replica can take the sweep, it runs on the
    in-process fallback (the functional model for converter shards — a
    different algorithm and code path from the compiled datapath, so a
-   kernel bug cannot follow the sweep down the ladder).  The fallback
-   has its own breaker.
+   kernel bug cannot follow the sweep down the ladder — and the workers'
+   pure shuffle engine for shuffle shards).  It has its own breaker.
 3. **cache-only** — with both breakers open the shard serves cache hits
    only; everything else is shed at admission with
    :class:`~repro.errors.ServiceDegradedError`.
 
 Every batch either rung produces passes
-:func:`repro.robustness.checkers.check_served_batch` (bijectivity for
-all sweeps, the independent Lehmer rank-oracle for converter sweeps)
-before any future resolves — a corrupted result is never served
-silently.  A check failure on the worker rung also **quarantines** what
-produced it.
+:func:`repro.robustness.checkers.check_served_batch` (bijectivity, then
+each row's rank against its lane's admitted index) before any future
+resolves — a corrupted result is never served silently.  A check failure
+on the worker rung also **quarantines** what produced it.
 
 Two executors run the ladder and differ only in their worker handle:
 
@@ -85,7 +84,7 @@ from repro.obs import metrics as _metrics
 from repro.obs.tracing import Span, Tracer
 from repro.parallel.sharding import retry_backoff
 from repro.robustness.checkers import check_served_batch
-from repro.serve.engine import ConverterEngine, ShuffleEngine
+from repro.serve.engine import make_engine
 from repro.serve.service import PermutationService, ServiceConfig, batch_indices
 
 __all__ = [
@@ -246,17 +245,6 @@ class CircuitBreaker:
 # engines
 
 
-def worker_engine(kind: str, n: int, service: ServiceConfig, worker_id: int):
-    """The private engine of worker ``worker_id`` — in a thread or a process."""
-    if kind == "shuffle":
-        # distinct salt per spawned worker: a restarted shuffle worker
-        # must not replay its predecessor's LFSR stream
-        return ShuffleEngine(
-            n, m=service.shuffle_m, seed_salt=service.rng_seed + 7919 * (worker_id + 1)
-        )
-    return ConverterEngine(n, backend=service.engine)
-
-
 class FunctionalConverterEngine:
     """The interp fallback rung: the stage-accurate functional model.
 
@@ -265,8 +253,6 @@ class FunctionalConverterEngine:
     makes failover a *correctness* recovery and not just an
     availability one.
     """
-
-    kind = "converter"
 
     def __init__(self, n: int):
         self.n = n
@@ -289,10 +275,10 @@ class _SweepJob:
     lands in ``span``.
     """
 
-    __slots__ = ("payload", "event", "value", "error", "traced", "span")
+    __slots__ = ("indices", "event", "value", "error", "traced", "span")
 
-    def __init__(self, payload, traced: bool = False):
-        self.payload = payload
+    def __init__(self, indices, traced: bool = False):
+        self.indices = indices
         self.event = threading.Event()
         self.value = None
         self.error: BaseException | None = None
@@ -344,7 +330,7 @@ class ShardWorker:
 
     # ------------------------------------------------------------------ #
 
-    def run(self, payload, deadline_s: float, parent: Span | None = None):
+    def run(self, indices, deadline_s: float, parent: Span | None = None):
         """One sweep with a response deadline; raises typed failures.
 
         With ``parent`` given, the worker thread times the sweep —
@@ -357,7 +343,7 @@ class ShardWorker:
             raise WorkerCrashedError(
                 f"worker {self.worker_id} for shard {self.key} is dead"
             )
-        job = _SweepJob(payload, traced=parent is not None)
+        job = _SweepJob(indices, traced=parent is not None)
         self._queue.put(job)
         if not job.event.wait(deadline_s):
             raise WorkerStalledError(
@@ -426,7 +412,7 @@ class ShardWorker:
                 )
                 if plan is not None:
                     plan.before()  # may crash the worker or stall it
-                value = self.engine.run(job.payload)
+                value = self.engine.run(job.indices)
                 if plan is not None:
                     value = plan.apply(value)
             except BaseException as exc:
@@ -506,7 +492,6 @@ class _Shard:
         self.breaker = CircuitBreaker(config.breaker)
         self.fallback_breaker = CircuitBreaker(config.fallback_breaker)
         self.fallback_engine = None
-        self.fallback_lock = threading.Lock()
         self.restarts = 0
         self.check_failures = 0
         self.quarantines = 0
@@ -528,7 +513,7 @@ class DegradationLadder:
     An executor subclass supplies :meth:`_spawn` (build a ready worker
     handle for a replica slot) and :attr:`default_deadline_s`.  A handle
     has ``worker_id``, ``slot``, ``pid``, ``alive``, ``busy`` and
-    ``sweeps`` attributes and ``run(payload, deadline_s, parent_span)``,
+    ``sweeps`` attributes and ``run(indices, deadline_s, parent_span)``,
     ``kill()``, ``stale()`` and ``quarantine()`` methods.
 
     ``service`` supplies the engine settings workers and the fallback
@@ -608,12 +593,13 @@ class DegradationLadder:
     # ------------------------------------------------------------------ #
     # the ladder
 
-    def execute(self, key, payload, span: Span | None = None):
-        """Run one sweep → ``(perms, mode)``; raises when fully degraded.
+    def execute(self, key, indices, span: Span | None = None):
+        """Run one sweep of ``indices`` → ``(perms, mode)``; raises when
+        fully degraded.
 
-        ``payload`` is the list of indices for a converter sweep or the
-        lane count for a shuffle sweep.  ``mode`` is the rung that
-        served it (``"worker"`` or ``"fallback"``).  When every rung is
+        ``indices`` are the batch's per-lane indices, in lane order, for
+        either kind of shard.  ``mode`` is the rung that served it
+        (``"worker"`` or ``"fallback"``).  When every rung is
         exhausted the sweep fails with
         :class:`~repro.errors.ServiceDegradedError` — never with a
         wrong result: both rungs are oracle-checked before returning.
@@ -624,13 +610,12 @@ class DegradationLadder:
         child, so one ``trace_id`` tells the sweep's whole story.
         """
         shard = self._shard(key)
-        indices = payload if isinstance(payload, (list, tuple)) else None
         worker = self._acquire(shard, span)
         if worker is not None:
             perms, exc = self._attempt(
                 shard,
                 "worker",
-                lambda child: worker.run(payload, self.deadline_s, child),
+                lambda child: worker.run(indices, self.deadline_s, child),
                 indices,
                 span,
                 worker_id=worker.worker_id,
@@ -642,7 +627,7 @@ class DegradationLadder:
             self._on_worker_failure(shard, worker, exc, span)
             if _metrics.REGISTRY.enabled:
                 _FAILOVERS.inc(shard=shard.label)
-        return self._run_fallback(shard, payload, indices, span), "fallback"
+        return self._run_fallback(shard, indices, span), "fallback"
 
     def _attempt(self, shard: _Shard, rung: str, run, indices, parent, **attrs):
         """One rung's sweep, checked → ``(perms, None)`` or ``(None, exc)``."""
@@ -658,7 +643,7 @@ class DegradationLadder:
         t0 = time.perf_counter()
         try:
             perms = run(span)
-            check_served_batch(perms, indices)
+            check_served_batch(perms, indices, shard.key[0])
         except Exception as exc:
             if span is not None:
                 span.end("error", error=f"{type(exc).__name__}: {exc}")
@@ -671,7 +656,7 @@ class DegradationLadder:
             )
         return perms, None
 
-    def _run_fallback(self, shard: _Shard, payload, indices, span: Span | None):
+    def _run_fallback(self, shard: _Shard, indices, span: Span | None):
         """The checked in-process rung; raises ``ServiceDegradedError`` past it."""
         with shard.cond:
             allowed = not self._closed and shard.fallback_breaker.allow()
@@ -681,7 +666,7 @@ class DegradationLadder:
             perms, exc = self._attempt(
                 shard,
                 "fallback",
-                lambda child: self._fallback_sweep(shard, payload),
+                lambda child: self._fallback_sweep(shard, indices),
                 indices,
                 span,
             )
@@ -708,23 +693,17 @@ class DegradationLadder:
             shard=shard.key,
         )
 
-    def _fallback_sweep(self, shard: _Shard, payload):
+    def _fallback_sweep(self, shard: _Shard, indices):
         plan = (
             self.chaos.plan_fallback(shard.key) if self.chaos is not None else None
         )
-        # the shuffle fallback advances LFSR state per sweep; the
-        # functional converter is stateless and the rung is cold
-        with shard.fallback_lock:
-            perms = shard.fallback_engine.run(payload)
+        perms = shard.fallback_engine.run(indices)
         return perms if plan is None else plan.apply(perms)
 
-    def _fallback_engine(self, key):
+    @staticmethod
+    def _fallback_engine(key):
         kind, n = key
-        if kind == "shuffle":
-            return ShuffleEngine(
-                n, m=self.service.shuffle_m, seed_salt=self.service.rng_seed + 104729
-            )
-        return FunctionalConverterEngine(n)
+        return FunctionalConverterEngine(n) if kind == "converter" else make_engine(kind, n)
 
     # ------------------------------------------------------------------ #
     # replica management
@@ -1100,7 +1079,7 @@ class SweepSupervisor(DegradationLadder):
     execute = DegradationLadder.execute
 
     def _spawn(self, key, slot: int, worker_id: int) -> ShardWorker:
-        engine = worker_engine(key[0], key[1], self.service, worker_id)
+        engine = make_engine(key[0], key[1], self.service.engine)
         return ShardWorker(key, worker_id, engine, chaos=self.chaos, slot=slot)
 
 
@@ -1148,9 +1127,8 @@ class LadderService(PermutationService):
         PermutationService._execute(self, batch)
 
     def _run_sweep(self, batch, kind: str, n: int, span: Span | None = None):
-        payload = batch.lanes if kind == "shuffle" else batch_indices(batch)
         try:
-            return self.ladder.execute(batch.key, payload, span)
+            return self.ladder.execute(batch.key, batch_indices(batch), span)
         finally:
             # out of the count before any future resolves, so a client
             # answered by this sweep never finds it still counted

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core.factorial import factorial
-from repro.core.knuth import KnuthShuffleCircuit
+from repro.core.knuth import KnuthShuffleCircuit, crossover_cascade, unfold_draws
 from repro.core.lehmer import rank_batch
+from repro.core.orders import mr_unrank
 
 
 def assert_all_permutations(arr):
@@ -94,6 +95,17 @@ class TestFunctional:
         b = KnuthShuffleCircuit(5).sample_ideal(50, np.random.default_rng(3))
         assert np.array_equal(a, b)
         assert_all_permutations(a)
+
+    @pytest.mark.parametrize("n", [2, 8, 22])  # 22! exceeds int64
+    def test_folded_draws_are_the_mirrored_myrvold_ruskey_index(self, n):
+        rows = KnuthShuffleCircuit(n).sample(40)
+        twin = KnuthShuffleCircuit(n)
+        indices = [twin.next_index() for _ in range(40)]
+        replay = crossover_cascade(unfold_draws(indices, n), range(n))
+        assert np.array_equal(replay, rows)
+        for index, row in zip(indices, rows):
+            assert 0 <= index < factorial(n)
+            assert mr_unrank(index, n) == tuple(n - 1 - row[::-1])
 
 
 class TestDistribution:

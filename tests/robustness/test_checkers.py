@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.factorial import factorial
+from repro.core.knuth import KnuthShuffleCircuit, fold_draws
 from repro.errors import (
     FaultDetectedError,
     InvalidIndexError,
@@ -190,3 +191,31 @@ class TestServedBatchOracle:
         check_served_batch(perms, [0, factorial(n) - 1])
         with pytest.raises(SilentCorruptionError):
             check_served_batch(perms, [1, factorial(n) - 1])
+
+
+class TestServedShuffleOracle:
+    """Shuffle lanes: a row is ranked against its folded stage draws."""
+
+    @staticmethod
+    def _batch(n, k=64):
+        rows = KnuthShuffleCircuit(n).sample(k)
+        twin = KnuthShuffleCircuit(n)
+        indices = [
+            fold_draws([gen.next_int() for gen in twin.generators], n)
+            for _ in range(k)
+        ]
+        return rows, indices
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_sampled_row_matches_its_folded_draws(self, n):
+        rows, indices = self._batch(n)
+        assert all(0 <= i < factorial(n) for i in indices)
+        check_served_batch(rows, indices, "shuffle")
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_swapped_row_is_convicted(self, n):
+        rows, indices = self._batch(n)
+        rows[5, 0], rows[5, n - 1] = rows[5, n - 1].item(), rows[5, 0].item()
+        check_served_batch(rows)  # still bijective: indices=None is blind
+        with pytest.raises(SilentCorruptionError, match="lane 5"):
+            check_served_batch(rows, indices, "shuffle")

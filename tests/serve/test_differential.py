@@ -1,22 +1,21 @@
 """One seeded request stream, every serving mode, byte-identical rows.
 
-The stream mixes ``unrank`` and ``random_perm`` frames of 1 to 9 lanes
-over two shards.  It is sent, all frames in flight at once, through five
-configurations — the plain in-process service (compiled and vector
-engines), the thread executor, and the process executor with one and
-two workers per shard — each both in-process (``submit_wide``) and over
-TCP (``NetServer`` and its client, pipelined on one connection), each
-run on a fresh service so the ``random_perm`` index draws start from the
-same seed.  Every run must return the same bytes, and the reference run
-must match the oracle: ``unrank`` rows are ``unrank_batch`` of the frame's
-indices, ``random_perm`` rows the unrank of the indices the response
-echoes.  A defect every mode shares (a mis-sliced row block, say) makes
-all runs agree with each other; only the oracle sees it.
-
-``shuffle`` frames ride a second stream, sent one at a time so every
-frame is its own sweep: valid permutations everywhere, and
-byte-identical between the thread and the one-worker process executor,
-whose shuffle workers are salted by the same rule.
+The stream mixes ``unrank``, ``random_perm`` and ``shuffle`` frames of 1
+to 9 lanes over four shards.  It is sent, all frames in flight at once,
+through five configurations — the plain in-process service (compiled
+and vector engines), the thread executor, and the process executor with
+one and two workers per shard — each both in-process (``submit_wide``)
+and over TCP (``NetServer`` and its client, pipelined on one
+connection), each run on a fresh service so the random draws start from
+the same seed.  Both random workloads draw at admission, in admission
+order, so every run must return the same bytes whichever executor,
+worker or batch sweeps a lane.  The reference run must also match the
+oracle: ``unrank`` rows are ``unrank_batch`` of the frame's indices,
+``random_perm`` rows the unrank of the indices the response echoes, and
+each ``n``'s shuffle rows, in admission order, are the samples of a
+Knuth-shuffle circuit seeded by the service's rule.  A defect every mode
+shares (a mis-sliced row block, say) makes all runs agree with each
+other; only the oracle sees it.
 """
 
 import random
@@ -24,6 +23,7 @@ import random
 import numpy as np
 import pytest
 
+from repro.core.knuth import KnuthShuffleCircuit
 from repro.core.lehmer import unrank_batch
 from repro.serve import (
     LadderConfig,
@@ -68,8 +68,7 @@ def _stream(seed: int, workloads) -> list[tuple]:
     return frames
 
 
-UNRANK_STREAM = _stream(SEED, ("unrank", "random_perm"))
-SHUFFLE_STREAM = _stream(SEED + 1, ("shuffle",))
+STREAM = _stream(SEED, WORKLOADS)
 
 
 def _rows(perms) -> bytes:
@@ -106,52 +105,48 @@ def _run(mode: str, transport: str, stream, pipelined: bool) -> list:
         return send(svc, stream, pipelined)
 
 
+def _seeded_shuffle(n: int, salt: int) -> KnuthShuffleCircuit:
+    """The service's per-``n`` shuffle source: every stage re-seeded
+    from the service seed."""
+    stock = KnuthShuffleCircuit(n)
+    return KnuthShuffleCircuit(n, seeds=[
+        (s * 0x9E3779B9 + salt) % ((1 << w) - 1) + 1
+        for s, w in zip(stock.seeds, stock.widths)
+    ])
+
+
 @pytest.fixture(scope="module")
 def reference() -> list:
-    return _run("direct", "in-process", UNRANK_STREAM, pipelined=False)
+    return _run("direct", "in-process", STREAM, pipelined=False)
 
 
-def test_stream_covers_both_deterministic_workloads(reference):
-    kinds = {w for w, *_ in UNRANK_STREAM}
-    assert kinds == {"unrank", "random_perm"} and set(WORKLOADS) > kinds
-    assert len(reference) == len(UNRANK_STREAM)
+def test_stream_covers_every_workload(reference):
+    assert {(w, n) for w, n, *_ in STREAM} == {
+        (w, n) for w in WORKLOADS for n in N_VALUES
+    }
+    assert len(reference) == len(STREAM)
 
 
 def test_reference_rows_match_the_oracle(reference):
-    for (workload, n, count, indices), resp in zip(UNRANK_STREAM, reference):
+    shuffled = {n: [] for n in N_VALUES}
+    for (workload, n, count, indices), resp in zip(STREAM, reference):
         assert resp.permutations.shape == (count, n)
+        assert len(resp.indices) == count
+        if workload == "shuffle":
+            shuffled[n].append(resp.permutations)
+            continue
         if workload == "unrank":
             assert resp.indices == tuple(indices)
-            want = unrank_batch(indices, n)
-        else:
-            assert indices is None and len(resp.indices) == count
-            want = unrank_batch(resp.indices, n)
+        want = unrank_batch(resp.indices, n)
         assert _rows(resp.permutations) == _rows(want)
+    for n, rows in shuffled.items():
+        rows = np.concatenate(rows)
+        want = _seeded_shuffle(n, SEED).sample(len(rows))
+        assert _rows(rows) == _rows(want)
 
 
 @pytest.mark.parametrize("transport", ["in-process", "tcp"])
 @pytest.mark.parametrize("mode", sorted(MODES))
 def test_every_mode_returns_the_same_rows(mode, transport, reference):
-    rows = _blobs(_run(mode, transport, UNRANK_STREAM, pipelined=True))
+    rows = _blobs(_run(mode, transport, STREAM, pipelined=True))
     assert rows == _blobs(reference)
-
-
-@pytest.fixture(scope="module")
-def shuffles() -> dict:
-    return {
-        (mode, transport): _blobs(_run(mode, transport, SHUFFLE_STREAM, False))
-        for mode in MODES
-        for transport in ("in-process", "tcp")
-    }
-
-
-def test_shuffle_rows_are_permutations_everywhere(shuffles):
-    for run in shuffles.values():
-        for blob, (_, n, count, _) in zip(run, SHUFFLE_STREAM):
-            rows = np.frombuffer(blob, dtype=np.int64).reshape(count, n)
-            assert (np.sort(rows, axis=1) == np.arange(n)).all()
-
-
-def test_shuffles_match_between_threads_and_one_process_worker(shuffles):
-    for transport in ("in-process", "tcp"):
-        assert shuffles[("threads", transport)] == shuffles[("processes-1", transport)]

@@ -14,7 +14,14 @@ import pytest
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.factorial import factorial
 from repro.errors import ServiceDegradedError, ServiceOverloadedError
-from repro.serve import LoadReport, WideResponse, run_closed_loop
+from repro.serve import (
+    LoadReport,
+    PermutationService,
+    ServiceConfig,
+    ShuffleEngine,
+    WideResponse,
+    run_closed_loop,
+)
 
 
 class _DoneFuture:
@@ -138,7 +145,8 @@ class TestRealServiceSmoke:
             run_closed_loop(svc, n=4, total=1, mix={"bogus": 1.0})
 
     def test_shuffle_verification_checks_bijectivity_only(self):
-        # shuffles carry no index: any valid permutation must pass
+        # a shuffle response without indices (the wire form echoes none)
+        # has nothing to rank against: any valid permutation must pass
         class _ShuffleService(_ScriptedService):
             def submit_wide(self, workload, n, count, indices=None):
                 assert (workload, count, indices) == ("shuffle", 1, None)
@@ -153,3 +161,17 @@ class TestRealServiceSmoke:
             mix={"shuffle": 1.0}, clients=1, verify=True,
         )
         assert report.incorrect == 0
+
+    def test_in_process_shuffles_are_ranked_against_their_index(self, monkeypatch):
+        # in-process shuffle responses carry their folded stage draws, so
+        # a valid row that is not the one its index names is incorrect
+        # (a reversed row is never the original permutation)
+        mix = {"shuffle": 1.0}
+        with PermutationService(ServiceConfig(batch_deadline_s=0.001)) as svc:
+            clean = run_closed_loop(svc, n=5, total=6, mix=mix, clients=1, verify=True)
+            sweep = ShuffleEngine.run
+            monkeypatch.setattr(
+                ShuffleEngine, "run", lambda self, indices: sweep(self, indices)[:, ::-1]
+            )
+            wrong = run_closed_loop(svc, n=5, total=6, mix=mix, clients=1, verify=True)
+        assert (clean.incorrect, wrong.incorrect) == (0, 6)

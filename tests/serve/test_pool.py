@@ -254,18 +254,37 @@ class TestProcessChaos:
         assert second.mode == "worker"
         assert stats["restarts"] == 1
 
-    @pytest.mark.parametrize("event", ["corrupt", "swap"])
-    def test_convicted_rows_are_never_served(self, event):
-        conv = IndexToPermutationConverter(5)
+    @pytest.mark.parametrize(
+        "workload, event",
+        [
+            ("unrank", "corrupt"),
+            ("unrank", "swap"),
+            ("shuffle", "corrupt"),
+            ("shuffle", "swap"),
+        ],
+        ids=["corrupt", "swap", "shuffle-corrupt", "shuffle-swap"],
+    )
+    def test_convicted_rows_are_never_served(self, workload, event):
+        indices = [[23], [24]] if workload == "unrank" else [None, None]
+        with make_pooled(backoff_s=0.0, cache_capacity=0, rng_seed=3) as clean:
+            want = [clean.submit_wide(workload, 5, 1, i).result(20.0) for i in indices]
         monkey = ChaosMonkey(script={0: event})
-        with make_pooled(chaos=monkey, backoff_s=0.0, cache_capacity=0) as svc:
-            first = unrank_one(svc, 5, 23)
-            second = unrank_one(svc, 5, 24)
+        with make_pooled(
+            chaos=monkey, backoff_s=0.0, cache_capacity=0, rng_seed=3
+        ) as svc:
+            first, second = (
+                svc.submit_wide(workload, 5, 1, i).result(20.0) for i in indices
+            )
             stats = svc.stats()["pool"]
-        assert (row(first), first.mode) == (conv.convert(23), "fallback")
-        assert second.mode == "worker"
+        # the fallback serves the row the worker should have served
+        assert (row(first), first.mode) == (row(want[0]), "fallback")
+        assert (row(second), second.mode) == (row(want[1]), "worker")
+        if workload == "unrank":
+            conv = IndexToPermutationConverter(5)
+            assert (row(first), row(second)) == (conv.convert(23), conv.convert(24))
         assert stats["check_failures"] == 1
-        assert stats["quarantines"] == 1  # the convicted process is gone
+        # the convicted process is gone; a shuffle worker has no kernel
+        assert stats["quarantines"] == (1 if workload == "unrank" else 0)
         assert stats["restarts"] == 1
 
     @pytest.mark.skipif(find_compiler() is None, reason="no cc on PATH")

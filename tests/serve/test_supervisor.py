@@ -240,13 +240,21 @@ class TestDegradationLadder:
         assert stats["quarantines"] == 1  # the compiled kernel was evicted
         assert stats["restarts"] == 1
 
-    def test_valid_but_wrong_payload_is_caught_by_the_rank_oracle(self):
-        conv = IndexToPermutationConverter(5)
-        with make_supervised(script={0: "swap"}, cache_capacity=0) as svc:
-            resp = unrank_one(svc, 5, 99)
+    @pytest.mark.parametrize("workload", ["unrank", "shuffle"])
+    def test_valid_but_wrong_payload_is_caught_by_the_rank_oracle(self, workload):
+        # a swapped lane is still a permutation; only the rank of the row
+        # against the lane's admitted index (a shuffle's folds its draws)
+        # convicts it, and the fallback serves what a clean service does
+        indices = [99] if workload == "unrank" else None
+        with make_supervised(cache_capacity=0, rng_seed=3) as clean:
+            want = clean.submit_wide(workload, 5, 1, indices).result(10.0)
+        with make_supervised(script={0: "swap"}, cache_capacity=0, rng_seed=3) as svc:
+            resp = svc.submit_wide(workload, 5, 1, indices).result(10.0)
             stats = svc.supervisor.stats()
-        assert row(resp) == conv.convert(99)
-        assert resp.mode == "fallback"
+        assert row(resp) == row(want)
+        if workload == "unrank":
+            assert row(resp) == IndexToPermutationConverter(5).convert(99)
+        assert want.mode == "worker" and resp.mode == "fallback"
         assert stats["check_failures"] == 1
 
     def test_cache_only_mode_sheds_misses_but_serves_hits(self):
