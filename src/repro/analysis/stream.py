@@ -368,11 +368,14 @@ def stream_blocks(
     :data:`SWEEP_LANES` lanes and at least one: their indices are drawn
     block by block, as the block seeding requires, and converted in one
     :meth:`~repro.hdl.simulator.BatchEntry.run`.
-    The sweep's ``n`` element buses are read back column-wise into one
-    column-major array, and each block is yielded as a row slice of it
-    — so every column a consumer reads is contiguous.  Outputs stay in
-    the engine's packed lane form (``materialize=False``) until read;
-    no array larger than one sweep ever exists.
+    The sweep's ``n`` element buses cross the lane boundary in one
+    :func:`~repro.hdl.simulator.read_buses`, whose ``(n, lanes)`` word
+    matrix is already narrow (``uint8``: an element bus is at most 5
+    bits wide), and each block is yielded as a row slice of its
+    transpose — no copy, and every column a consumer reads is
+    contiguous.  Outputs stay in the engine's packed lane form
+    (``materialize=False``) until read; no array larger than one sweep
+    ever exists.
     """
     if cfg.source == "shuffle":
         from repro.core.knuth import KnuthShuffleCircuit
@@ -381,6 +384,8 @@ def stream_blocks(
             circuit = KnuthShuffleCircuit(cfg.n, cfg.m, seeds=_shuffle_seeds(cfg, b))
             yield circuit.sample(cfg.block_size(b))
         return
+    from repro.hdl.simulator import read_buses
+
     entry = _entry_for(cfg.n, cfg.engine)
     ids = list(block_ids)
     # no block is longer than cfg.block, so this many always fit
@@ -390,15 +395,10 @@ def stream_blocks(
         {"index": np.concatenate([_block_indices(cfg, b) for b in group])}
         for group in groups
     )
+    names = [f"out{t}" for t in range(cfg.n)]
     for outs, group in zip(entry.run_stream(inputs, materialize=False), groups):
-        sizes = [cfg.block_size(b) for b in group]
-        perms = np.empty((sum(sizes), cfg.n), dtype=np.int64, order="F")
-        for t in range(cfg.n):
-            perms[:, t] = outs[f"out{t}"]
-        lo = 0
-        for size in sizes:
-            yield perms[lo : lo + size]
-            lo += size
+        ends = np.cumsum([cfg.block_size(b) for b in group])[:-1]
+        yield from np.split(read_buses([outs], names)[:, 0].T, ends)
 
 
 # --------------------------------------------------------------------- #
@@ -488,7 +488,10 @@ class FixedPointAccumulator:
         self.hist = np.zeros(n + 1, dtype=np.int64)
 
     def update(self, perms: np.ndarray) -> None:
-        fixed = np.count_nonzero(perms == np.arange(self.n, dtype=np.int64), axis=1)
+        # column by column: each column of a stream block is contiguous
+        fixed = np.zeros(len(perms), dtype=np.uint8)
+        for t in range(self.n):
+            fixed += perms[:, t] == t
         self.hist += np.bincount(fixed, minlength=self.n + 1)
 
     def state_dict(self) -> dict:

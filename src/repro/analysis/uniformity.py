@@ -165,7 +165,9 @@ def rank_bucket_counts(
     column by column as :func:`~repro.core.lehmer.lehmer_digit_columns`
     produces the digits, in one pass over ``perms`` (contiguous when it
     is column-major, as :func:`repro.analysis.stream.stream_blocks`
-    yields it).
+    yields it).  The digit columns keep the dtype of ``perms`` — a
+    ``uint8`` block's are ``uint8`` — and each is cast into the int64
+    sum explicitly (NumPy 2 refuses ``uint8 * 947``).
     """
     p = np.asarray(perms)
     if p.ndim != 2:
@@ -176,7 +178,7 @@ def rank_bucket_counts(
         raise ValueError("need at least two buckets")
     total = np.zeros(b, dtype=np.int64)
     for i, digits in enumerate(lehmer_digit_columns(p, validate=validate)):
-        total += digits * (factorial(n - 1 - i) % m)
+        total += digits.astype(np.int64) * (factorial(n - 1 - i) % m)
     return np.bincount(total % m, minlength=m)
 
 

@@ -221,9 +221,12 @@ def _rank_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _perm_rows(perms: np.ndarray, validate: bool) -> np.ndarray:
-    """``perms`` as a ``(B, n)`` int64 array, its rows checked to be
-    permutations of ``0..n−1`` when ``validate``."""
-    p = np.asarray(perms, dtype=np.int64)
+    """``perms`` as a ``(B, n)`` integer array — in its own integer
+    dtype, anything else as int64 — its rows checked to be permutations
+    of ``0..n−1`` when ``validate``."""
+    p = np.asarray(perms)
+    if p.dtype.kind not in "iu":
+        p = p.astype(np.int64)
     if p.ndim != 2:
         raise ValueError("expected a (B, n) array")
     if validate:
@@ -237,15 +240,17 @@ def _perm_rows(perms: np.ndarray, validate: bool) -> np.ndarray:
 def _popcount_digits(p: np.ndarray) -> Iterator[np.ndarray]:
     """Digit columns of ``p`` from one O(B·n) popcount sweep: a running
     bitmask of seen elements per row; the digit is ``p_i`` minus the
-    count of seen elements below it.  Needs ``np.bitwise_count`` and
-    ``n ≤ 64``."""
+    count of seen elements below it.  The mask lives in the narrowest
+    unsigned dtype that holds ``n`` bits, and each digit column keeps
+    ``p``'s dtype (a ``uint8`` block yields ``uint8`` digits).  Needs
+    ``np.bitwise_count`` and ``n ≤ 64``."""
     b, n = p.shape
-    dtype = np.uint32 if n <= 32 else np.uint64
+    dtype = np.min_scalar_type((1 << n) - 1).type
     one = dtype(1)
     seen = np.zeros(b, dtype=dtype)
     for i in range(n):
         col = p[:, i]
-        bit = one << col.astype(dtype)
+        bit = one << col.astype(dtype, copy=False)
         yield col - np.bitwise_count(seen & (bit - one))
         seen |= bit
 
@@ -290,8 +295,10 @@ def lehmer_digit_columns(
     With ``np.bitwise_count`` (NumPy ≥ 2.0) and ``n ≤ 64`` each column
     is one step of the popcount sweep, so a caller that folds the
     columns as they come never holds the ``(B, n)`` digit matrix;
-    otherwise the matrix is built and its columns returned.  A
-    column-major ``perms`` makes every column read contiguous.
+    otherwise the matrix is built and its columns returned.  Integer
+    input keeps its dtype — narrow columns make every step narrow — so a
+    consumer that weights a digit column casts it first.  A column-major
+    ``perms`` makes every column read contiguous.
     """
     p = _perm_rows(perms, validate)
     if _HAS_BITWISE_COUNT and p.shape[1] <= 64:

@@ -127,7 +127,7 @@ __all__ = [
     "ints_from_bits",
     "packed_bit_columns",
     "pack_bus",
-    "unpack_bus",
+    "read_buses",
     "unpack_buses",
     "BatchEntry",
     "CombinationalSimulator",
@@ -223,52 +223,60 @@ def ints_from_bits(bits: Sequence[np.ndarray]) -> np.ndarray:
     return acc
 
 
+#: Row s selects bit s of each of a ``uint64``'s eight bytes.
+_BYTE_BITS = (np.uint64(0x0101010101010101) << np.arange(8, dtype=np.uint64))[:, None]
+
+#: The little-endian word dtype that holds a value of ``nb`` bytes.
+_LE_WORDS = tuple(np.dtype(f"<u{size}") for size in (1, 1, 2, 4, 4, 8, 8, 8, 8))
+
+
 def packed_bit_columns(arr: np.ndarray, width: int) -> np.ndarray:
     """Transpose a machine-word batch into packed per-bit lane rows.
 
-    Returns ``(width, ceil(len(arr)/8))`` uint8: row j holds bit j of
-    every value, packed little-endian — the byte layout of both packed
-    lane integers and the vector engine's word arrays.  ``unpackbits``
-    runs over the *contiguous* value-major byte matrix (one C sweep)
-    and only the 1-byte-per-bit intermediate is transposed; unpacking
-    along the strided transpose instead costs ~9× on wide batches.
+    Returns ``(width, 8 * words_for(len(arr)))`` uint8: row j holds bit j
+    of every value, packed little-endian and zero-padded to whole 64-lane
+    words — the byte layout of both packed lane integers and the vector
+    engine's word arrays.  The values' bytes are laid out byte-major (a
+    copy an eighth the size of the bit matrix), masked into ``(width,
+    lanes)`` bit planes over ``uint64`` views — eight lanes per
+    operation — and packed along the lanes in one ``packbits``.
     """
-    n_vals = arr.shape[0]
-    nb = (width + 7) // 8
-    size = next(s for s in (1, 2, 4, 8) if s >= nb)
-    u = arr.astype(f"<u{size}")
-    mat = u.view(np.uint8).reshape(n_vals, size)[:, :nb]
-    bits = np.unpackbits(
-        np.ascontiguousarray(mat), axis=1, bitorder="little"
-    )[:, :width]
-    return np.packbits(np.ascontiguousarray(bits.T), axis=1, bitorder="little")
+    n_vals, nb = arr.shape[0], (width + 7) // 8
+    dtype = _LE_WORDS[nb]
+    cols = np.zeros((nb, 1, 64 * words_for(n_vals)), dtype=np.uint8)
+    raw = arr.astype(dtype).view(np.uint8).reshape(n_vals, dtype.itemsize)
+    cols[:, 0, :n_vals] = raw[:, :nb].T
+    planes = cols.view(np.uint64) & _BYTE_BITS  # nonzero bytes are set bits
+    bits = planes.view(np.uint8).reshape(nb * 8, -1)[:width]
+    return np.packbits(bits, axis=1, bitorder="little")
 
 
 def _fold_bits(bits: np.ndarray) -> np.ndarray:
-    """Fold a ``(width, ...)`` bit array into words over its other axes.
+    """Fold a ``(width, ..., lanes)`` 0/1 byte array into words over its
+    other axes.
 
     Axis 0 is the bit, LSB first: a ``(width, lanes)`` matrix folds one
-    bus, a ``(width, sweeps, buses, lanes)`` stack folds many buses of
-    one width at once.  Bits are folded a byte-group at a time —
-    ``uint8`` shifts touch an eighth of the memory ``uint64`` shifts
-    would — and the result dtype tracks the bus width exactly like
-    :func:`ints_from_bits`.
+    bus, a ``(width, buses, sweeps, lanes)`` stack many at once.  The
+    lane axis is contiguous and a multiple of 8 long, as ``unpackbits``
+    leaves whole words.  Each group of eight bits ORs into one byte per
+    lane over ``uint64`` views of the lanes — eight lanes per shift —
+    and the groups are the bytes of the word, whose dtype tracks the
+    width like :func:`ints_from_bits`.
     """
     width = bits.shape[0]
-    if width <= 8:
-        acc8 = bits[0].copy()
-        for i in range(1, width):
-            acc8 |= bits[i] << np.uint8(i)
-        return acc8
-    dtype = np.uint32 if width <= 32 else np.uint64
-    value = np.zeros(bits.shape[1:], dtype=dtype)
+    groups = []
     for k in range(0, width, 8):
-        grp = bits[k : k + 8]
-        acc8 = grp[0].copy()
-        for i in range(1, grp.shape[0]):
-            acc8 |= grp[i] << np.uint8(i)
-        value |= acc8.astype(dtype) << dtype(k)
-    return value
+        acc = bits[k].view(np.uint64).copy()
+        for i in range(k + 1, min(k + 8, width)):
+            acc |= bits[i].view(np.uint64) << np.uint64(i - k)
+        groups.append(acc.view(np.uint8))
+    if width <= 8:
+        return groups[0]
+    dtype = _LE_WORDS[4 if width <= 32 else 8]
+    word = np.zeros(groups[0].shape + (dtype.itemsize,), dtype=np.uint8)
+    for j, byte in enumerate(groups):
+        word[..., j] = byte
+    return word.view(dtype)[..., 0].astype(dtype.newbyteorder("="), copy=False)
 
 
 def pack_bus(
@@ -291,12 +299,12 @@ def pack_bus(
     """
     if isinstance(values, np.ndarray) and values.ndim != 1:
         raise ValueError("values must be one-dimensional")
-    if len(values) == 1 and batch != 1:
-        # broadcast: each bit of the single word fills every lane.  An
-        # unchanged bit stays the same shared constant object, which the
-        # incremental kernel's identity skip relies on.  A NumPy scalar
-        # is read as its Python value, so floats and strings are refused
-        # here as they are on the batch paths.
+    if len(values) == 1:
+        # one word — a one-lane bus, or broadcast against a batch: each
+        # bit fills every lane.  An unchanged bit stays the same shared
+        # constant object, which the incremental kernel's identity skip
+        # relies on.  A NumPy scalar is read as its Python value, so
+        # floats and strings are refused here.
         first = values[0]
         value = operator.index(first.item() if isinstance(first, np.generic) else first)
         if value < 0:
@@ -316,71 +324,54 @@ def pack_bus(
     return [engine.pack_bools(lane, words) for lane in bits_from_ints(values, width)]
 
 
-def unpack_bus(
-    engine: "type[PackedEngine]", values: Sequence[Any], lanes: int
+def read_buses(
+    sweeps: "Sequence[Mapping[str, np.ndarray]]", names: Sequence[str]
 ) -> np.ndarray:
-    """One bus's per-wire lane values (LSB first) → per-lane words.
+    """The named buses of one or more sweeps as one word matrix.
 
-    The inverse boundary transpose of :func:`pack_bus`: a machine-word
-    bus's lanes become one byte matrix, one ``unpackbits`` and a
-    :func:`_fold_bits`; a wide bus goes through boolean lanes and
-    :func:`ints_from_bits`.
+    Returns ``(len(names), len(sweeps), lanes)`` per-lane words whose
+    dtype tracks the widest named bus like :func:`ints_from_bits`.  The
+    sweeps come from one engine at one lane count — every clock of a
+    sequential pass, say.  The interpreter's outputs are words already;
+    packed sweeps cross the lane boundary once: every named bus of every
+    sweep (narrower ones padded with the zero lane) in one byte matrix,
+    one ``unpackbits`` and one :func:`_fold_bits` (or, past 64 bits, one
+    :func:`ints_from_bits`).
     """
-    if len(values) > 64:
-        return ints_from_bits([engine.unpack_bools(v, lanes) for v in values])
+    first = sweeps[0]
+    if not isinstance(first, PackedOutputs):
+        return np.array([[outs[name] for outs in sweeps] for name in names])
+    engine, lanes = first._engine, first._lanes
+    width = max(len(first._buses[name]) for name in names)
+    zero = engine.constants(lanes)[0]
+    values = []
+    for name in names:
+        for s in sweeps:
+            values += s._buses[name]
+            values += [zero] * (width - len(s._buses[name]))
     rows = engine.unpack_rows(values, words_for(lanes))
-    return _fold_bits(np.unpackbits(rows, axis=1, count=lanes, bitorder="little"))
+    bits = np.unpackbits(rows, axis=1, bitorder="little")
+    bits = np.moveaxis(bits.reshape(len(names), len(sweeps), width, -1), 2, 0)
+    if width > 64:  # the index bus past n = 20
+        return ints_from_bits(list(bits[..., :lanes]))
+    return _fold_bits(bits)[..., :lanes]
 
 
 def unpack_buses(
     sweeps: "Sequence[PackedOutputs]", names: Sequence[str] | None = None
 ) -> dict[str, np.ndarray]:
-    """Read buses of one or more packed sweeps in one boundary transpose.
+    """Read buses of one or more packed sweeps, bus by name.
 
     Returns bus name → ``(len(sweeps), lanes)`` per-lane words for each
-    of ``names`` (default: every bus of the sweeps).  The sweeps must
-    come from one engine at one lane count — every clock of a
-    sequential pass, say.  All machine-word buses of all sweeps are
-    stacked into one byte matrix, so a pass pays one ``unpackbits``
-    rather than one per bus per sweep, and the buses of one width fold
-    to words together; buses wider than 64 bits go through
-    :func:`unpack_bus` one at a time.  Each read equals
-    :func:`unpack_bus` of the same lanes.
+    of ``names`` (default: every bus of the sweeps), each in its own
+    width's dtype: the buses of one width are one :func:`read_buses`.
     """
     first = sweeps[0]
-    engine, lanes = first._engine, first._lanes
-    if names is None:
-        names = list(first._buses)
-    out: dict[str, np.ndarray] = {}
-    groups: dict[int, list[str]] = {}  # machine-word buses by width
+    names = list(first._buses) if names is None else names
+    groups: dict[int, list[str]] = {}  # buses by width
     for name in names:
-        width = len(first._buses[name])
-        if width > 64:
-            out[name] = np.stack(
-                [unpack_bus(engine, s._buses[name], lanes) for s in sweeps]
-            )
-        else:
-            groups.setdefault(width, []).append(name)
-    values = [
-        v
-        for group in groups.values()
-        for s in sweeps
-        for name in group
-        for v in s._buses[name]
-    ]
-    if values:
-        rows = engine.unpack_rows(values, words_for(lanes))
-        bits = np.unpackbits(rows, axis=1, count=lanes, bitorder="little")
-        row = 0
-        for width, group in groups.items():
-            size = len(sweeps) * len(group) * width
-            block = bits[row : row + size].reshape(
-                len(sweeps), len(group), width, lanes
-            )
-            words = _fold_bits(block.transpose(2, 0, 1, 3))
-            for j, name in enumerate(group):
-                out[name] = words[:, j]
-            row += size
+        groups.setdefault(len(first._buses[name]), []).append(name)
+    out = {n: w for g in groups.values() for n, w in zip(g, read_buses(sweeps, g))}
     return {name: out[name] for name in names}
 
 
@@ -388,14 +379,15 @@ class PackedOutputs(Mapping[str, np.ndarray]):
     """Deferred bus materialisation for the packed engines.
 
     Holds the per-wire lane values of every output bus and performs the
-    lane → per-lane-word boundary transpose (:func:`unpack_bus`) the
-    first time a bus is read, caching the result.  During pipeline fill
-    a batch sweep never looks at the outputs, and neither a population
-    nor a fault campaign reads the converter's 24-bit ``word`` bus —
-    deferring per bus makes those cost nothing, and a fault campaign
-    reads the buses it classifies across a whole pass at once
-    (:func:`unpack_buses`).  Reading any bus yields exactly the array
-    eager materialisation would have produced.
+    lane → per-lane-word boundary transpose (:func:`read_buses`) the
+    first time a bus is read by name, caching the result.  During
+    pipeline fill a batch sweep never looks at the outputs, and neither
+    a population nor a fault campaign reads the converter's 24-bit
+    ``word`` bus — deferring per bus makes those cost nothing.  A caller
+    that reads several buses passes the mapping to :func:`read_buses`,
+    which reads them, across one or more sweeps, in one transpose.
+    Reading any bus yields exactly the array eager materialisation
+    would have produced.
     """
 
     __slots__ = ("_engine", "_buses", "_lanes", "_cache")
@@ -414,8 +406,7 @@ class PackedOutputs(Mapping[str, np.ndarray]):
     def __getitem__(self, name: str) -> np.ndarray:
         arr = self._cache.get(name)
         if arr is None:
-            arr = unpack_bus(self._engine, self._buses[name], self._lanes)
-            self._cache[name] = arr
+            arr = self._cache[name] = read_buses([self], [name])[0, 0]
         return arr
 
     def __iter__(self) -> Iterator[str]:
@@ -885,8 +876,8 @@ class PackedEngine(Engine):
     @classmethod
     @abstractmethod
     def pack_rows(cls, rows: np.ndarray, words: int) -> list[Any]:
-        """One lane value per row of a little-endian packed byte matrix
-        (rows may be shorter than ``8 * words`` bytes)."""
+        """One lane value per row of a little-endian packed
+        ``(wires, 8 * words)`` byte matrix."""
 
     @classmethod
     @abstractmethod
@@ -1201,10 +1192,14 @@ class CompiledEngine(PackedEngine):
 
     @classmethod
     def pack_rows(cls, rows: np.ndarray, words: int) -> list[Any]:
+        if words == 1:  # one machine word per wire: NumPy makes the ints
+            return rows.view("<u8").ravel().tolist()
         return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
     @classmethod
     def unpack_rows(cls, values: Sequence[Any], words: int) -> np.ndarray:
+        if words == 1:
+            return np.array(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
         nbytes = words * 8
         buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
         return np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)

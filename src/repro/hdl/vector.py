@@ -152,10 +152,10 @@ def vec_from_ints(
 
 
 class VectorOutputs(PackedOutputs):
-    """Lazy outputs of vector sweeps: the shared mapping, whose bus reads
-    are the vector engine's unpack stage (``hdl.unpack``).  The class
-    binds ``__getitem__`` itself, so a tracer can time word-array
-    unpacks apart from bigint ones."""
+    """Lazy outputs of vector sweeps: the shared mapping.  The class
+    binds ``__getitem__`` itself, so a tracer can time word-array reads
+    by name apart from bigint ones; a caller that reads several buses
+    at once goes through :func:`~repro.hdl.simulator.read_buses`."""
 
     __slots__ = ()
 
@@ -200,15 +200,11 @@ class VectorEngine(PackedEngine):
 
     @classmethod
     def pack_rows(cls, rows: np.ndarray, words: int) -> list[Any]:
-        buf = np.zeros((rows.shape[0], words * 8), dtype=np.uint8)
-        buf[:, : rows.shape[1]] = rows
-        return list(buf.view(_WORD_LE).astype(np.uint64, copy=False))
+        return list(rows.view(_WORD_LE).astype(np.uint64, copy=False))
 
     @classmethod
     def unpack_rows(cls, values: Sequence[Any], words: int) -> np.ndarray:
-        stack = np.empty((len(values), words), dtype=np.uint64)
-        for row, value in enumerate(values):
-            stack[row] = value
+        stack = np.array(values, dtype=np.uint64)
         return stack.astype(_WORD_LE, copy=False).view(np.uint8)
 
     @classmethod

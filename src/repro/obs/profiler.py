@@ -52,11 +52,12 @@ _PHASE_RULES: tuple[tuple[str, str, str], ...] = (
     ("pack_unpack", "hdl/compile.py", "pack_lanes"),
     ("pack_unpack", "hdl/compile.py", "unpack_lanes"),
     # the packed-lane driver's boundary transposes (pack_bus,
-    # packed_bit_columns, unpack_buses, _fold_bits and the lazy bus reads
-    # of PackedOutputs / VectorOutputs) and each lane format's
-    # pack_rows / unpack_rows / pack_bools / unpack_bools
+    # packed_bit_columns, read_buses, unpack_buses, _fold_bits and the
+    # lazy bus reads of PackedOutputs / VectorOutputs) and each lane
+    # format's pack_rows / unpack_rows / pack_bools / unpack_bools
     ("pack_unpack", "hdl/simulator.py", "pack"),
     ("pack_unpack", "hdl/simulator.py", "unpack"),
+    ("pack_unpack", "hdl/simulator.py", "read_buses"),
     ("pack_unpack", "hdl/simulator.py", "_fold_bits"),
     ("pack_unpack", "hdl/simulator.py", "__getitem__"),
     ("pack_unpack", "hdl/vector.py", "pack"),

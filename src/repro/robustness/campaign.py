@@ -41,9 +41,8 @@ from repro.hdl.engine import BACKENDS, engine_capability
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
     CombinationalSimulator,
-    PackedOutputs,
     SequentialSimulator,
-    unpack_buses,
+    read_buses,
 )
 from repro.obs import metrics as _metrics
 from repro.obs.events import EventSink
@@ -306,19 +305,8 @@ _LANES_PER_SLOT = 64
 
 def _frames(sweeps: Sequence[Mapping[str, np.ndarray]], n: int) -> np.ndarray:
     """Output buses ``out0..out{n-1}`` of a pass's sweeps as ``(lanes,
-    sweeps, n)``.
-
-    A packed engine's sweeps are read in one boundary transpose
-    (:func:`~repro.hdl.simulator.unpack_buses`); the interpreter's
-    outputs are words already.
-    """
-    names = [f"out{t}" for t in range(n)]
-    if all(isinstance(outs, PackedOutputs) for outs in sweeps):
-        reads = unpack_buses(sweeps, names)
-        words = np.stack([reads[name] for name in names])
-    else:
-        words = np.array([[outs[name] for outs in sweeps] for name in names])
-    return words.transpose(2, 1, 0)
+    sweeps, n)``, read in one :func:`~repro.hdl.simulator.read_buses`."""
+    return read_buses(sweeps, [f"out{t}" for t in range(n)]).transpose(2, 1, 0)
 
 
 class _Evaluator:

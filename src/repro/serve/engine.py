@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.converter import IndexToPermutationConverter
 from repro.core.knuth import crossover_cascade, unfold_draws
 from repro.hdl.compile import CompiledKernel, note_sweep
-from repro.hdl.simulator import BatchEntry
+from repro.hdl.simulator import BatchEntry, read_buses
 
 __all__ = ["ConverterEngine", "ShuffleEngine", "make_engine"]
 
@@ -50,6 +50,7 @@ class ConverterEngine:
         self.converter = IndexToPermutationConverter(n)
         self._entry = BatchEntry(self.converter.build_netlist(), backend=backend)
         self.backend = self._entry.engine.name
+        self._names = [f"out{t}" for t in range(n)]
 
     @property
     def kernel(self) -> CompiledKernel:
@@ -67,13 +68,12 @@ class ConverterEngine:
         return self.kernel.fingerprint
 
     def run(self, indices: Sequence[int]) -> np.ndarray:
-        """Unrank a batch of indices in one sweep → ``(B, n)`` array."""
+        """Unrank a batch of indices in one sweep → ``(B, n)`` int64
+        array; the element buses are read in one
+        :func:`~repro.hdl.simulator.read_buses`."""
         note_sweep("converter", len(indices), engine=self.backend)
         outs = self._entry.run({"index": list(indices)}, materialize=False)
-        perms = np.empty((len(indices), self.n), dtype=np.int64)
-        for t in range(self.n):
-            perms[:, t] = outs[f"out{t}"]
-        return perms
+        return read_buses([outs], self._names)[:, 0].T.astype(np.int64, order="C")
 
 
 class ShuffleEngine:

@@ -330,6 +330,17 @@ class TestSweepGroups:
             assert np.array_equal(got, want)
             assert all(got[:, t].flags.c_contiguous for t in range(N))
 
+    @pytest.mark.parametrize("engine", ["interp", "compiled", "vector"])
+    def test_blocks_are_narrow_contiguous_columns(self, engine):
+        """One bus read per sweep hands the statistics uint8 columns, no
+        int64 copy, on every engine."""
+        cfg = replace(self.CFG, engine=engine)
+        blocks = list(stream_blocks(cfg, range(cfg.total_blocks)))
+        assert sum(len(p) for p in blocks) == cfg.samples
+        for perms in blocks:
+            assert perms.dtype == np.uint8
+            assert all(perms[:, t].flags.c_contiguous for t in range(N))
+
     def test_block_wider_than_budget_is_its_own_sweep(self, monkeypatch):
         monkeypatch.setattr(stream, "SWEEP_LANES", 1000)
         cfg = CampaignConfig(n=N, samples=5000, block=1500, engine="compiled")

@@ -19,7 +19,12 @@ from repro.analysis.uniformity import (
 )
 from repro.core.factorial import factorial
 from repro.core.knuth import KnuthShuffleCircuit
-from repro.core.lehmer import rank_batch, unrank_batch
+from repro.core.lehmer import (
+    lehmer_digit_batch,
+    lehmer_digit_columns,
+    rank_batch,
+    unrank_batch,
+)
 
 
 def uniformity_summary(perms, buckets=DEFAULT_BUCKETS):
@@ -213,3 +218,41 @@ class TestRankBucketPaths:
         with pytest.raises(InvalidPermutationError):
             rank_bucket_counts(np.array([[0, 1, 2], [1, 1, 2]]), 5)
         assert rank_bucket_counts(np.array([[0, 1, 2]], dtype=np.uint8), 5).sum() == 1
+
+
+class TestNarrowColumns:
+    """Stream blocks arrive as uint8 columns; every ranker agrees on them.
+
+    NumPy 2 (NEP 50) refuses ``uint8_array * 947``, so a digit column must
+    be cast into its int64 sum before it is weighted: bucket counts of
+    4093 cells put weights above 255 on every n ≥ 7.
+    """
+
+    @pytest.mark.parametrize("n", range(2, 21))
+    def test_rankers_agree_on_narrow_dtypes(self, n):
+        rng = np.random.default_rng(n)
+        wide = np.argsort(rng.random((600, n)), axis=1).astype(np.int64)
+        cells = min(DEFAULT_BUCKETS, factorial(n))
+        want_digits = lehmer_digit_batch(wide)
+        want_counts = rank_bucket_counts(wide, cells)
+        want_ranks = rank_batch(wide)
+        for dtype in (np.uint8, np.uint16, np.int64):
+            for order in ("C", "F"):
+                perms = np.asarray(wide, dtype=dtype, order=order)
+                digits = lehmer_digit_batch(perms)
+                assert digits.dtype == np.int64 and np.array_equal(digits, want_digits)
+                columns = list(lehmer_digit_columns(perms))
+                assert all(col.dtype == dtype for col in columns)
+                assert np.array_equal(np.stack(columns, axis=1), want_digits)
+                assert np.array_equal(rank_batch(perms), want_ranks)
+                for validate in (True, False):
+                    counts = rank_bucket_counts(perms, cells, validate=validate)
+                    assert np.array_equal(counts, want_counts), (dtype, order)
+        assert np.array_equal(want_counts, np.bincount(want_ranks % cells, minlength=cells))
+
+    def test_weights_above_a_byte(self):
+        perms = np.array([[2, 0, 1, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0]], dtype=np.uint8)
+        weights = [factorial(6 - i) % 947 for i in range(7)]
+        assert max(weights) > 255
+        want = np.bincount(rank_batch(perms) % 947, minlength=947)
+        assert np.array_equal(rank_bucket_counts(perms, 947), want)

@@ -81,6 +81,8 @@ class TestClassification:
             ("src/repro/hdl/vector.py", "pack_rows"),
             ("src/repro/hdl/vector.py", "unpack_rows"),
             ("src/repro/hdl/simulator.py", "pack_bus"),
+            ("src/repro/hdl/simulator.py", "packed_bit_columns"),
+            ("src/repro/hdl/simulator.py", "read_buses"),
             ("src/repro/hdl/simulator.py", "unpack_buses"),
             ("src/repro/hdl/simulator.py", "pack_bools"),
             ("src/repro/hdl/simulator.py", "_fold_bits"),
