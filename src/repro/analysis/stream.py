@@ -70,6 +70,7 @@ from repro.analysis.uniformity import (
     rank_bucket_counts,
 )
 from repro.core.factorial import factorial, subfactorial
+from repro.core.lehmer import PASS_ROWS
 from repro.errors import CampaignConfigError, CheckpointMismatchError
 from repro.obs import metrics as _metrics
 from repro.parallel.sharding import (
@@ -301,7 +302,7 @@ class CampaignConfig:
 # the permutation stream
 # --------------------------------------------------------------------- #
 
-#: Lane budget of one engine sweep in :func:`stream_blocks`: consecutive
+#: Lane budget of one engine sweep in :func:`_sweeps`: consecutive
 #: blocks of a shard are converted together up to this many lanes.  At
 #: n = 8 on the vector engine an 8192-lane sweep costs 0.53–0.63× the
 #: pack + kernel + unpack time per permutation of a 4096-lane one for
@@ -356,26 +357,19 @@ def _shuffle_seeds(cfg: CampaignConfig, block_id: int) -> list[int]:
     ]
 
 
-def stream_blocks(
-    cfg: CampaignConfig, block_ids: Iterable[int]
-) -> Iterator[np.ndarray]:
-    """Lazily yield one ``(block, n)`` permutation array per block id.
+def _sweeps(cfg: CampaignConfig, block_ids: Iterable[int]) -> Iterator[np.ndarray]:
+    """Lazily yield the rows of ``block_ids`` (ascending and consecutive,
+    as a shard's are) as one ``(lanes, n)`` array per sweep.
 
-    The ``shuffle`` source samples each block from a Knuth-shuffle
-    circuit seeded for that block (:func:`_shuffle_seeds`); no converter
-    or engine is involved.  For the converter sources, consecutive
-    blocks share one engine sweep, as many as fit in
-    :data:`SWEEP_LANES` lanes and at least one: their indices are drawn
-    block by block, as the block seeding requires, and converted in one
-    :meth:`~repro.hdl.simulator.BatchEntry.run`.
-    The sweep's ``n`` element buses cross the lane boundary in one
-    :func:`~repro.hdl.simulator.read_buses`, whose ``(n, lanes)`` word
-    matrix is already narrow (``uint8``: an element bus is at most 5
-    bits wide), and each block is yielded as a row slice of its
-    transpose — no copy, and every column a consumer reads is
-    contiguous.  Outputs stay in the engine's packed lane form
-    (``materialize=False``) until read; no array larger than one sweep
-    ever exists.
+    A ``shuffle`` block is sampled from a Knuth-shuffle circuit seeded
+    for it (:func:`_shuffle_seeds`) and is a sweep of its own.  For the
+    converter sources, consecutive blocks share one engine sweep of up
+    to :data:`SWEEP_LANES` lanes (at least one block), their indices
+    drawn block by block as the block seeding requires.  The sweep's
+    element buses cross the lane boundary in one
+    :func:`~repro.hdl.simulator.read_buses`, whose ``(n, lanes)``
+    ``uint8`` matrix is yielded transposed — no copy, every column
+    contiguous.  A campaign's short last block always ends a sweep.
     """
     if cfg.source == "shuffle":
         from repro.core.knuth import KnuthShuffleCircuit
@@ -396,9 +390,14 @@ def stream_blocks(
         for group in groups
     )
     names = [f"out{t}" for t in range(cfg.n)]
-    for outs, group in zip(entry.run_stream(inputs, materialize=False), groups):
-        ends = np.cumsum([cfg.block_size(b) for b in group])[:-1]
-        yield from np.split(read_buses([outs], names)[:, 0].T, ends)
+    for outs in entry.run_stream(inputs, materialize=False):
+        yield read_buses([outs], names)[:, 0].T
+
+
+def stream_blocks(cfg: CampaignConfig, block_ids: Iterable[int]) -> Iterator[np.ndarray]:
+    """Lazily yield one ``(block, n)`` row slice of :func:`_sweeps` per block id."""
+    for rows in _sweeps(cfg, block_ids):
+        yield from np.split(rows, range(cfg.block, len(rows), cfg.block))
 
 
 # --------------------------------------------------------------------- #
@@ -488,11 +487,10 @@ class FixedPointAccumulator:
         self.hist = np.zeros(n + 1, dtype=np.int64)
 
     def update(self, perms: np.ndarray) -> None:
-        # column by column: each column of a stream block is contiguous
-        fixed = np.zeros(len(perms), dtype=np.uint8)
-        for t in range(self.n):
-            fixed += perms[:, t] == t
-        self.hist += np.bincount(fixed, minlength=self.n + 1)
+        positions = np.arange(self.n, dtype=np.min_scalar_type(self.n))
+        for lo in range(0, len(perms), PASS_ROWS):
+            fixed = (perms[lo : lo + PASS_ROWS] == positions).sum(axis=1, dtype=np.uint8)
+            self.hist += np.bincount(fixed, minlength=self.n + 1)
 
     def state_dict(self) -> dict:
         return {"n": self.n, "hist": self.hist.tolist()}
@@ -543,7 +541,7 @@ class SerialCorrelationAccumulator:
     scaled draw ``⌊n·x/2^m⌋`` (the identity
     ``⌊⌊n!x/2^m⌋/(n−1)!⌋ = ⌊n·x/2^m⌋``), so the statistic sees the raw
     m-sequence's shift correlation undiluted; hashed ranks would erase
-    it.  Pairs are formed only *within* an update block (blocks are
+    it.  Pairs are formed only *within* a campaign block (blocks are
     independently seeded, so cross-block pairs carry no signal), which
     is also what makes the state mergeable: per-lag integer sums
     (pairs, Σx, Σy, Σx², Σy², Σxy) over disjoint pair sets simply add.
@@ -557,24 +555,29 @@ class SerialCorrelationAccumulator:
         self.lags = tuple(lags)
         self.sums = {lag: [0, 0, 0, 0, 0, 0] for lag in self.lags}
 
-    def update(self, perms: np.ndarray) -> None:
-        v = perms[:, 0].astype(np.int64, copy=False)
-        size = len(v)
-        # x = v[:-lag] and y = v[lag:]: their sums are the block's sums
-        # less the lag-length tail or head
-        total = int(v.sum())
-        squares = int(np.dot(v, v))
-        for lag in self.lags:
-            if size <= lag:
+    def update(self, perms: np.ndarray, block: int) -> None:
+        """Fold ``perms`` as consecutive blocks of ``block`` rows (the last
+        may be short): sums over all full blocks at once, less each one's
+        lag-length tail or head and the products straddling its end."""
+        v = perms[:, 0].astype(np.int64)
+        full = len(v) - len(v) % block
+        for blocks in (v[:full].reshape(-1, block), v[full:].reshape(1, -1)):
+            if not blocks.size:
                 continue
-            head, tail = v[:lag], v[size - lag :]
-            s = self.sums[lag]
-            s[0] += size - lag
-            s[1] += total - int(tail.sum())
-            s[2] += total - int(head.sum())
-            s[3] += squares - int(np.dot(tail, tail))
-            s[4] += squares - int(np.dot(head, head))
-            s[5] += int(np.dot(v[:-lag], v[lag:]))
+            count, size = blocks.shape
+            flat = blocks.ravel()
+            total, squares = flat.sum(), flat @ flat
+            for lag in self.lags:
+                if size <= lag:
+                    continue
+                head, tail = blocks[:, :lag], blocks[:, size - lag :]
+                s = self.sums[lag]
+                s[0] += count * (size - lag)
+                s[1] += int(total - tail.sum())
+                s[2] += int(total - head.sum())
+                s[3] += int(squares - np.vdot(tail, tail))
+                s[4] += int(squares - np.vdot(head, head))
+                s[5] += int(flat[:-lag] @ flat[lag:] - np.vdot(tail[:-1], head[1:]))
 
     def state_dict(self) -> dict:
         return {
@@ -761,10 +764,15 @@ class PopulationStats:
             },
         )
 
-    def update(self, perms: np.ndarray) -> None:
-        self.samples += len(perms)
-        for acc in self.accumulators.values():
-            acc.update(perms)
+    def update(self, rows: np.ndarray) -> None:
+        """Fold consecutive blocks (one sweep's rows) into every
+        accumulator; serial pairs stop every ``config.block`` rows."""
+        self.samples += len(rows)
+        for kind, acc in self.accumulators.items():
+            if kind == "serial":
+                acc.update(rows, self.config.block)
+            else:
+                acc.update(rows)
 
     def state_dict(self) -> dict:
         return {
@@ -821,17 +829,17 @@ def merge_states(a: Mapping[str, Any], b: Mapping[str, Any]) -> dict:
 
 class _ShardWorker:
     """Top-level picklable shard body: stream the shard's block range
-    through the engine, fold into fresh accumulators, return the state
-    dict.  ``hardened_map_reduce`` wraps it with retries, timeouts,
-    crash recovery and per-shard tracer spans."""
+    through the engine, fold each sweep into fresh accumulators, return
+    the state dict.  ``hardened_map_reduce`` wraps it with retries,
+    timeouts, crash recovery and per-shard tracer spans."""
 
     def __init__(self, cfg: CampaignConfig):
         self.cfg = cfg
 
     def __call__(self, shard: ShardSpec) -> dict:
         stats = PopulationStats.fresh(self.cfg)
-        for perms in stream_blocks(self.cfg, range(shard.start, shard.stop)):
-            stats.update(perms)
+        for rows in _sweeps(self.cfg, range(shard.start, shard.stop)):
+            stats.update(rows)
         return stats.state_dict()
 
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.analysis.special import chi2_survival
 from repro.core.factorial import factorial
-from repro.core.lehmer import lehmer_digit_columns
+from repro.core.lehmer import weighted_digit_sums
 
 __all__ = [
     "DEFAULT_BUCKETS",
@@ -160,26 +160,23 @@ def rank_bucket_counts(
     """Histogram of ``rank mod buckets`` for a ``(B, n)`` sample.
 
     Computed digit-wise — ``Σ dᵢ·((n−1−i)! mod m) mod m`` — so no
-    bigint rank is ever formed and any ``n`` works.  Per-term products
-    are ≤ n·m, so the int64 row sums are exact.  The sum is accumulated
-    column by column as :func:`~repro.core.lehmer.lehmer_digit_columns`
-    produces the digits, in one pass over ``perms`` (contiguous when it
-    is column-major, as :func:`repro.analysis.stream.stream_blocks`
-    yields it).  The digit columns keep the dtype of ``perms`` — a
-    ``uint8`` block's are ``uint8`` — and each is cast into the int64
-    sum explicitly (NumPy 2 refuses ``uint8 * 947``).
+    bigint rank is ever formed and any ``n`` works: one
+    :func:`~repro.core.lehmer.weighted_digit_sums` pass (``uint16`` sums
+    at n = 8 and m = 4093), then one ``% m`` when a sum can reach ``m``.
     """
     p = np.asarray(perms)
     if p.ndim != 2:
         raise ValueError("expected a (B, n) array")
-    b, n = p.shape
+    n = p.shape[1]
     m = int(buckets)
     if m < 2:
         raise ValueError("need at least two buckets")
-    total = np.zeros(b, dtype=np.int64)
-    for i, digits in enumerate(lehmer_digit_columns(p, validate=validate)):
-        total += digits.astype(np.int64) * (factorial(n - 1 - i) % m)
-    return np.bincount(total % m, minlength=m)
+    weights = [factorial(n - 1 - i) % m for i in range(n)]
+    sums, bound = weighted_digit_sums(p, weights, validate=validate)
+    if bound >= m:
+        sums %= m
+    # as intp: NumPy 1.x bincount refuses the uint64 sums of a huge m
+    return np.bincount(sums.astype(np.intp, copy=False), minlength=m)
 
 
 def bucket_null_probabilities(n: int, buckets: int) -> np.ndarray:

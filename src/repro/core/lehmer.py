@@ -21,7 +21,8 @@ with lexicographic order: index 0 ↦ identity, index n!−1 ↦ reversal.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from repro.core.factorial import factorial, digits_from_index, max_index
 from repro.errors import InvalidIndexError, InvalidPermutationError
 
 #: np.bitwise_count arrived in NumPy 2.0; older installs use the
-#: (B, n, n) comparison-cube path below (same results, more memory).
+#: (B, n, n) comparison cube in :func:`_digit_rows` (same results, more
+#: memory).
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
 __all__ = [
@@ -42,7 +44,7 @@ __all__ = [
     "unrank_batch",
     "rank_batch",
     "lehmer_digit_batch",
-    "lehmer_digit_columns",
+    "weighted_digit_sums",
     "lehmer_digits",
     "permutation_from_lehmer",
 ]
@@ -205,19 +207,15 @@ def unrank_batch(
     return out
 
 
-_RANK_CONSTANTS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+#: Rows per pass of the digit sweep, which bounds its ``(n, rows)``
+#: temporaries (one default sweep of :mod:`repro.analysis.stream`).
+PASS_ROWS = 8192
 
+#: ``1`` in the narrowest unsigned word that holds ``n`` bits, by ``n``.
+_WORD_ONES = [np.min_scalar_type((1 << n) - 1).type(1) for n in range(65)]
 
-def _rank_constants(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-n constants for :func:`rank_batch`: tril mask and weights."""
-    cached = _RANK_CONSTANTS.get(n)
-    if cached is None:
-        strictly_before = np.tri(n, k=-1, dtype=bool)  # [i, j] = j < i
-        weights = np.array(
-            [factorial(n - 1 - i) for i in range(n)], dtype=np.int64
-        )
-        cached = _RANK_CONSTANTS[n] = (strictly_before, weights)
-    return cached
+#: The factorial weights ``(n−1)!, …, 0!`` of a rank, by ``n ≤ 20``.
+_RANK_WEIGHTS = [tuple(factorial(n - 1 - i) for i in range(n)) for n in range(21)]
 
 
 def _perm_rows(perms: np.ndarray, validate: bool) -> np.ndarray:
@@ -237,98 +235,94 @@ def _perm_rows(perms: np.ndarray, validate: bool) -> np.ndarray:
     return p
 
 
-def _popcount_digits(p: np.ndarray) -> Iterator[np.ndarray]:
-    """Digit columns of ``p`` from one O(B·n) popcount sweep: a running
-    bitmask of seen elements per row; the digit is ``p_i`` minus the
-    count of seen elements below it.  The mask lives in the narrowest
-    unsigned dtype that holds ``n`` bits, and each digit column keeps
-    ``p``'s dtype (a ``uint8`` block yields ``uint8`` digits).  Needs
-    ``np.bitwise_count`` and ``n ≤ 64``."""
-    b, n = p.shape
-    dtype = np.min_scalar_type((1 << n) - 1).type
-    one = dtype(1)
-    seen = np.zeros(b, dtype=dtype)
-    for i in range(n):
-        col = p[:, i]
-        bit = one << col.astype(dtype, copy=False)
-        yield col - np.bitwise_count(seen & (bit - one))
-        seen |= bit
+def _elements(perms: np.ndarray, validate: bool) -> np.ndarray:
+    """``perms`` as a C-ordered ``(n, B)`` element matrix in the
+    narrowest unsigned dtype that holds ``n − 1`` — no copy for a
+    stream sweep's rows, the transpose of its ``uint8`` word matrix."""
+    p = _perm_rows(perms, validate)
+    return np.asarray(p.T, dtype=np.min_scalar_type(max(p.shape[1] - 1, 0)), order="C")
+
+
+def _digit_rows(elems: np.ndarray) -> np.ndarray:
+    """Lehmer digits of an :func:`_elements` matrix, in its dtype: row
+    ``i`` is ``p_i`` minus the count of earlier elements below it.
+
+    One matrix-wide pass: ``bits = 1 << p`` in the narrowest word that
+    holds ``n`` bits, a running OR down the rows, then ``p −
+    popcount(seen & (bits − 1))`` (the OR may include the element's own
+    bit: ``bits − 1`` masks it out).  Without ``np.bitwise_count`` or
+    past 64 bits, the ``(rows, n, n)`` comparison cube counts instead.
+    """
+    n = elems.shape[0]
+    if not _HAS_BITWISE_COUNT or n > 64:
+        p = elems.T
+        earlier_smaller = p[:, None, :] < p[:, :, None]  # [b, i, j] = p_j < p_i
+        strictly_before = np.tri(n, k=-1, dtype=bool)  # [i, j] = j < i
+        return elems - (earlier_smaller & strictly_before).sum(axis=2, dtype=p.dtype).T
+    one = _WORD_ONES[n]
+    bits = np.left_shift(one, elems)
+    seen = bits.copy()
+    rows = list(seen)
+    for prev, row in zip(rows, rows[1:]):
+        np.bitwise_or(prev, row, row)
+    bits -= one
+    seen &= bits
+    return elems - np.bitwise_count(seen)
+
+
+@lru_cache(maxsize=None)
+def _sum_plan(weights: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Typed weights and bound of :func:`weighted_digit_sums`."""
+    n = len(weights)
+    bound = sum((n - 1 - i) * w for i, w in enumerate(weights))
+    return np.array(weights, dtype=np.min_scalar_type(max(bound, n - 1))), bound
+
+
+def weighted_digit_sums(
+    perms: np.ndarray, weights: Sequence[int], *, validate: bool = True
+) -> tuple[np.ndarray, int]:
+    """``Σᵢ dᵢ·weights[i]`` over the Lehmer digits of each row of a
+    ``(B, n)`` array, and its bound ``Σᵢ (n−1−i)·weights[i]``: the
+    :func:`_digit_rows` of :data:`PASS_ROWS` columns of the
+    :func:`_elements` matrix at a time, cast to the narrowest unsigned
+    dtype that holds the bound (NumPy 1.x would wrap ``uint8`` digits
+    times a weight that fits a byte in ``uint8``) and summed in it.
+    """
+    elems = _elements(perms, validate)
+    typed, bound = _sum_plan(tuple(weights))
+    total = np.zeros(elems.shape[1], dtype=typed.dtype)
+    for lo in range(0, len(total), PASS_ROWS):
+        digits = _digit_rows(elems[:, lo : lo + PASS_ROWS]).astype(typed.dtype, copy=False)
+        out = total[lo : lo + PASS_ROWS]
+        for d, w in zip(digits[:-1], typed):  # the last digit is always 0
+            out += d * w
+    return total, bound
 
 
 def lehmer_digit_batch(perms: np.ndarray, *, validate: bool = True) -> np.ndarray:
-    """Vectorised Lehmer digits of a ``(B, n)`` array → ``(B, n)`` int64.
-
-    ``out[b, i]`` is the digit at *position* ``i`` (the paper's
-    high-to-low order: ``out[:, 0]`` weighs ``(n−1)!``), i.e. ``p_i``
-    minus the count of earlier elements smaller than ``p_i``.  All B·n
-    digits come from one ``(B, n, n)`` pairwise comparison masked to the
-    strict lower triangle — a handful of NumPy calls regardless of
-    ``n``; the cube is ≤ 400·B bytes of bools for n ≤ 20.  Unlike
-    :func:`rank_batch` the digits themselves never overflow (each is
-    < n), so this works for any ``n`` — the streaming analysis layer
-    buckets digits at n where the rank would not fit an int64.
-
-    ``validate=False`` skips the rows-are-permutations precheck for
-    callers that have already established it; on arbitrary input the
-    digits would still be computed but mean nothing.
-    """
-    p = _perm_rows(perms, validate)
-    b, n = p.shape
-    if _HAS_BITWISE_COUNT and n <= 64:
-        # the popcount sweep: ~3× the (B, n, n) cube's throughput at
-        # population-scale batch sizes (and n² → n memory), bit-identical
-        out = np.empty((b, n), dtype=np.int64)
-        for i, digits in enumerate(_popcount_digits(p)):
-            out[:, i] = digits
-        return out
-    strictly_before = np.tri(n, k=-1, dtype=bool)  # [i, j] = j < i
-    # smaller_used[b, i] = |{j < i : p[b, j] < p[b, i]}|
-    earlier_smaller = p[:, None, :] < p[:, :, None]  # [b, i, j] = p_j < p_i
-    return p - (earlier_smaller & strictly_before).sum(axis=2)
-
-
-def lehmer_digit_columns(
-    perms: np.ndarray, *, validate: bool = True
-) -> Iterator[np.ndarray]:
-    """The columns of :func:`lehmer_digit_batch`, position 0 first.
-
-    With ``np.bitwise_count`` (NumPy ≥ 2.0) and ``n ≤ 64`` each column
-    is one step of the popcount sweep, so a caller that folds the
-    columns as they come never holds the ``(B, n)`` digit matrix;
-    otherwise the matrix is built and its columns returned.  Integer
-    input keeps its dtype — narrow columns make every step narrow — so a
-    consumer that weights a digit column casts it first.  A column-major
-    ``perms`` makes every column read contiguous.
-    """
-    p = _perm_rows(perms, validate)
-    if _HAS_BITWISE_COUNT and p.shape[1] <= 64:
-        return _popcount_digits(p)
-    return iter(lehmer_digit_batch(p, validate=False).T)
+    """Vectorised Lehmer digits of a ``(B, n)`` array → ``(B, n)`` int64,
+    the paper's high-to-low order (``out[:, 0]`` weighs ``(n−1)!``), for
+    any ``n``.  ``validate=False`` skips the rows-are-permutations
+    precheck (on arbitrary input the digits mean nothing)."""
+    return _digit_rows(_elements(perms, validate)).T.astype(np.int64)
 
 
 def rank_batch(perms: np.ndarray, *, validate: bool = True) -> np.ndarray:
-    """Vectorised ranking of a ``(B, n)`` array (identity pool, n ≤ 20).
+    """Vectorised int64 ranks of a ``(B, n)`` array (identity pool, n ≤ 20).
 
-    The digits come from :func:`lehmer_digit_batch`; ranking is then one
-    matrix–vector product against the factorial weights — a handful of
-    NumPy calls regardless of ``n``, which is what keeps the serving
-    tier's per-batch rank oracle a small fraction of a sweep (a
-    per-column Python loop costs ~10× more in dispatch overhead at
-    n = 8).
+    :func:`weighted_digit_sums` against the factorial weights — about
+    3n NumPy calls at any batch size, so one ranker serves both the
+    serving tier's per-batch rank oracle and population blocks.
 
     ``validate=False`` skips the rows-are-permutations precheck for
     callers that have already established it (the served-batch oracle
     checks bijectivity first to classify the failure).
     """
-    p = np.asarray(perms, dtype=np.int64)
-    if p.ndim != 2:
-        raise ValueError("expected a (B, n) array")
+    p = _perm_rows(perms, validate)
     n = p.shape[1]
     if n > 20:
         raise ValueError("rank_batch supports n ≤ 20 (int64 indices); use rank_fenwick")
-    _, weights = _rank_constants(n)
-    digits = lehmer_digit_batch(p, validate=validate)
-    return digits @ weights
+    return weighted_digit_sums(p, _RANK_WEIGHTS[n], validate=False)[0].astype(np.int64)
 
 
 def lehmer_digits(perm: Sequence[int]) -> tuple[int, ...]:

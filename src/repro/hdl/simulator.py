@@ -168,7 +168,8 @@ def bits_from_ints(
     if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
         # an int list mixing values above int64 with smaller ones
         # promotes to lossy float64; rebuild exactly from the originals
-        arr = np.array([int(v) for v in values], dtype=object)
+        # (a Python float is refused, not truncated)
+        arr = np.array([operator.index(v) for v in values], dtype=object)
     if width <= 64 and arr.dtype.kind in "iu" and arr.size:
         lo = int(arr.min())
         if lo < 0:

@@ -51,6 +51,14 @@ def _fresh_accumulators(n=N):
     }
 
 
+def _update(acc, perms):
+    """Fold ``perms`` into ``acc`` as one block."""
+    if acc.kind == "serial":
+        acc.update(perms, len(perms))
+    else:
+        acc.update(perms)
+
+
 def _random_state(seed, n=N, batches=3):
     """A state dict fed from a few random permutation batches."""
     rng = np.random.default_rng(seed)
@@ -60,7 +68,7 @@ def _random_state(seed, n=N, batches=3):
         perms = rng.permuted(np.tile(np.arange(n), (rng.integers(1, 50), 1)), axis=1)
         total += len(perms)
         for acc in accs.values():
-            acc.update(perms)
+            _update(acc, perms)
     return {
         "version": stream.STATE_VERSION,
         "samples": total,
@@ -91,16 +99,16 @@ class TestMergeAlgebra:
             acc_a, acc_b, acc_all = (
                 _fresh_accumulators()[kind] for _ in range(3)
             )
-            acc_a.update(batch_a)
-            acc_b.update(batch_b)
-            acc_all.update(batch_a)
-            acc_all.update(batch_b)
+            _update(acc_a, batch_a)
+            _update(acc_b, batch_b)
+            _update(acc_all, batch_a)
+            _update(acc_all, batch_b)
             merged = cls.merge_state(acc_a.state_dict(), acc_b.state_dict())
             assert merged == acc_all.state_dict(), kind
 
     def test_state_roundtrip(self):
         for kind, acc in _fresh_accumulators().items():
-            acc.update(np.tile(np.arange(N), (17, 1)))
+            _update(acc, np.tile(np.arange(N), (17, 1)))
             state = acc.state_dict()
             assert ACCUMULATOR_KINDS[kind].from_state(state).state_dict() == state
 
@@ -117,24 +125,48 @@ class TestMergeAlgebra:
 class TestAccumulatorUpdates:
     """The one-pass updates against the statistics' definitions."""
 
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 60))
+    @staticmethod
+    def _serial_definition(values, lags):
+        sums = {}
+        for lag in lags:
+            x, y = values[:-lag], values[lag:]
+            sums[lag] = (
+                [len(x), sum(x), sum(y), sum(a * a for a in x),
+                 sum(b * b for b in y), sum(a * b for a, b in zip(x, y))]
+                if len(values) > lag
+                else [0] * 6
+            )
+        return sums
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 60),
+        block=st.integers(2, 40),
+        short=st.integers(1, 40),
+    )
     @settings(max_examples=25, deadline=None)
-    def test_serial_sums_match_definition(self, seed, rows):
+    def test_serial_sums_match_definition(self, seed, rows, block, short):
         rng = np.random.default_rng(seed)
         perms = rng.permuted(np.tile(np.arange(N), (rows, 1)), axis=1)
         lags = (1, 2, 7, 60)
         acc = SerialCorrelationAccumulator(N, lags)
-        acc.update(np.asfortranarray(perms.astype(np.uint8)))
-        v = [int(x) for x in perms[:, 0]]
-        for lag in lags:
-            x, y = v[:-lag], v[lag:]
-            want = (
-                [len(x), sum(x), sum(y), sum(a * a for a in x),
-                 sum(b * b for b in y), sum(a * b for a, b in zip(x, y))]
-                if len(v) > lag
-                else [0] * 6
-            )
-            assert acc.sums[lag] == want, lag
+        acc.update(np.asfortranarray(perms.astype(np.uint8)), rows)
+        acc.update(perms[:0], rows)  # an empty fold adds nothing
+        assert acc.sums == self._serial_definition([int(x) for x in perms[:, 0]], lags)
+
+        # one update over three blocks, the last one short: pairs stop
+        # at each block boundary and the sums add block by block
+        short = min(short, block)
+        cfg = CampaignConfig(n=N, samples=2 * block + short, block=block, lags=lags)
+        sweep = rng.permuted(np.tile(np.arange(N), (cfg.samples, 1)), axis=1)
+        stats = PopulationStats.fresh(cfg.validated())
+        stats.update(np.asfortranarray(sweep.astype(np.uint8)))
+        want = {lag: [0] * 6 for lag in lags}
+        for lo in range(0, cfg.samples, block):
+            first = [int(x) for x in sweep[lo : lo + block, 0]]
+            for lag, sums in self._serial_definition(first, lags).items():
+                want[lag] = [a + b for a, b in zip(want[lag], sums)]
+        assert stats.accumulators["serial"].sums == want
 
     def test_fixed_points_match_definition(self):
         rng = np.random.default_rng(5)
@@ -271,20 +303,25 @@ class TestSweepGroups:
 
     CFG = CampaignConfig(n=N, samples=10 * 2048 + 777, block=2048)
 
-    def _state(self, monkeypatch, lanes, engine, **kw):
+    def _state(self, monkeypatch, lanes, engine, cfg=CFG, **kw):
         monkeypatch.setattr(stream, "SWEEP_LANES", lanes)
         kw.setdefault("workers", 1)
         kw.setdefault("battery_draws", 0)
-        cfg = replace(self.CFG, engine=engine)
+        cfg = replace(cfg, engine=engine)
         return run_population_campaign(cfg, **kw).stats.state_dict()
 
     @pytest.mark.parametrize("engine", ["vector", "compiled"])
     @pytest.mark.parametrize("shards", [1, 3, 5])
     def test_state_matches_one_block_per_sweep(self, monkeypatch, engine, shards):
-        reference = self._state(monkeypatch, 1, engine, shards=shards)
-        grouped = self._state(monkeypatch, stream.SWEEP_LANES, engine, shards=shards)
-        assert grouped == reference
-        assert grouped["samples"] == self.CFG.samples
+        """Also for the ideal source, and for 3,000-row blocks: two per
+        6,000-lane sweep, the campaign ending on a short one."""
+        lanes = stream.SWEEP_LANES  # read before the reference patches it
+        for source, block in (("lfsr", 2048), ("ideal", 2048), ("ideal", 3000)):
+            cfg = replace(self.CFG, source=source, block=block, samples=10 * block + 777)
+            reference = self._state(monkeypatch, 1, engine, cfg, shards=shards)
+            grouped = self._state(monkeypatch, lanes, engine, cfg, shards=shards)
+            assert grouped == reference, (source, block)
+            assert grouped["samples"] == cfg.samples
 
     def test_kill_and_resume_at_odd_block(self, monkeypatch, tmp_path):
         ckpt = tmp_path / "campaign.json"

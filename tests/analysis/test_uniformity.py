@@ -17,12 +17,13 @@ from repro.analysis.uniformity import (
     rank_bucket_counts,
     total_variation_from_uniform,
 )
-from repro.core.factorial import factorial
+from repro.core.factorial import digits_from_index, factorial
 from repro.core.knuth import KnuthShuffleCircuit
 from repro.core.lehmer import (
+    PASS_ROWS,
     lehmer_digit_batch,
-    lehmer_digit_columns,
     rank_batch,
+    rank_naive,
     unrank_batch,
 )
 
@@ -221,34 +222,47 @@ class TestRankBucketPaths:
 
 
 class TestNarrowColumns:
-    """Stream blocks arrive as uint8 columns; every ranker agrees on them.
+    """Stream sweeps arrive as uint8 columns; every ranker agrees with
+    ``rank_naive`` on them — in every dtype and order, and across the
+    digit pass's :data:`~repro.core.lehmer.PASS_ROWS` boundaries.
 
-    NumPy 2 (NEP 50) refuses ``uint8_array * 947``, so a digit column must
-    be cast into its int64 sum before it is weighted: bucket counts of
-    4093 cells put weights above 255 on every n ≥ 7.
+    NumPy 2 (NEP 50) refuses ``uint8_array * 947``, and NumPy 1.x
+    computes ``uint8_array * np.uint16(120)`` in ``uint8``, so digits and
+    weights are both cast to the sum's dtype: bucket counts of 4093
+    cells put weights above 255 on every n ≥ 7, and the rank weight 5!
+    times a digit passes 255 on every n ≥ 6.
     """
 
-    @pytest.mark.parametrize("n", range(2, 21))
+    ROWS = (1, 2, 7, 63, PASS_ROWS + 1, 2 * PASS_ROWS + 5)
+
+    @pytest.mark.parametrize("n", range(1, 21))
     def test_rankers_agree_on_narrow_dtypes(self, n):
         rng = np.random.default_rng(n)
-        wide = np.argsort(rng.random((600, n)), axis=1).astype(np.int64)
-        cells = min(DEFAULT_BUCKETS, factorial(n))
-        want_digits = lehmer_digit_batch(wide)
-        want_counts = rank_bucket_counts(wide, cells)
-        want_ranks = rank_batch(wide)
-        for dtype in (np.uint8, np.uint16, np.int64):
-            for order in ("C", "F"):
-                perms = np.asarray(wide, dtype=dtype, order=order)
-                digits = lehmer_digit_batch(perms)
-                assert digits.dtype == np.int64 and np.array_equal(digits, want_digits)
-                columns = list(lehmer_digit_columns(perms))
-                assert all(col.dtype == dtype for col in columns)
-                assert np.array_equal(np.stack(columns, axis=1), want_digits)
-                assert np.array_equal(rank_batch(perms), want_ranks)
-                for validate in (True, False):
-                    counts = rank_bucket_counts(perms, cells, validate=validate)
-                    assert np.array_equal(counts, want_counts), (dtype, order)
-        assert np.array_equal(want_counts, np.bincount(want_ranks % cells, minlength=cells))
+        wide = np.argsort(rng.random((self.ROWS[-1], n)), axis=1)
+        naive = [rank_naive(row) for row in wide.tolist()]
+        ranks = np.array(naive, dtype=np.int64)
+        digits = np.array([digits_from_index(r, n)[::-1] for r in naive], dtype=np.int64)
+        cells = min(DEFAULT_BUCKETS, max(2, factorial(n)))
+        for rows in self.ROWS:
+            want_counts = np.bincount(ranks[:rows] % cells, minlength=cells)
+            for dtype in (np.uint8, np.uint16, np.int64):
+                for order in ("C", "F"):
+                    perms = np.asarray(wide[:rows], dtype=dtype, order=order)
+                    got_digits, got_ranks = lehmer_digit_batch(perms), rank_batch(perms)
+                    assert got_digits.dtype == got_ranks.dtype == np.int64
+                    assert np.array_equal(got_digits, digits[:rows])
+                    assert np.array_equal(got_ranks, ranks[:rows])
+                    for validate in (True, False):
+                        counts = rank_bucket_counts(perms, cells, validate=validate)
+                        assert np.array_equal(counts, want_counts), (rows, dtype, order)
+
+    @pytest.mark.parametrize("n", [33, 64, 65])
+    def test_digits_past_a_machine_word(self, n):
+        """Past 32 bits the seen-mask is uint64 (past 64, the cube)."""
+        perms = np.argsort(np.random.default_rng(n).random((9, n)), axis=1)
+        want = [digits_from_index(rank_naive(row), n)[::-1] for row in perms.tolist()]
+        for dtype in (np.uint8, np.int64):
+            assert np.array_equal(lehmer_digit_batch(perms.astype(dtype)), want)
 
     def test_weights_above_a_byte(self):
         perms = np.array([[2, 0, 1, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1, 0]], dtype=np.uint8)

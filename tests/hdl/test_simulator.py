@@ -63,18 +63,18 @@ class TestCombinational:
         out = sim.run({"a": [0, 1, 2, 3], "b": 1})["y"]
         assert [int(v) for v in out] == [1, 0, 3, 2]
 
-    @pytest.mark.parametrize("backend", ["compiled", "vector"])
+    @pytest.mark.parametrize("backend", ["interp", "compiled", "vector"])
     def test_broadcast_value_checked_like_a_batch(self, backend):
         """A value broadcast against a batch is refused exactly when the
-        same value fed as a whole batch is: floats and strings are not
-        truncated or parsed, NumPy integers and bools are accepted."""
+        same value fed as a whole batch is: floats (NumPy or Python) and
+        strings are not truncated or parsed, NumPy integers and bools are
+        accepted."""
         sim = CombinationalSimulator(_xor_netlist(), backend=backend)
         batch = [0, 1, 2, 3]
-        for bad in (np.array([3.7]), ["3"]):
-            with pytest.raises(TypeError):
-                sim.run({"a": batch, "b": bad})
-            with pytest.raises(TypeError):
-                sim.run({"a": batch, "b": np.repeat(bad, 4)})
+        for bad in (np.array([3.7]), ["3"], [3.7]):
+            for lanes in (bad, np.repeat(bad, 4), list(bad) * 4):
+                with pytest.raises(TypeError):
+                    sim.run({"a": batch, "b": lanes})
         for good in (np.array([3], dtype=np.uint8), np.array([True]), [np.int64(3)]):
             out = sim.run({"a": batch, "b": good})["y"]
             assert [int(v) for v in out] == [int(good[0]) ^ a for a in batch]

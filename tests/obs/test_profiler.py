@@ -93,14 +93,18 @@ class TestClassification:
         assert classify_frame("src/repro/hdl/vector.py", "prepared_sweep") == "kernel"
 
     def test_rank_phase(self):
-        assert classify_frame("src/repro/core/lehmer.py", "rank_batch") == "rank"
+        for func in (
+            "rank_batch", "weighted_digit_sums", "_sum_plan", "_elements", "_digit_rows"
+        ):
+            assert classify_frame("src/repro/core/lehmer.py", func) == "rank", func
         assert (
             classify_frame("src/repro/analysis/uniformity.py", "rank_bucket_counts")
             == "rank"
         )
 
     def test_accumulate_phase(self):
-        assert classify_frame("src/repro/analysis/stream.py", "update") == "accumulate"
+        for func in ("update", "_sweeps", "stream_blocks"):
+            assert classify_frame("src/repro/analysis/stream.py", func) == "accumulate"
 
     def test_pool_phase(self):
         assert classify_frame("src/repro/serve/pool.py", "execute") == "pool"
