@@ -31,24 +31,10 @@ Inversion is compiled as ``v ^ N`` where ``N`` is the all-lanes-set
 mask, so values never carry bits beyond ``batch`` and Python's signed
 ``~`` (which would set infinitely many high bits) is never emitted.
 
-Event-driven kernels
---------------------
-Sequential streams rarely change every wire every cycle: a pipeline
-filling under a held input batch only moves a wavefront of activity one
-stage forward per clock.  The *incremental* kernel variant exploits
-that — every wire keeps its previous value in a per-simulator state
-list ``S`` and a gate re-evaluates only when a fanin's value **object**
-changed since the last call.  Identity implies equality for ints, so
-skipping on ``is`` can never diverge from full re-evaluation; settled
-logic costs two name loads and a branch per gate instead of a big-int
-operation.  :class:`~repro.hdl.simulator.SequentialSimulator` uses this
-variant whenever no stuck-at masks are active.
-
 Kernel cache
 ------------
 ``exec``-compiling costs milliseconds, so kernels are cached in a bounded
-LRU keyed by ``(netlist fingerprint, patchable, incremental)``.  The
-fingerprint is
+LRU keyed by ``(netlist fingerprint, patchable)``.  The fingerprint is
 the SHA-256 of the canonical serialised form
 (:func:`repro.hdl.serialize.netlist_fingerprint`), so mutating a netlist
 through the builder API invalidates its kernel on the next call, while
@@ -191,17 +177,11 @@ class CompiledKernel:
         ``leaves`` and ``returns``.
     patchable:
         Whether the kernel probes the patch mapping after each wire.
-    incremental:
-        Whether the kernel is event-driven; its callable then takes a
-        fifth argument, a mutable state list of ``state_slots`` entries
-        (initially all ``None``) holding previous wire values.
     """
 
     __slots__ = (
         "fingerprint",
         "patchable",
-        "incremental",
-        "state_slots",
         "leaves",
         "returns",
         "layout",
@@ -214,8 +194,6 @@ class CompiledKernel:
         self,
         fingerprint: str,
         patchable: bool,
-        incremental: bool,
-        state_slots: int,
         leaves: tuple[Wire, ...],
         returns: tuple[Wire, ...],
         layout: "LeafLayout",
@@ -225,8 +203,6 @@ class CompiledKernel:
     ) -> None:
         self.fingerprint = fingerprint
         self.patchable = patchable
-        self.incremental = incremental
-        self.state_slots = state_slots
         self.leaves = leaves
         self.returns = returns
         self.layout = layout
@@ -238,7 +214,7 @@ class CompiledKernel:
         return (
             f"<CompiledKernel {self.fingerprint[:12]} "
             f"leaves={len(self.leaves)} returns={len(self.returns)} "
-            f"patchable={self.patchable} incremental={self.incremental}>"
+            f"patchable={self.patchable}>"
         )
 
 
@@ -314,29 +290,17 @@ def _live_cone(nl: Netlist) -> list[Wire]:
 
 
 def _generate(
-    nl: Netlist, patchable: bool, incremental: bool
-) -> tuple[str, tuple[Wire, ...], tuple[Wire, ...], int]:
-    """Emit kernel source plus leaf/return wire orders and state size.
-
-    ``incremental=True`` emits the event-driven variant: every wire gets
-    a slot in a per-simulator state list ``S`` holding its previous
-    value, and a gate re-evaluates only when a fanin's value object
-    changed since the last call (identity implies equality for ints, so
-    skipping is always sound).  Settled logic — a filled pipeline stage
-    under a held input — then costs two name loads and a branch instead
-    of a big-int operation.
-    """
+    nl: Netlist, patchable: bool
+) -> tuple[str, tuple[Wire, ...], tuple[Wire, ...]]:
+    """Emit kernel source plus leaf and return wire orders."""
     live = _live_cone(nl)
     leaves: list[Wire] = []
-    sig = "def _kernel(L, P, Z, N, S):" if incremental else "def _kernel(L, P, Z, N):"
-    lines = [sig]
+    lines = ["def _kernel(L, P, Z, N):"]
     if patchable:
         lines.append("    _g = P.get")
-    slot = 0
     for w in live:
         g = nl.gates[w]
         op = g.op
-        source_gate = True  # reads the outside world, not other wires
         if op in (Op.INPUT, Op.REG):
             expr = f"L[{len(leaves)}]"
             leaves.append(w)
@@ -344,51 +308,36 @@ def _generate(
             expr = "Z"
         elif op is Op.CONST1:
             expr = "N"
-        else:
-            source_gate = False
-            if op is Op.BUF:
-                expr = f"v{g.fanin[0]}"
-            elif op is Op.NOT:
-                expr = f"v{g.fanin[0]} ^ N"
-            elif op is Op.AND:
-                expr = f"v{g.fanin[0]} & v{g.fanin[1]}"
-            elif op is Op.OR:
-                expr = f"v{g.fanin[0]} | v{g.fanin[1]}"
-            elif op is Op.XOR:
-                expr = f"v{g.fanin[0]} ^ v{g.fanin[1]}"
-            elif op is Op.NAND:
-                expr = f"(v{g.fanin[0]} & v{g.fanin[1]}) ^ N"
-            elif op is Op.NOR:
-                expr = f"(v{g.fanin[0]} | v{g.fanin[1]}) ^ N"
-            elif op is Op.XNOR:
-                expr = f"(v{g.fanin[0]} ^ v{g.fanin[1]}) ^ N"
-            elif op is Op.ANDN:
-                expr = f"v{g.fanin[0]} & (v{g.fanin[1]} ^ N)"
-            elif op is Op.ORN:
-                expr = f"v{g.fanin[0]} | (v{g.fanin[1]} ^ N)"
-            elif op is Op.MUX:
-                s, a, b = g.fanin
-                # a ^ (s & (a ^ b)): three ops, no inversion mask
-                expr = f"v{a} ^ (v{s} & (v{a} ^ v{b}))"
-            else:  # pragma: no cover - exhaustive over Op
-                raise ValueError(f"op {op} has no compiled form")
-        if not incremental:
-            lines.append(f"    v{w} = {expr}")
-            if patchable:
-                lines.append(f"    m = _g({w})")
-                lines.append(f"    if m is not None: v{w} = (v{w} & m[0]) | m[1]")
-            continue
-        if source_gate:
-            lines.append(f"    v{w} = {expr}")
-            lines.append(f"    c{w} = v{w} is not S[{slot}]")
-            lines.append(f"    if c{w}: S[{slot}] = v{w}")
-        else:
-            cond = " or ".join(f"c{f}" for f in g.fanin)
-            lines.append(f"    if {cond}:")
-            lines.append(f"        v{w} = {expr}; c{w} = True; S[{slot}] = v{w}")
-            lines.append("    else:")
-            lines.append(f"        v{w} = S[{slot}]; c{w} = False")
-        slot += 1
+        elif op is Op.BUF:
+            expr = f"v{g.fanin[0]}"
+        elif op is Op.NOT:
+            expr = f"v{g.fanin[0]} ^ N"
+        elif op is Op.AND:
+            expr = f"v{g.fanin[0]} & v{g.fanin[1]}"
+        elif op is Op.OR:
+            expr = f"v{g.fanin[0]} | v{g.fanin[1]}"
+        elif op is Op.XOR:
+            expr = f"v{g.fanin[0]} ^ v{g.fanin[1]}"
+        elif op is Op.NAND:
+            expr = f"(v{g.fanin[0]} & v{g.fanin[1]}) ^ N"
+        elif op is Op.NOR:
+            expr = f"(v{g.fanin[0]} | v{g.fanin[1]}) ^ N"
+        elif op is Op.XNOR:
+            expr = f"(v{g.fanin[0]} ^ v{g.fanin[1]}) ^ N"
+        elif op is Op.ANDN:
+            expr = f"v{g.fanin[0]} & (v{g.fanin[1]} ^ N)"
+        elif op is Op.ORN:
+            expr = f"v{g.fanin[0]} | (v{g.fanin[1]} ^ N)"
+        elif op is Op.MUX:
+            s, a, b = g.fanin
+            # a ^ (s & (a ^ b)): three ops, no inversion mask
+            expr = f"v{a} ^ (v{s} & (v{a} ^ v{b}))"
+        else:  # pragma: no cover - exhaustive over Op
+            raise ValueError(f"op {op} has no compiled form")
+        lines.append(f"    v{w} = {expr}")
+        if patchable:
+            lines.append(f"    m = _g({w})")
+            lines.append(f"    if m is not None: v{w} = (v{w} & m[0]) | m[1]")
     returns: list[Wire] = []
     seen_ret: set[Wire] = set()
     for w in [w for bus in nl.outputs.values() for w in bus] + [
@@ -399,29 +348,23 @@ def _generate(
             returns.append(w)
     body = ", ".join(f"v{w}" for w in returns)
     lines.append(f"    return ({body}{',' if len(returns) == 1 else ''})")
-    return "\n".join(lines) + "\n", tuple(leaves), tuple(returns), slot
+    return "\n".join(lines) + "\n", tuple(leaves), tuple(returns)
 
 
-_CACHE: "OrderedDict[tuple[str, bool, bool], CompiledKernel]" = OrderedDict()
+_CACHE: "OrderedDict[tuple[str, bool], CompiledKernel]" = OrderedDict()
 _HITS = 0
 _MISSES = 0
 
 
-def compile_netlist(
-    nl: Netlist, *, patchable: bool = False, incremental: bool = False
-) -> CompiledKernel:
+def compile_netlist(nl: Netlist, *, patchable: bool = False) -> CompiledKernel:
     """Compile (or fetch from cache) the packed-lane kernel for ``nl``.
 
     ``patchable=True`` builds the variant with per-wire stuck-at mask
-    hooks; ``incremental=True`` builds the event-driven variant whose
-    gates re-evaluate only on fanin change (sequential streams).  The
-    variants are cached independently because each hook costs per-wire
-    work on every sweep.
+    hooks.  The two variants are cached independently because the hook
+    costs a dict probe per wire on every sweep.
     """
     global _HITS, _MISSES
-    if patchable and incremental:
-        raise ValueError("patchable and incremental kernels are exclusive")
-    key = (netlist_fingerprint(nl), patchable, incremental)
+    key = (netlist_fingerprint(nl), patchable)
     kern = _CACHE.get(key)
     if kern is not None:
         _CACHE.move_to_end(key)
@@ -431,7 +374,7 @@ def compile_netlist(
         return kern
     _MISSES += 1
     t0 = time.perf_counter()
-    source, leaves, returns, state_slots = _generate(nl, patchable, incremental)
+    source, leaves, returns = _generate(nl, patchable)
     namespace: dict[str, Any] = {}
     code = compile(source, f"<kernel {nl.name} {key[0][:12]}>", "exec")
     exec(code, namespace)
@@ -439,8 +382,6 @@ def compile_netlist(
     kern = CompiledKernel(
         fingerprint=key[0],
         patchable=patchable,
-        incremental=incremental,
-        state_slots=state_slots,
         leaves=leaves,
         returns=returns,
         layout=_leaf_layout(nl, leaves, returns),
@@ -473,7 +414,7 @@ def clear_kernel_cache() -> None:
 def evict_kernel(fingerprint: str) -> int:
     """Quarantine: drop every cached variant of one netlist's kernel.
 
-    Removes all cache entries (plain/patchable/incremental) whose
+    Removes all cache entries (plain and patchable) whose
     netlist fingerprint matches and returns how many were dropped.  The
     supervised serving tier calls this when a response check convicts a
     worker's output — the compiled artefact can no longer be trusted, so
@@ -496,7 +437,9 @@ class PackedFaultPlan:
     A plan gives each bit-lane its own fault (or none — the golden
     lane): :meth:`stick` forces a wire to a constant on selected lanes,
     :meth:`upset` flips a register's state on selected lanes at the
-    start of one cycle.  Lane sets are kept packed — lane ``i`` at bit
+    start of one cycle, and :meth:`stick_slots` / :meth:`upset_slots`
+    lay a chunk of sites out one per slot of equal width, after a golden
+    slot 0, in one call.  Lane sets are kept packed — lane ``i`` at bit
     ``i``, the :func:`pack_lanes` layout — and the packed engines take
     :attr:`masks` and :attr:`upsets` as they are, through one lane-format
     conversion.  The plan also implements the interpreter overlay
@@ -544,6 +487,44 @@ class PackedFaultPlan:
         """Flip register ``register_q`` on the selected lanes at ``cycle``."""
         per_cycle = self._upsets.setdefault(cycle, {})
         per_cycle[register_q] = per_cycle.get(register_q, 0) ^ self._lane_bits(lanes)
+
+    # -- one call per chunk of fault sites ----------------------------- #
+
+    def _golden_slot(self, sites: int, width: int) -> int:
+        """Slot 0's lanes as a packed int, once ``sites`` slots of
+        ``width`` lanes after it are known to fit the plan."""
+        if width < 1 or (sites + 1) * width > self.lanes:
+            raise ValueError(
+                f"{sites} sites of {width} lanes after a golden slot "
+                f"do not fit {self.lanes} lanes"
+            )
+        return (1 << width) - 1
+
+    def stick_slots(self, sites: Sequence[tuple[Wire, bool]], width: int) -> None:
+        """Force ``sites[k] = (wire, value)`` on slot ``k + 1``.
+
+        Slots are ``width`` lanes wide and slot 0, lanes ``[0, width)``,
+        stays golden.  One pass builds the same plan as a :meth:`stick`
+        call per site on lanes ``[(k + 1) * width, (k + 2) * width)``.
+        """
+        block = self._golden_slot(len(sites), width)
+        f0, f1 = self._force0, self._force1
+        for wire, value in sites:
+            block <<= width
+            target = f1 if value else f0
+            target[wire] = target.get(wire, 0) | block
+        self._masks = None
+
+    def upset_slots(self, sites: Sequence[tuple[Wire, int]], width: int) -> None:
+        """Flip ``sites[k] = (register_q, cycle)`` on slot ``k + 1``,
+        laid out as in :meth:`stick_slots`; like :meth:`upset`, repeated
+        upsets of one register at one cycle combine by XOR."""
+        block = self._golden_slot(len(sites), width)
+        upsets = self._upsets
+        for register_q, cycle in sites:
+            block <<= width
+            per_cycle = upsets.setdefault(cycle, {})
+            per_cycle[register_q] = per_cycle.get(register_q, 0) ^ block
 
     # -- packed-engine view -------------------------------------------- #
 

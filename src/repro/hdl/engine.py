@@ -27,8 +27,6 @@ field               meaning
 ``seu_lanes``       per-lane SEU state flips on sequential stepping
 ``general_overlays``  the full interpreter overlay protocol, including
                     bridging faults that read aggressor wires mid-sweep
-``incremental``     event-driven sequential kernels (gates re-evaluate
-                    only on fanin change)
 ``auto_priority``   rank under ``backend="auto"`` — highest accepted
                     priority wins
 ==================  ====================================================
@@ -83,7 +81,6 @@ class EngineCapabilities:
     patch_masks: bool  #: per-lane stuck-at masks (packed fault plans)
     seu_lanes: bool  #: per-lane SEU flips on sequential state
     general_overlays: bool  #: arbitrary overlay protocol (bridging...)
-    incremental: bool  #: event-driven sequential kernels
     auto_priority: int = 0  #: rank under ``backend="auto"`` (higher wins)
 
 

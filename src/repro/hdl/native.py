@@ -4,9 +4,8 @@ The vector engine (:mod:`repro.hdl.vector`) runs the exec-compiled
 kernel over NumPy ``uint64`` word arrays, paying one ufunc dispatch per
 gate per sweep — about 0.5 µs each whatever the width, which makes the
 kernel the largest stage of a population campaign.  This module
-translates a *plain* (unpatched, non-incremental)
-:func:`~repro.hdl.compile.compile_netlist` kernel line by line into C
-with the same semantics:
+translates a *plain* (unpatched) :func:`~repro.hdl.compile.compile_netlist`
+kernel line by line into C with the same semantics:
 
 .. code-block:: c
 
@@ -119,7 +118,7 @@ _LEAF = re.compile(r"L\[(\d+)\]")
 
 def c_source(kern: CompiledKernel) -> str:
     """The C translation of one plain kernel (see the module docstring)."""
-    if kern.patchable or kern.incremental:
+    if kern.patchable:
         raise ValueError("only a plain kernel has a native form")
     lines = kern.source.splitlines()
     body = []

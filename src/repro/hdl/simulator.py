@@ -302,10 +302,9 @@ def pack_bus(
         raise ValueError("values must be one-dimensional")
     if len(values) == 1:
         # one word — a one-lane bus, or broadcast against a batch: each
-        # bit fills every lane.  An unchanged bit stays the same shared
-        # constant object, which the incremental kernel's identity skip
-        # relies on.  A NumPy scalar is read as its Python value, so
-        # floats and strings are refused here.
+        # bit is one of the shared constants, so nothing is allocated.
+        # A NumPy scalar is read as its Python value, so floats and
+        # strings are refused here.
         first = values[0]
         value = operator.index(first.item() if isinstance(first, np.generic) else first)
         if value < 0:
@@ -677,14 +676,11 @@ class SequentialSimulator:
         # packed engines: the kernel's leaf list (register state in its
         # register slots, the last packed inputs in its input slots) and
         # the kernel it is laid out for, the overlay's masks and upsets
-        # (converted once), incremental-kernel state and the (zero, ones)
-        # constants
+        # (converted once) and the (zero, ones) constants
         self._leaf_values: list[Any] | None = None
         self._leaf_kern: CompiledKernel | None = None
         self._masks: Mapping[int, tuple[Any, Any]] | None = None
         self._upsets: Mapping[int, Mapping[int, Any]] = {}
-        self._inc_kern: Any = None
-        self._inc_state: list[Any] | None = None
         self._zero: Any = None
         self._ones: Any = None
         self.reset()
@@ -799,7 +795,6 @@ class InterpEngine(Engine):
         patch_masks=True,
         seu_lanes=True,
         general_overlays=True,
-        incremental=False,
         auto_priority=0,
     )
 
@@ -858,8 +853,9 @@ class PackedEngine(Engine):
       enter the format;
 
     and may override the kernel choices: :meth:`seq_kernel` for
-    sequential steps and :meth:`prepared_sweep` for :class:`BatchEntry`
-    sweeps.
+    sequential steps (both formats sweep the plain kernel, or the
+    patchable one under stuck-at masks) and :meth:`prepared_sweep` for
+    :class:`BatchEntry` sweeps.
     """
 
     #: the lazy output mapping sweeps return unless asked to materialize
@@ -1151,13 +1147,7 @@ class PackedEngine(Engine):
                 leaves[slots[q]] = leaves[slots[q]] ^ flip
             for q in overlay.seu(sim.cycle):
                 leaves[slots[q]] = leaves[slots[q]] ^ ones
-        if kern.incremental:
-            if sim._inc_kern is not kern:
-                sim._inc_state = [None] * kern.state_slots
-                sim._inc_kern = kern
-            outs = kern.fn(leaves, masks, zero, ones, sim._inc_state)
-        else:
-            outs = kern.fn(leaves, masks, zero, ones)
+        outs = kern.fn(leaves, masks, zero, ones)
         for slot, _, _, d in kern.layout.registers:
             leaves[slot] = outs[d]
         sim._bool_state = None
@@ -1183,7 +1173,6 @@ class CompiledEngine(PackedEngine):
         patch_masks=True,
         seu_lanes=True,
         general_overlays=False,
-        incremental=True,
         auto_priority=100,
     )
 
@@ -1216,12 +1205,3 @@ class CompiledEngine(PackedEngine):
     @classmethod
     def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
         return list(values)
-
-    @classmethod
-    def seq_kernel(cls, nl: Netlist, masks: Mapping[int, Any]) -> CompiledKernel:
-        # without stuck-at hooks the event-driven kernel applies: gates
-        # re-evaluate only when a fanin's value changed, so pipeline-fill
-        # cycles on a held input touch just the moving wavefront
-        if masks:
-            return compile_netlist(nl, patchable=True)
-        return compile_netlist(nl, incremental=True)

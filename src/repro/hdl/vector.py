@@ -186,7 +186,6 @@ class VectorEngine(PackedEngine):
         patch_masks=True,
         seu_lanes=True,
         general_overlays=False,
-        incremental=False,
         auto_priority=50,
     )
 

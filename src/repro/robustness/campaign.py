@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence, cast
 
 import numpy as np
 
@@ -303,10 +303,21 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
 _LANES_PER_SLOT = 64
 
 
-def _frames(sweeps: Sequence[Mapping[str, np.ndarray]], n: int) -> np.ndarray:
-    """Output buses ``out0..out{n-1}`` of a pass's sweeps as ``(lanes,
-    sweeps, n)``, read in one :func:`~repro.hdl.simulator.read_buses`."""
-    return read_buses(sweeps, [f"out{t}" for t in range(n)]).transpose(2, 1, 0)
+def _frames(
+    sweeps: Sequence[Mapping[str, np.ndarray]], n: int, slots: int
+) -> np.ndarray:
+    """Output buses ``out0..out{n-1}`` of a pass's sweeps as ``(n, rows,
+    slots)``, read in one :func:`~repro.hdl.simulator.read_buses`.
+
+    Each sweep's lanes are ``slots`` equal runs, one per slot, and a
+    slot's rows are its lanes sweep by sweep: a combinational pass is
+    one sweep of ``lanes // slots`` rows a slot, a sequential pass one
+    lane a slot for each of its sweeps.  The result is a view of the
+    read, bus by bus, so the classification reads each bus contiguously.
+    """
+    words = read_buses(sweeps, [f"out{t}" for t in range(n)])
+    per_slot = words.reshape(n, len(sweeps), slots, -1).transpose(0, 1, 3, 2)
+    return per_slot.reshape(n, -1, slots)
 
 
 class _Evaluator:
@@ -392,19 +403,19 @@ class _Evaluator:
         return tile
 
     def _run_stream(self, batch: int, overlay) -> np.ndarray:
-        """One sequential pass: ``(lanes, cycles, n)`` outputs after fill."""
+        """One sequential pass: ``(n, cycles, batch)`` outputs after fill."""
         seq = SequentialSimulator(
             self.netlist, batch=batch, overlay=overlay, backend=self.backend
         )
         sweeps = [seq.step(inputs) for inputs in self.stream]
-        return _frames(sweeps[self.fill :], self.spec.n)
+        return _frames(sweeps[self.fill :], self.spec.n, batch)
 
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
-        """One per-fault evaluation: the ``(rows, n)`` outputs."""
+        """One per-fault evaluation: the ``(n, rows, 1)`` outputs."""
         if self.combinational:
             outs = self._comb_sim().run({"index": self._tile(1)}, overlay=overlay)
-            return _frames([outs], self.spec.n)[:, 0]
-        return self._run_stream(1, overlay)[0]
+            return _frames([outs], self.spec.n, 1)
+        return self._run_stream(1, overlay)
 
     def run_packed(
         self, chunk: Sequence[Fault]
@@ -412,55 +423,58 @@ class _Evaluator:
         """One fault-parallel pass over up to ``chunk_faults`` sites.
 
         Returns ``(golden, cube, sweeps)``: slot 0 of the packed batch
-        carries the fault-free circuit, whose ``(rows, n)`` outputs are
-        ``golden``; ``cube[s]`` holds the rows of ``chunk[s]``, so
-        ``cube`` is ``(faults, rows, n)``.
+        carries the fault-free circuit, whose ``(n, rows)`` outputs are
+        ``golden``; ``cube[..., s]`` holds the outputs of ``chunk[s]``,
+        so ``cube`` is ``(n, rows, faults)``.
         """
         n, slots = self.spec.n, len(chunk) + 1
         if self.combinational:
             per_fault = len(self.indices)
-            plan = PackedFaultPlan(slots * per_fault)
-            for s, fault in enumerate(chunk, start=1):
-                assert isinstance(fault, StuckAtFault)
-                plan.stick(
-                    fault.wire, fault.value, slice(s * per_fault, (s + 1) * per_fault)
-                )
+            plan = self._fault_plan(chunk, per_fault, slots * per_fault)
             outs = self._comb_sim().run({"index": self._tile(slots)}, overlay=plan)
-            cube = _frames([outs], n).reshape(slots, per_fault, n)
-            return cube[0], cube[1:], 1
-        # sequential: one lane per slot, the whole stream in one pass
-        plan = PackedFaultPlan(slots)
-        for s, fault in enumerate(chunk, start=1):
-            if isinstance(fault, StuckAtFault):
-                plan.stick(fault.wire, fault.value, slice(s, s + 1))
-            else:
-                assert isinstance(fault, SEUFault)
-                plan.upset(fault.register, fault.cycle, slice(s, s + 1))
-        cube = self._run_stream(slots, plan)
-        return cube[0], cube[1:], len(self.stream)
+            frames, sweeps = _frames([outs], n, slots), 1
+        else:  # one lane per slot, the whole stream in one pass
+            frames = self._run_stream(slots, self._fault_plan(chunk, 1, slots))
+            sweeps = len(self.stream)
+        return frames[..., 0], frames[..., 1:], sweeps
+
+    def _fault_plan(
+        self, chunk: Sequence[Fault], width: int, lanes: int
+    ) -> PackedFaultPlan:
+        """Slot 0 golden and ``chunk[k]`` on slot ``k + 1``, each slot
+        ``width`` lanes wide.  A campaign's sites are all of its model's
+        kind (stuck-at or SEU)."""
+        plan = PackedFaultPlan(lanes)
+        if self.spec.model == "seu":
+            upsets = cast(Sequence[SEUFault], chunk)
+            plan.upset_slots([(f.register, f.cycle) for f in upsets], width)
+        else:
+            stuck = cast(Sequence[StuckAtFault], chunk)
+            plan.stick_slots([(f.wire, f.value) for f in stuck], width)
+        return plan
 
 
 def _classify(golden: np.ndarray, cube: np.ndarray, n: int) -> np.ndarray:
-    """Class of every fault in a ``(faults, rows, n)`` output cube.
+    """Class of every fault in an ``(n, rows, faults)`` output cube.
 
-    Returns indices into :data:`_CLASSES`: benign when all of a fault's
-    rows equal ``golden``, silent when some differ yet every row is
-    still a permutation of ``0..n-1``, detected otherwise.  A row of n
-    entries is a permutation exactly when its seen-bitmask (bit v set
-    for each entry v) is the n low bits: an entry v >= n sets a higher
-    bit, or none once it shifts out of the mask word, and a repeated
-    entry leaves some low bit clear.  The mask word is the narrowest
-    with n bits (Python ints past 64), so it holds every bus value.
+    ``golden`` is the ``(n, rows)`` fault-free outputs.  Returns indices
+    into :data:`_CLASSES`: benign when all of a fault's rows equal
+    ``golden``, silent when some differ yet every row is still a
+    permutation of ``0..n-1``, detected otherwise.  A row of n entries
+    is a permutation exactly when its seen-bitmask (bit v set for each
+    entry v) is the n low bits: an entry v >= n sets a higher bit, or
+    none once it shifts out of the mask word, and a repeated entry
+    leaves some low bit clear.  The mask word is the narrowest with n
+    bits (Python ints past 64), so it holds every bus value.
     """
-    faults = cube.shape[0]
-    changed = (cube != golden).reshape(faults, -1).any(axis=1)
+    changed = (cube != golden[..., None]).any(axis=(0, 1))
     word = np.min_scalar_type((1 << n) - 1)
     bits = np.left_shift(np.ones((), dtype=word), cube.astype(word, copy=False))
-    seen = bits[..., 0]
+    seen = bits[0]
     for t in range(1, n):
-        seen = seen | bits[..., t]
+        seen = seen | bits[t]
     full = np.array((1 << n) - 1, dtype=word)
-    valid = (seen == full).reshape(faults, -1).all(axis=1)
+    valid = (seen == full).all(axis=0)
     return np.where(changed, np.where(valid, 2, 1), 0)
 
 
@@ -498,12 +512,12 @@ class _CampaignWork:
                 sweeps += cost
                 record(chunk, _classify(golden, cube, n))
         else:
-            golden = ev.run(None)
+            golden = ev.run(None)[..., 0]
             sweeps += ev.sweeps_per_run
             for fault in faults:
                 rows = ev.run(FaultOverlay([fault], ev.netlist))
                 sweeps += ev.sweeps_per_run
-                record((fault,), _classify(golden, rows[None], n))
+                record((fault,), _classify(golden, rows, n))
         return {"counts": counts, "examples": examples, "sweeps": sweeps}
 
 
@@ -554,7 +568,10 @@ def run_campaign(
     # the whole campaign — dicing it into per-worker slivers would waste
     # its lanes and repeat the stream once per sliver.  Compiled
     # combinational campaigns keep the historical 4-shards-per-worker
-    # split (their 63-fault chunks already align with it).
+    # split, which does not align with their 63-fault chunks: each
+    # shard ends in a part-filled pass (at n = 8, 1,286 faults in shards
+    # of 322/322/321/321 take 24 passes where 21 would do).  The sweep
+    # counts of the golden campaign signatures pin this split.
     want = max(1, workers) * 4
     if ev.fault_parallel and ev.chunk_faults > SWEEP_LANES:
         want = min(want, -(-len(faults) // ev.chunk_faults))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.hdl.compile import (
     PackedFaultPlan,
@@ -192,31 +192,18 @@ def test_feedback_counter_compiled():
 
 
 # --------------------------------------------------------------------- #
-# incremental (event-driven) kernels
+# sequential streams on the plain kernel
 
 
 class TestIncrementalKernel:
-    def test_flags_are_exclusive(self):
-        from repro.flow import build_circuit
-
-        nl = build_circuit("converter", 3, pipelined=True)
-        with pytest.raises(ValueError, match="exclusive"):
-            compile_netlist(nl, patchable=True, incremental=True)
-
-    def test_variants_cached_separately(self):
-        from repro.flow import build_circuit
-
-        nl = build_circuit("converter", 3, pipelined=True)
-        plain = compile_netlist(nl)
-        inc = compile_netlist(nl, incremental=True)
-        assert plain is not inc
-        assert inc.incremental and inc.state_slots > 0
-        assert "S[" in inc.source and "S[" not in plain.source
-        assert compile_netlist(nl, incremental=True) is inc
+    """A compiled sequential stream reuses what it already holds — a
+    held input's packed lanes, the register state in its leaf list —
+    and must stay equal to the interpreter's full re-evaluation."""
 
     def test_held_input_stream_matches_interp(self):
-        """The pipeline-fill fast path (held input, lazy outputs) stays
-        bit-identical to interpreted full re-evaluation every cycle."""
+        """The pipeline-fill fast path (held input packed once, lazy
+        outputs) stays bit-identical to interpreted full re-evaluation
+        every cycle."""
         from repro.flow import build_circuit
 
         nl = build_circuit("converter", 4, pipelined=True)
@@ -230,8 +217,8 @@ class TestIncrementalKernel:
             assert _ints(a) == _ints(b)
 
     def test_changing_then_held_then_reset(self):
-        """Stale state entries after input changes or reset() must never
-        leak: the identity guard only skips when values truly match."""
+        """Stale leaf values after input changes or reset() must never
+        leak: an input is reused only when it is the same object."""
         from repro.flow import build_circuit
 
         nl = build_circuit("converter", 3, pipelined=True)
@@ -402,6 +389,65 @@ def test_packed_plan_rejects_out_of_range_lanes():
             plan.upset(3, 0, bad)
 
 
+#: a chunk with both polarities on wire 2, and one with several upsets
+#: of register 1 at cycle 0 and at another cycle (upsets XOR)
+_BOTH_POLARITIES = [(2, False), (2, True), (0, True), (2, False)]
+_REPEATED_UPSETS = [(1, 0), (1, 0), (3, 1), (1, 2), (1, 0)]
+
+
+@given(
+    width=st.sampled_from([1, 6, 24, 64, 65]),
+    stuck=st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=12),
+    upsets=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 2)), max_size=12),
+    spare=st.integers(0, 70),
+)
+@example(width=6, stuck=[], upsets=[], spare=0)  # an empty chunk
+@example(width=65, stuck=[], upsets=[], spare=3)
+@example(width=1, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=0)
+@example(width=24, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=5)
+@example(width=64, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=0)
+@example(width=65, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=1)
+@settings(max_examples=100)
+def test_slotted_plan_matches_per_site_calls(width, stuck, upsets, spare):
+    """One ``stick_slots`` / ``upset_slots`` call per chunk builds the
+    plan that one ``stick`` / ``upset`` call per site builds on lanes
+    ``[k * width, (k + 1) * width)`` for site ``k`` (from 1; slot 0 is
+    golden), and both equal the boolean reference."""
+    lanes = (max(len(stuck), len(upsets)) + 1) * width + spare
+    plan, per_site = PackedFaultPlan(lanes), PackedFaultPlan(lanes)
+    ref = _BoolPlan(lanes)
+    plan.stick_slots(stuck, width)
+    plan.upset_slots(upsets, width)
+    for k, (wire, value) in enumerate(stuck, start=1):
+        per_site.stick(wire, value, slice(k * width, (k + 1) * width))
+        ref.stick(wire, value, slice(k * width, (k + 1) * width))
+    for k, (q, cycle) in enumerate(upsets, start=1):
+        per_site.upset(q, cycle, slice(k * width, (k + 1) * width))
+        ref.upset(q, cycle, slice(k * width, (k + 1) * width))
+    assert plan.masks == per_site.masks == ref.masks()
+    assert plan.upsets == per_site.upsets
+    assert plan.wires == per_site.wires == frozenset(ref.force0) | frozenset(ref.force1)
+    for cycle in range(3):
+        views, flips = plan.seu_lane_flips(cycle), ref.seu.get(cycle, {})
+        assert views.keys() == per_site.seu_lane_flips(cycle).keys() == flips.keys()
+        assert all(np.array_equal(views[q], flips[q]) for q in flips)
+    value = np.random.default_rng(lanes).integers(0, 2, size=lanes).astype(bool)
+    for wire in range(5):  # wire 4 is never in the plan
+        got = plan.patch(wire, value, None)
+        assert np.array_equal(got, per_site.patch(wire, value, None))
+        assert np.array_equal(got, ref.patch(wire, value))
+
+
+def test_slotted_plan_rejects_chunks_that_do_not_fit():
+    plan = PackedFaultPlan(12)
+    plan.stick_slots([(1, True), (2, False)], 4)  # golden + 2 slots of 4
+    for sites, width in (([(1, True)] * 3, 4), ([(1, True)], 0), ([], 13)):
+        with pytest.raises(ValueError, match="do not fit"):
+            plan.stick_slots(sites, width)
+        with pytest.raises(ValueError, match="do not fit"):
+            plan.upset_slots([(q, 0) for q, _ in sites], width)
+
+
 # --------------------------------------------------------------------- #
 # per-kernel leaf layouts
 
@@ -410,11 +456,12 @@ class TestLeafLayout:
     """Every sweep fills its kernel's leaves from that kernel's layout."""
 
     def test_incremental_and_patchable_kernels_interleaved(self):
-        """One netlist's incremental kernel (a plain stream) and patchable
-        kernel (a stream under a stuck-at plan, and a combinational
-        simulator switching between the patchable and plain kernels)
-        sweep in turn, each stream keeping its register state in its own
-        leaf list, and all stay equal to the interpreter."""
+        """One netlist's plain kernel (a stream without faults) and
+        patchable kernel (a stream under a stuck-at plan, and a
+        combinational simulator switching between the patchable and
+        plain kernels) sweep in turn, each stream keeping its register
+        state in its own leaf list, and all stay equal to the
+        interpreter."""
         from repro.flow import build_circuit
         from repro.robustness.faults import stuck_fault_sites
 
@@ -437,7 +484,8 @@ class TestLeafLayout:
             overlay = plan if cycle % 2 else None
             outs = [_ints(comb[b].run({"index": vec}, overlay=overlay)) for b in engines]
             assert outs[0] == outs[1], cycle
-        assert plain["compiled"]._leaf_kern.incremental
+        assert plain["compiled"]._leaf_kern is compile_netlist(nl)
+        assert not plain["compiled"]._leaf_kern.patchable
         assert patched["compiled"]._leaf_kern.patchable
 
     def test_netlist_edit_between_sweeps(self):
@@ -460,11 +508,11 @@ class TestLeafLayout:
 
         sweep([0, 5, 3])
         sweep([1, 2, 4])
-        before = compile_netlist(nl, incremental=True)
+        before = compile_netlist(nl)
         bit = nl.outputs["out0"][0]
         q = nl.register(nl.gate(Op.NOT, bit), init=True)
         nl.output("flag", Bus([q, nl.gate(Op.XOR, q, bit)]))
-        assert compile_netlist(nl, incremental=True) is not before
+        assert compile_netlist(nl) is not before
         flags = [sweep(vec)["flag"] for vec in ([5, 5, 0], [2, 3, 1], [4, 0, 2])]
         assert [v & 1 for v in flags[0]] == [1, 1, 1]  # init value
 

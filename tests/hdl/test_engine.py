@@ -78,7 +78,7 @@ class TestRegistry:
         vector = engine_capability("vector")
         assert interp.probes and interp.general_overlays
         assert not compiled.probes and not compiled.general_overlays
-        assert compiled.patch_masks and compiled.incremental
+        assert compiled.patch_masks and compiled.seu_lanes
         assert vector.patch_masks and vector.seu_lanes and not vector.probes
         assert vector.sweep_lanes >= 1024 > compiled.sweep_lanes
         assert compiled.auto_priority > vector.auto_priority > interp.auto_priority
@@ -154,7 +154,6 @@ class TestShadowing:
                 patch_masks=True,
                 seu_lanes=True,
                 general_overlays=False,
-                incremental=False,
                 auto_priority=50,
             )
 

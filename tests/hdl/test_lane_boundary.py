@@ -266,7 +266,10 @@ def test_callers_read_what_per_bus_reads_read(backend):
     sim = CombinationalSimulator(nl, backend=backend)
     sweeps = [sim.run({"index": list(range(k, 715, 11))}) for k in (0, 5)]
     per_bus = np.array([[outs[name] for name in names] for outs in sweeps])
-    assert np.array_equal(_frames(sweeps, n), per_bus.transpose(2, 0, 1))
+    # one lane a slot (65 slots), or 5 slots of 13 lanes: (n, rows, slots)
+    assert np.array_equal(_frames(sweeps, n, 65), per_bus.transpose(1, 0, 2))
+    by_slot = per_bus.reshape(2, n, 5, 13).transpose(1, 0, 3, 2).reshape(n, 26, 5)
+    assert np.array_equal(_frames(sweeps, n, 5), by_slot)
 
     rows = ConverterEngine(n, backend=backend).run(list(range(0, 715, 11)))
     assert rows.dtype == np.int64 and rows.flags.c_contiguous

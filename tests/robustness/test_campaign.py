@@ -92,7 +92,9 @@ class TestClassify:
         for f in range(40, 60):  # one element duplicated: detected
             r, t = rng.integers(rows), rng.integers(n)
             cube[f, r, t] = cube[f, r, (t + 1) % n]
-        got = [campaign._CLASSES[k] for k in campaign._classify(golden, cube, n)]
+        # _classify reads bus-major (n, rows) / (n, rows, faults) arrays
+        classes = campaign._classify(golden.T, cube.transpose(2, 1, 0), n)
+        got = [campaign._CLASSES[k] for k in classes]
         want = [self._one_fault(golden, cube[f], n) for f in range(len(cube))]
         assert got == want
         assert set(want) == {"benign", "detected", "silent"}
@@ -117,7 +119,9 @@ class TestClassify:
         want = [self._one_fault(golden, cube[f], n) for f in range(len(cube))]
         assert set(want) == {"benign", "detected", "silent"}
         for dtype in (np.int64, np.uint8):  # as drawn, and as a sweep reads
-            classes = campaign._classify(golden.astype(dtype), cube.astype(dtype), n)
+            classes = campaign._classify(
+                golden.T.astype(dtype), cube.transpose(2, 1, 0).astype(dtype), n
+            )
             assert [campaign._CLASSES[k] for k in classes] == want
 
 
