@@ -4,9 +4,9 @@ Four questions an operator asks before enabling the robustness layer:
 
 1. how fast do campaigns run (faults simulated per second), i.e. what
    does a nightly exhaustive stuck-at sweep cost?
-2. how much denser do sweeps pack under the wide-lane vector engine —
-   faults per sweep versus the compiled 63-slot quantum, with the
-   classification identity that makes the density trustworthy?
+2. how many sweeps does a campaign cost on each fault-parallel engine —
+   pinned to the closed-form pass count of each engine's lane budget,
+   with the classification identity that makes the packing trustworthy?
 3. which engine should ``auto`` pick for campaigns — compiled against
    vector sweeps and wall time on the n=8 stuck-at and SEU campaigns,
    with identical classification?
@@ -29,7 +29,10 @@ N_ENGINES = 8
 ENGINE_TRIALS = 7
 N_CHECKED = 8
 BATCH = 2048
-MIN_FAULTS_PER_SWEEP_RATIO = 8.0
+#: Closed-form passes of the exhaustive n = 6 stuck-at campaign (456
+#: faults, 64 test vectors): a vector pass holds 4,096 faults, a
+#: compiled pass 32,768 // 64 - 1 = 511.
+WIDE_PASSES = {"compiled": 1, "vector": 1}
 
 
 def test_stuck_campaign_throughput(benchmark, results_dir):
@@ -70,11 +73,12 @@ def test_stuck_campaign_throughput(benchmark, results_dir):
 
 
 def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
-    """The vector engine packs a whole campaign into a handful of sweeps.
+    """Each fault-parallel engine runs the whole n=6 campaign in its
+    closed-form pass count, with identical classification.
 
     Sweep counts are deterministic (pure slot arithmetic, no timing), so
-    the ≥ 8× density ratio and the classification identity hold on any
-    machine, smoke mode included.
+    the pins and the classification identity hold on any machine, smoke
+    mode included.
     """
     spec_c = CampaignSpec(
         circuit="converter", n=N_WIDE, model="stuck", engine="compiled"
@@ -97,16 +101,11 @@ def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
     )
     assert res_c.examples == res_v.examples
     assert res_c.total == res_v.total == total
+    sweeps = {"compiled": res_c.sweeps, "vector": res_v.sweeps}
+    assert sweeps == WIDE_PASSES, f"{sweeps} sweeps, closed form {WIDE_PASSES}"
 
     per_sweep_c = total / res_c.sweeps
     per_sweep_v = total / res_v.sweeps
-    ratio = per_sweep_v / per_sweep_c
-    assert ratio >= MIN_FAULTS_PER_SWEEP_RATIO, (
-        f"vector packs {per_sweep_v:.0f} faults/sweep vs compiled "
-        f"{per_sweep_c:.0f} — {ratio:.1f}x, need "
-        f"{MIN_FAULTS_PER_SWEEP_RATIO}x"
-    )
-
     write_report(
         results_dir,
         "fault_campaign_vector",
@@ -116,8 +115,8 @@ def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
         f"({per_sweep_c:7.1f} faults/sweep)  {res_c.wall_s:.2f}s\n"
         f"  vector   : {res_v.sweeps:4d} sweeps  "
         f"({per_sweep_v:7.1f} faults/sweep)  {res_v.wall_s:.2f}s\n"
-        f"  density  : {ratio:.1f}x, identical classification\n\n"
-        + res_v.render(),
+        f"  passes   : closed form on both engines, identical "
+        f"classification\n\n" + res_v.render(),
         benchmark=benchmark,
         data={
             "n": N_WIDE,
@@ -127,7 +126,6 @@ def test_vector_campaign_faults_per_sweep(benchmark, results_dir):
             "vector_sweeps": res_v.sweeps,
             "compiled_faults_per_sweep": per_sweep_c,
             "vector_faults_per_sweep": per_sweep_v,
-            "faults_per_sweep_ratio_x": ratio,
             "compiled_wall_s": res_c.wall_s,
             "vector_wall_s": res_v.wall_s,
             "benign": res_v.benign,

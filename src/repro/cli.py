@@ -886,9 +886,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", default="auto",
         help="simulation backend: auto, interp, compiled or vector "
         "(default: auto — fault-parallel compiled passes for stuck/seu "
-        "models, interpreter otherwise; compiled packs 63 faults per "
-        "combinational sweep and up to 4095 per sequential pass, vector "
-        "4096 per pass)",
+        "models, interpreter otherwise; compiled packs up to 511 faults "
+        "per combinational pass at 64 test vectors and up to 4095 per "
+        "sequential pass, vector 4096 per pass)",
     )
     p.set_defaults(fn=_cmd_faults)
 

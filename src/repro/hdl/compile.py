@@ -90,12 +90,13 @@ __all__ = [
 #: Maximum number of compiled kernels retained (LRU eviction beyond it).
 KERNEL_CACHE_LIMIT = 128
 
-#: Payload lanes per packed sweep quantum.  63 payload lanes plus one
-#: spare keep every packed wire value inside a single 64-bit word — the
-#: cheapest big-int a sweep can carry.  Combinational fault-parallel
-#: campaigns pack 63 fault slots plus the golden (fault-free) slot per
-#: sweep; the serving layer's micro-batcher coalesces up to this many
-#: requests into one sweep.
+#: Payload lanes per packed sweep quantum: the serving quantum.  63
+#: payload lanes plus one spare keep every packed wire value inside a
+#: single 64-bit word — the cheapest big-int a sweep can carry — and the
+#: serving layer's micro-batcher coalesces up to this many requests into
+#: one sweep.  It does not size fault-parallel campaign passes, which
+#: take their own measured lane budgets
+#: (:mod:`repro.robustness.campaign`).
 SWEEP_LANES = 63
 
 _COMPILE_WALL = _metrics.REGISTRY.histogram(
@@ -440,24 +441,25 @@ class PackedFaultPlan:
     start of one cycle, and :meth:`stick_slots` / :meth:`upset_slots`
     lay a chunk of sites out one per slot of equal width, after a golden
     slot 0, in one call.  Lane sets are kept packed — lane ``i`` at bit
-    ``i``, the :func:`pack_lanes` layout — and the packed engines take
-    :attr:`masks` and :attr:`upsets` as they are, through one lane-format
-    conversion.  The plan also implements the interpreter overlay
-    protocol (``wires`` / ``patch`` / ``seu``, plus
-    :meth:`seu_lane_flips`), unpacking boolean views on demand, so the
-    same plan runs on ``backend="interp"`` lane for lane — that is how
-    the engines are cross-checked.
+    ``i``, the :func:`pack_lanes` layout — and a stuck-at wire's lanes
+    are kept as the ``(keep, force)`` pair the patchable kernel applies,
+    so the bigint engine takes :attr:`masks` and :attr:`upsets` as they
+    are and the vector engine converts each value once.  The plan also
+    implements the interpreter overlay protocol (``wires`` / ``patch`` /
+    ``seu``, plus :meth:`seu_lane_flips`), unpacking boolean views on
+    demand, so the same plan runs on ``backend="interp"`` lane for lane
+    — that is how the engines are cross-checked.  Finish a plan before
+    a simulator takes it: the compiled engine sweeps the plan's own
+    masks and upsets.
     """
 
     def __init__(self, lanes: int) -> None:
         if lanes < 1:
             raise ValueError("a fault plan needs at least one lane")
         self.lanes = lanes
-        self.n_words = words_for(lanes)
-        self._force0: dict[Wire, int] = {}
-        self._force1: dict[Wire, int] = {}
+        self._full = ones_mask(lanes)
+        self._masks: dict[Wire, tuple[int, int]] = {}
         self._upsets: dict[int, dict[Wire, int]] = {}
-        self._masks: dict[Wire, tuple[int, int]] | None = None
 
     def _lane_bits(self, lanes: Any) -> int:
         """The selected lanes as a packed int.
@@ -477,11 +479,12 @@ class PackedFaultPlan:
         """Force ``wire`` to ``value`` on the selected lanes.
 
         ``lanes`` is any NumPy index expression over the lane axis
-        (boolean mask, index array or list, slice...).
+        (boolean mask, index array or list, slice...).  A lane stuck at
+        both values reads 1.
         """
-        target = self._force1 if value else self._force0
-        target[wire] = target.get(wire, 0) | self._lane_bits(lanes)
-        self._masks = None
+        bits = self._lane_bits(lanes)
+        keep, force = self._masks.get(wire, (self._full, 0))
+        self._masks[wire] = (keep & ~bits, force | bits if value else force)
 
     def upset(self, register_q: Wire, cycle: int, lanes: Any) -> None:
         """Flip register ``register_q`` on the selected lanes at ``cycle``."""
@@ -504,16 +507,40 @@ class PackedFaultPlan:
         """Force ``sites[k] = (wire, value)`` on slot ``k + 1``.
 
         Slots are ``width`` lanes wide and slot 0, lanes ``[0, width)``,
-        stays golden.  One pass builds the same plan as a :meth:`stick`
-        call per site on lanes ``[(k + 1) * width, (k + 2) * width)``.
+        stays golden.  The call builds the plan that a :meth:`stick`
+        call per site on lanes ``[(k + 1) * width, (k + 2) * width)``
+        builds, making each faulted wire's ``(keep, force)`` pair once.
+        Consecutive sites on one wire (its two polarities, as
+        :func:`~repro.robustness.faults.stuck_fault_sites` lists them)
+        form a run of slots, whose lanes one shift selects; a stuck-at-1
+        slot takes one more shift to force.
         """
         block = self._golden_slot(len(sites), width)
-        f0, f1 = self._force0, self._force1
-        for wire, value in sites:
-            block <<= width
-            target = f1 if value else f0
-            target[wire] = target.get(wire, 0) | block
-        self._masks = None
+        runs: list[list[int]] = []  # [wire, first slot, slots, stuck-at-1 slot bits]
+        last: Wire | None = None
+        for slot, (wire, value) in enumerate(sites, 1):
+            if wire != last:
+                run = [wire, slot, 0, 0]
+                runs.append(run)
+                last = wire
+            if value:
+                run[3] |= 1 << run[2]
+            run[2] += 1
+        full, masks = self._full, self._masks
+        for wire, first, count, ones in runs:
+            # keep first: the shifted run dies before the next wide int
+            # is made, which at 32,768 lanes builds a plan ~30 % faster
+            keep = full ^ (((1 << count * width) - 1) << first * width)
+            force = 0
+            while ones:
+                low = ones & -ones
+                bits = block << (first + low.bit_length() - 1) * width
+                force = force | bits if force else bits
+                ones ^= low
+            held = masks.get(wire)
+            if held is not None:  # the wire is stuck on earlier lanes too
+                keep, force = held[0] & keep, held[1] | force
+            masks[wire] = (keep, force)
 
     def upset_slots(self, sites: Sequence[tuple[Wire, int]], width: int) -> None:
         """Flip ``sites[k] = (register_q, cycle)`` on slot ``k + 1``,
@@ -530,14 +557,9 @@ class PackedFaultPlan:
 
     @property
     def masks(self) -> dict[Wire, tuple[int, int]]:
-        """Wire → packed ``(keep, force)`` masks for the patchable kernel."""
-        if self._masks is None:
-            full = ones_mask(self.lanes)
-            f0, f1 = self._force0, self._force1
-            self._masks = {
-                w: (full ^ (f0.get(w, 0) | f1.get(w, 0)), f1.get(w, 0))
-                for w in {**f0, **f1}
-            }
+        """Wire → packed ``(keep, force)`` masks for the patchable kernel:
+        lanes cleared in ``keep`` read ``force``.  The plan's own
+        mapping, which callers only read."""
         return self._masks
 
     @property
@@ -556,7 +578,7 @@ class PackedFaultPlan:
 
     @property
     def wires(self) -> frozenset[Wire]:
-        return frozenset(self._force0) | frozenset(self._force1)
+        return frozenset(self._masks)
 
     def patch(self, wire: Wire, value: np.ndarray, values: Any) -> np.ndarray:
         if value.shape[0] != self.lanes:
@@ -564,14 +586,11 @@ class PackedFaultPlan:
                 f"fault plan has {self.lanes} lanes but wire {wire} "
                 f"carries {value.shape[0]}"
             )
-        out = value
-        f0 = self._force0.get(wire)
-        if f0 is not None:
-            out = out & ~unpack_lanes(f0, self.lanes)
-        f1 = self._force1.get(wire)
-        if f1 is not None:
-            out = out | unpack_lanes(f1, self.lanes)
-        return out
+        pair = self._masks.get(wire)
+        if pair is None:
+            return value
+        keep, force = pair
+        return (value & unpack_lanes(keep, self.lanes)) | unpack_lanes(force, self.lanes)
 
     def seu(self, cycle: int) -> Sequence[Wire]:
         # Whole-lane flips are expressed through seu_lane_flips(); the

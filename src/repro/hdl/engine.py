@@ -17,9 +17,9 @@ of what an engine can host:
 field               meaning
 ==================  ====================================================
 ``sweep_lanes``     payload-lane quantum per sweep — the batch size the
-                    serving micro-batcher coalesces to; fault-parallel
-                    campaigns derive their pass widths from it (a
-                    compiled sequential pass is not capped at it)
+                    serving micro-batcher coalesces to; vector
+                    fault-parallel passes derive their widths from it
+                    (compiled passes take their own lane budgets)
 ``probes``          can attach a :class:`~repro.obs.probes.SimProbe`
                     (requires a materialised wire-value table)
 ``patch_masks``     per-lane stuck-at masks — uniform stuck overlays and

@@ -119,9 +119,24 @@ class Netlist:
         #: kernels) combine it with structure sizes to detect staleness.
         self._version: int = 0
         self._fingerprint_cache: tuple[object, str] | None = None
+        #: the mutation token of the last passing :meth:`check`
+        self._checked: tuple[int, ...] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
+
+    def _mutation_token(self) -> tuple[int, ...]:
+        """Changes with every edit through the builder API: the mutation
+        version plus the structure sizes, so direct ``registers``
+        appends count too.  In-place surgery on existing ``gates``
+        entries or buses bypasses the builder and is not tracked."""
+        return (
+            self._version,
+            len(self.gates),
+            len(self.registers),
+            len(self.inputs),
+            len(self.outputs),
+        )
 
     def _new_wire(self, op: Op, fanin: tuple[Wire, ...], name: str | None = None) -> Wire:
         self.gates.append(Gate(op, fanin, name))
@@ -374,7 +389,14 @@ class Netlist:
         return seen
 
     def check(self) -> None:
-        """Structural sanity: fanins precede gates (acyclic), buses intact."""
+        """Structural sanity: fanins precede gates (acyclic), buses intact.
+
+        A passing check holds until the mutation token changes, so
+        checking an unchanged netlist again costs nothing.
+        """
+        token = self._mutation_token()
+        if self._checked == token:
+            return
         for w, g in enumerate(self.gates):
             for f in g.fanin:
                 if not (0 <= f < w):
@@ -386,6 +408,7 @@ class Netlist:
             for w in bus:
                 if not (0 <= w < len(self.gates)):
                     raise ValueError(f"bus {name!r} references missing wire {w}")
+        self._checked = token
 
     def summary(self) -> dict[str, int]:
         """A compact structural report used by tests and benchmarks."""

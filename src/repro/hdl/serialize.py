@@ -93,19 +93,14 @@ def netlist_fingerprint(nl: Netlist) -> str:
     structurally identical, so it is the cache key for compiled
     simulation kernels (:mod:`repro.hdl.compile`).
 
-    The hash is memoised on the netlist, keyed by the builder's mutation
-    version plus structure counts: any edit through the construction API
-    (``gate``/``input``/``output``/``register``/direct ``registers``
-    appends) invalidates it.  In-place surgery on existing ``gates``
-    entries bypasses the builder and is not tracked.
+    The hash is memoised on the netlist, keyed by its mutation token
+    (the builder's mutation version plus structure counts): any edit
+    through the construction API (``gate``/``input``/``output``/
+    ``register``/direct ``registers`` appends) invalidates it.  In-place
+    surgery on existing ``gates`` entries bypasses the builder and is
+    not tracked.
     """
-    token: tuple[object, ...] = (
-        nl._version,
-        len(nl.gates),
-        len(nl.registers),
-        len(nl.inputs),
-        len(nl.outputs),
-    )
+    token = nl._mutation_token()
     cached = nl._fingerprint_cache
     if cached is not None and cached[0] == token:
         return cached[1]

@@ -848,9 +848,9 @@ class PackedEngine(Engine):
     * :meth:`pack_bools` / :meth:`unpack_bools` — a boolean lane vector
       to and from one lane value (register state, buses wider than 64
       bits);
-    * :meth:`pack_ints` — packed ints as lane values: how a
-      :class:`~repro.hdl.compile.PackedFaultPlan`'s masks and upsets
-      enter the format;
+    * :meth:`fault_lanes` — a
+      :class:`~repro.hdl.compile.PackedFaultPlan`'s packed-int masks and
+      upsets in the format;
 
     and may override the kernel choices: :meth:`seq_kernel` for
     sequential steps (both formats sweep the plain kernel, or the
@@ -893,8 +893,12 @@ class PackedEngine(Engine):
 
     @classmethod
     @abstractmethod
-    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
-        """Packed ints (lane ``i`` at bit ``i``) as lane values, in order."""
+    def fault_lanes(
+        cls, plan: PackedFaultPlan, words: int
+    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+        """A fault plan's wire → ``(keep, force)`` masks and cycle →
+        register → flip upsets, each packed int (lane ``i`` at bit
+        ``i``) as a lane value."""
 
     # -- kernel choices ------------------------------------------------- #
 
@@ -940,14 +944,7 @@ class PackedEngine(Engine):
                 raise ValueError(
                     f"fault plan has {overlay.lanes} lanes, batch is {batch}"
                 )
-            masks, upsets = overlay.masks, overlay.upsets
-            packed = [m for pair in masks.values() for m in pair]
-            packed += [v for flips in upsets.values() for v in flips.values()]
-            lanes = iter(cls.pack_ints(packed, words))
-            return (
-                {w: (next(lanes), next(lanes)) for w in masks},
-                {c: {q: next(lanes) for q in flips} for c, flips in upsets.items()},
-            )
+            return cls.fault_lanes(overlay, words)
         stuck = overlay.stuck_assignments() or {}
         return {w: (zero, ones if v else zero) for w, v in stuck.items()}, {}
 
@@ -1203,5 +1200,8 @@ class CompiledEngine(PackedEngine):
         return unpack_lanes(value, lanes)
 
     @classmethod
-    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
-        return list(values)
+    def fault_lanes(
+        cls, plan: PackedFaultPlan, words: int
+    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+        # a plan's packed ints are this format's lane values
+        return plan.masks, plan.upsets

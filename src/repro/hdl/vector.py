@@ -39,8 +39,8 @@ one vectorised ufunc per gate:
 The engine registers as ``backend="vector"`` with a
 4096-lane sweep quantum (:data:`VECTOR_SWEEP_LANES`): fault-parallel
 campaigns pack thousands of faults next to one golden slot per sweep
-(the compiled engine packs 63 per combinational sweep), and the serving
-layer admits batches to match.  ``auto``
+(the compiled engine packs up to 511 per combinational pass at 64 test
+vectors), and the serving layer admits batches to match.  ``auto``
 never picks it — NumPy ufunc dispatch costs more than a one-word bigint
 op at small batches — it is an explicit opt-in for wide sweeps.
 """
@@ -48,11 +48,11 @@ op at small batches — it is an explicit opt-in for wide sweeps.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Any, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.hdl.compile import CompiledKernel, words_for
+from repro.hdl.compile import CompiledKernel, PackedFaultPlan, words_for
 from repro.hdl.engine import EngineCapabilities, register_engine
 from repro.hdl.native import native_kernel
 from repro.hdl.simulator import PackedEngine, PackedOutputs, pack_bus
@@ -215,8 +215,18 @@ class VectorEngine(PackedEngine):
         return words_to_lanes(value, lanes)
 
     @classmethod
-    def pack_ints(cls, values: Sequence[int], words: int) -> list[Any]:
-        return [u64_from_int(value, words) for value in values]
+    def fault_lanes(
+        cls, plan: PackedFaultPlan, words: int
+    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+        masks = {
+            w: (u64_from_int(keep, words), u64_from_int(force, words))
+            for w, (keep, force) in plan.masks.items()
+        }
+        upsets = {
+            cycle: {q: u64_from_int(flip, words) for q, flip in flips.items()}
+            for cycle, flips in plan.upsets.items()
+        }
+        return masks, upsets
 
     @classmethod
     def pack(

@@ -36,7 +36,7 @@ import numpy as np
 from repro.analysis.faultcoverage import wilson_interval
 from repro.errors import CampaignConfigError
 from repro.core.factorial import factorial
-from repro.hdl.compile import SWEEP_LANES, PackedFaultPlan
+from repro.hdl.compile import PackedFaultPlan
 from repro.hdl.engine import BACKENDS, engine_capability
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
@@ -195,7 +195,7 @@ class CampaignResult:
 #: evicted first).  Entries are shared read-only: a netlist is never
 #: mutated by a campaign, fault sites are frozen dataclasses, plans are
 #: tuples, and an evaluator only caches what is deterministic in its
-#: spec (its simulator, the tiled test vectors).  A process runs its
+#: spec (its simulator, the test vectors).  A process runs its
 #: shards one at a time, so the shared simulator's interpreter scratch
 #: is never in use twice at once.
 _PLAN_MEMO = 32
@@ -291,15 +291,22 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
     return list(_plan(spec).faults)
 
 
-#: Lane budget per fault slot in a combinational fault-parallel sweep:
-#: the slot count is capped so campaigns with huge test-vector sets do
-#: not explode one sweep's memory.  The packed engine's capability sets
-#: the slot ceiling: 63 faults + 1 golden slot into 4096 lanes on the
-#: compiled engine, 4096 faults + 1 golden on the vector engine.  A
-#: sequential pass gives each slot one lane; there the compiled engine
-#: takes the same 4096-lane budget (4095 faults + 1 golden), since its
-#: bigint lanes have no width limit, and the vector engine its 4097
-#: slots.
+#: Lanes of one compiled fault-parallel pass.  The serving quantum
+#: (``SWEEP_LANES``) does not size them: bigint lanes have no width
+#: limit.  A pass's fixed Python work (simulator call, pack, read and
+#: classify calls) is paid once per pass, but each fault's masks and
+#: kernel patches are a pass wide, so the combinational budget sits at
+#: the knee of the measured curve (DESIGN.md §6): a golden slot and one
+#: slot per fault, each as wide as the test vectors, in 32,768 lanes —
+#: 511 faults at 64 vectors, 5,460 at n = 3's six.  A sequential pass
+#: gives each slot one lane per cycle, 4,096 of them (4,095 faults).
+_COMPILED_PASS_LANES = 32768
+_COMPILED_STREAM_LANES = 4096
+
+#: Lanes per slot in the vector engine's combinational budget: its
+#: capability's slot count (4,096 faults + 1 golden) times this caps a
+#: pass, so campaigns with huge test-vector sets do not explode one
+#: sweep's memory.  A sequential vector pass holds 4,097 slots.
 _LANES_PER_SLOT = 64
 
 
@@ -334,14 +341,15 @@ class _Evaluator:
       evaluates up to ``chunk_faults`` stuck-at/SEU sites at once:
       ``spec.engine="vector"`` runs the passes on the wide-lane NumPy
       engine, every other fault-parallel selection on the compiled
-      bigint engine (see :data:`_LANES_PER_SLOT` for the widths).
+      bigint engine (see :data:`_COMPILED_PASS_LANES` for the widths).
 
     Both produce bit-identical rows (the engines are equivalence-tested
     property-style), so campaign counts and example lists match exactly
     regardless of mode.  One evaluator is planned per spec (it lives in
     the per-process plan memo); its combinational simulator serves
-    every sweep it runs, and its test vectors are tiled once per slot
-    count.
+    every sweep it runs.  A pass tiles the test vectors once per slot
+    as it runs (~13 µs at 512 slots): a memoised tile per pass width
+    would hold ~400 KB per planned spec.
     """
 
     def __init__(
@@ -374,33 +382,27 @@ class _Evaluator:
             # the mask-patching engine that carries the packed passes:
             # vector when explicitly requested, else compiled bigints
             self.backend = "vector" if spec.engine == "vector" else "compiled"
-            slots_cap = engine_capability(self.backend).sweep_lanes + 1
-            budget = _LANES_PER_SLOT * slots_cap
-            if self.combinational:
-                per_fault = max(1, len(self.indices))
-                slots = max(2, min(slots_cap, budget // per_fault))
-            elif self.backend == "compiled":
-                slots = budget
+            per_fault = max(1, len(self.indices))
+            if self.backend == "compiled":
+                if self.combinational:
+                    slots = max(2, _COMPILED_PASS_LANES // per_fault)
+                else:
+                    slots = _COMPILED_STREAM_LANES
             else:
-                slots = slots_cap
+                slots = engine_capability(self.backend).sweep_lanes + 1
+                if self.combinational:
+                    budget = _LANES_PER_SLOT * slots
+                    slots = max(2, min(slots, budget // per_fault))
             self.chunk_faults = slots - 1
         self._comb: CombinationalSimulator | None = None
         # the index bus outgrows a machine word at n >= 21: keep exact ints
         wide = spec.circuit == "converter" and netlist.inputs["index"].width > 64
         self._vectors = np.array(indices, dtype=object if wide else np.uint64)
-        self._tiles: dict[int, np.ndarray] = {}
 
     def _comb_sim(self) -> CombinationalSimulator:
         if self._comb is None:
             self._comb = CombinationalSimulator(self.netlist, backend=self.backend)
         return self._comb
-
-    def _tile(self, slots: int) -> np.ndarray:
-        """The test vectors once per slot, as one array."""
-        tile = self._tiles.get(slots)
-        if tile is None:
-            tile = self._tiles[slots] = np.tile(self._vectors, slots)
-        return tile
 
     def _run_stream(self, batch: int, overlay) -> np.ndarray:
         """One sequential pass: ``(n, cycles, batch)`` outputs after fill."""
@@ -413,7 +415,7 @@ class _Evaluator:
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
         """One per-fault evaluation: the ``(n, rows, 1)`` outputs."""
         if self.combinational:
-            outs = self._comb_sim().run({"index": self._tile(1)}, overlay=overlay)
+            outs = self._comb_sim().run({"index": self._vectors}, overlay=overlay)
             return _frames([outs], self.spec.n, 1)
         return self._run_stream(1, overlay)
 
@@ -431,7 +433,8 @@ class _Evaluator:
         if self.combinational:
             per_fault = len(self.indices)
             plan = self._fault_plan(chunk, per_fault, slots * per_fault)
-            outs = self._comb_sim().run({"index": self._tile(slots)}, overlay=plan)
+            tile = np.tile(self._vectors, slots)
+            outs = self._comb_sim().run({"index": tile}, overlay=plan)
             frames, sweeps = _frames([outs], n, slots), 1
         else:  # one lane per slot, the whole stream in one pass
             frames = self._run_stream(slots, self._fault_plan(chunk, 1, slots))
@@ -563,19 +566,23 @@ def run_campaign(
     ev = _plan(spec).evaluator
     test_vectors = len(ev.indices) if spec.circuit == "converter" else spec.stream_length
     engine_used = ev.backend
-    # Never cut the fault list finer than one packed chunk per shard
-    # when a wide pass (vector, or a compiled sequential pass) could fit
-    # the whole campaign — dicing it into per-worker slivers would waste
-    # its lanes and repeat the stream once per sliver.  Compiled
-    # combinational campaigns keep the historical 4-shards-per-worker
-    # split, which does not align with their 63-fault chunks: each
-    # shard ends in a part-filled pass (at n = 8, 1,286 faults in shards
-    # of 322/322/321/321 take 24 passes where 21 would do).  The sweep
-    # counts of the golden campaign signatures pin this split.
+    # Four shards per worker, but a fault-parallel campaign is cut on
+    # pass boundaries and never finer than one pass per shard: dicing a
+    # pass into per-worker slivers would waste its lanes (and repeat a
+    # sequential stream once per sliver), and a shard that ended in a
+    # part-filled pass would cost a pass more.  So a campaign takes
+    # ceil(faults / chunk) passes however it is sharded: the n = 8
+    # stuck-at campaign is three shards of one pass each.
     want = max(1, workers) * 4
-    if ev.fault_parallel and ev.chunk_faults > SWEEP_LANES:
-        want = min(want, -(-len(faults) // ev.chunk_faults))
-    shards = index_shards(len(faults), want)
+    if ev.fault_parallel:
+        size = ev.chunk_faults
+        passes = -(-len(faults) // size)
+        shards = [
+            ShardSpec(s.shard_id, s.start * size, min(s.stop * size, len(faults)))
+            for s in index_shards(passes, min(want, passes))
+        ]
+    else:
+        shards = index_shards(len(faults), want)
     if events is not None:
         events.emit(
             "plan",

@@ -393,6 +393,11 @@ def test_packed_plan_rejects_out_of_range_lanes():
 #: of register 1 at cycle 0 and at another cycle (upsets XOR)
 _BOTH_POLARITIES = [(2, False), (2, True), (0, True), (2, False)]
 _REPEATED_UPSETS = [(1, 0), (1, 0), (3, 1), (1, 2), (1, 0)]
+#: a full compiled combinational pass: 511 sites of 64 lanes (32,768
+#: lanes with the golden slot), both polarities of each wire in
+#: consecutive slots and wires 0-55 hit again in a later run
+_WIDE_CHUNK = [(k // 2 % 200, bool(k % 2)) for k in range(511)]
+_WIDE_UPSETS = [(k % 7, k % 3) for k in range(511)]
 
 
 @given(
@@ -407,6 +412,8 @@ _REPEATED_UPSETS = [(1, 0), (1, 0), (3, 1), (1, 2), (1, 0)]
 @example(width=24, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=5)
 @example(width=64, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=0)
 @example(width=65, stuck=_BOTH_POLARITIES, upsets=_REPEATED_UPSETS, spare=1)
+@example(width=64, stuck=_WIDE_CHUNK, upsets=[], spare=0)
+@example(width=64, stuck=_WIDE_CHUNK, upsets=_WIDE_UPSETS, spare=0)
 @settings(max_examples=100)
 def test_slotted_plan_matches_per_site_calls(width, stuck, upsets, spare):
     """One ``stick_slots`` / ``upset_slots`` call per chunk builds the

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hdl.gates import Op
-from repro.hdl.netlist import Bus, Netlist
+from repro.hdl.netlist import Bus, Netlist, Register
 
 
 @pytest.fixture
@@ -191,6 +191,19 @@ class TestAnalysis:
         a = nl.input("a", 2)
         nl.output("y", Bus([nl.gate(Op.AND, a[0], a[1])]))
         nl.check()
+
+    def test_check_holds_only_until_the_next_edit(self, nl):
+        """A passing check is remembered, and an edit through the
+        builder API (here a direct ``registers`` append) forgets it."""
+        a = nl.input("a", 2)
+        nl.output("y", Bus([nl.gate(Op.AND, a[0], a[1])]))
+        nl.check()
+        nl.check()
+        nl.registers.append(Register(q=a[0], d=len(nl.gates) + 5))
+        with pytest.raises(ValueError, match="register D out of range"):
+            nl.check()
+        with pytest.raises(ValueError, match="register D out of range"):
+            nl.check()  # a failed check is not remembered
 
     def test_summary_keys(self, nl):
         a = nl.input("a", 2)

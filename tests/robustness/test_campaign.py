@@ -12,6 +12,7 @@ import pytest
 from repro import flow
 from repro.core.factorial import factorial
 from repro.errors import CampaignConfigError
+from repro.obs.events import CollectingSink
 from repro.robustness import campaign
 from repro.robustness.campaign import (
     CampaignSpec,
@@ -23,6 +24,19 @@ from repro.robustness.faults import SEUFault, StuckAtFault
 
 def _signature(res):
     return (res.total, res.benign, res.detected, res.silent, res.examples)
+
+
+#: 600 sampled stuck-at sites at 64 test vectors: two compiled passes of
+#: up to 511 faults, so the campaign cuts two shards at any worker count
+_TWO_PASSES = CampaignSpec(n=7, model="stuck", samples=600)
+
+
+def _run_sharded(spec, workers):
+    """Run ``spec``; return the result and the shard count it planned."""
+    sink = CollectingSink()
+    res = run_campaign(spec, workers=workers, events=sink)
+    (plan,) = [e.fields for e in sink.events if e.kind == "plan"]
+    return res, plan["shards"]
 
 
 class TestSpec:
@@ -153,7 +167,7 @@ class TestPlanMemo:
 
     def test_one_build_per_netlist_and_none_on_repeat(self, builds):
         specs = [
-            CampaignSpec(n=4, model="stuck"),  # 4 inline shards
+            CampaignSpec(n=4, model="stuck"),  # one inline shard
             CampaignSpec(n=4, model="seu"),  # the pipelined netlist
             CampaignSpec(n=4, model="bridge", samples=8),  # reuses stuck's
         ]
@@ -171,10 +185,11 @@ class TestPlanMemo:
         reason="workers inherit the plan only when forked",
     )
     def test_forked_workers_inherit_the_plan(self, builds):
-        spec = CampaignSpec(n=4, model="stuck", samples=30)
-        res = run_campaign(spec, workers=2)  # 8 shards in worker processes
-        assert res.failed_shards == 0 and res.total == 30
-        assert builds == [("converter", 4, False)]
+        # two shards, so they run in worker processes, not inline
+        res, shards = _run_sharded(_TWO_PASSES, workers=2)
+        assert shards == 2
+        assert res.failed_shards == 0 and res.total == 600
+        assert builds == [("converter", 7, False)]
 
     def test_mutating_fault_list_leaves_next_campaign(self):
         spec = CampaignSpec(n=4, model="stuck", samples=20)
@@ -206,10 +221,10 @@ class TestConverterCampaign:
         assert res.total == len(faults)
 
     def test_worker_count_invariance(self):
-        spec = CampaignSpec(circuit="converter", n=4, model="stuck", samples=30)
-        a = run_campaign(spec, workers=1)
-        b = run_campaign(spec, workers=2)
-        assert (a.benign, a.detected, a.silent) == (b.benign, b.detected, b.silent)
+        a, shards_a = _run_sharded(_TWO_PASSES, workers=1)  # inline
+        b, shards_b = _run_sharded(_TWO_PASSES, workers=2)  # worker processes
+        assert shards_a == shards_b == 2
+        assert _signature(a) == _signature(b)
 
     def test_render_mentions_key_numbers(self):
         res = run_campaign(CampaignSpec(n=4, model="stuck", samples=16))
@@ -275,6 +290,23 @@ class TestEngineIdentity:
             assert _signature(res) == _signature(ref), (engine, workers)
             if engine == "compiled":
                 assert res.sweeps == stream, workers
+
+    def test_wide_combinational_pass(self):
+        """Compiled stuck-at passes take the compiled pass budget, not
+        the serving quantum: ceil(faults / chunk) passes at any worker
+        count, classified exactly as the interpreter and the vector
+        engine do."""
+        def run(engine, workers):
+            return run_campaign(replace(_TWO_PASSES, engine=engine), workers=workers)
+
+        ref = run("interp", 1)
+        chunk = campaign._COMPILED_PASS_LANES // ref.test_vectors - 1
+        assert ref.test_vectors == 64 and chunk == 511 < ref.total
+        for engine, workers in [("compiled", 1), ("compiled", 2), ("vector", 1)]:
+            res = run(engine, workers)
+            assert _signature(res) == _signature(ref), (engine, workers)
+            if engine == "compiled":
+                assert res.sweeps == -(-ref.total // chunk) == 2, workers
 
     def test_auto_resolves_to_fault_parallel(self):
         res = run_campaign(CampaignSpec(n=4, model="stuck", samples=12))

@@ -1,5 +1,7 @@
 """CLI subcommand tests (driven through main(argv))."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -253,17 +255,18 @@ class TestQuietFlag:
 
 class TestTraceCommand:
     def test_trace_faults_has_one_child_span_per_shard(self, capsys):
-        assert main(
-            ["--quiet", "trace", "faults", "4", "--model", "stuck",
-             "--samples", "16"]
-        ) == 0
+        # 788 compiled stuck-at faults: two passes, one shard each
+        assert main(["--quiet", "trace", "faults", "7", "--model", "stuck"]) == 0
         captured = capsys.readouterr()
         assert "coverage" in captured.out
         tree = captured.err
         assert "faults" in tree
-        for shard in range(4):  # workers=1 -> 4 shards
-            assert f"shard{shard}" in tree
-        assert "plan" in tree and "done" in tree  # events landed on spans
+        plan = re.search(r"plan .*\bshards=(\d+)", tree)
+        assert plan is not None and "done" in tree  # events landed on spans
+        shards = int(plan.group(1))
+        assert shards >= 2
+        spans = re.findall(r"\bshard(\d+) ", tree)
+        assert sorted(map(int, spans)) == list(range(shards))
 
     def test_trace_vcd_unrank_writes_waveform(self, capsys, tmp_path):
         vcd = tmp_path / "wave.vcd"
@@ -342,8 +345,11 @@ class TestFaultsCommand:
         assert "statistical monitoring" in out
 
     def test_campaign_with_workers(self, capsys):
-        assert main(["faults", "4", "--samples", "16", "--workers", "2"]) == 0
-        assert "coverage" in capsys.readouterr().out
+        # 600 compiled stuck-at faults: two passes, so two pooled shards
+        assert main(["faults", "7", "--samples", "600", "--workers", "2"]) == 0
+        captured = capsys.readouterr()
+        assert "coverage" in captured.out
+        assert re.search(r"plan: .*\bshards=2 workers=2", captured.err)
 
     def test_index_bus_past_int64(self, capsys):
         """21! > 2**63: test vectors are drawn exactly, not as int64."""
