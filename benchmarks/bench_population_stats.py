@@ -19,6 +19,9 @@ same deterministic campaign through ``interp``, ``compiled`` and
 It also records both packed engines at ``repro validate``'s default
 4096-permutation block, where consecutive blocks share one
 ``SWEEP_LANES``-lane sweep, and requires their states to be identical.
+Every campaign folds each sweep into its accumulators in one update,
+as ``repro validate``'s shard worker does; at the 2²⁰-lane block a
+sweep is one block.
 
 The packed engines are timed in ``PAIRS`` interleaved compiled/vector
 pairs on process CPU time, and the gate reads the median of the
@@ -42,7 +45,7 @@ from repro.analysis.stream import (
     SWEEP_LANES,
     CampaignConfig,
     PopulationStats,
-    stream_blocks,
+    _sweeps,
 )
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -63,14 +66,15 @@ PACKED_ENGINES = ("compiled", "vector")
 def _campaign(
     engine: str, samples: int, block: int = BLOCK
 ) -> tuple[float, PopulationStats]:
-    """One campaign → (process CPU seconds, its stats)."""
+    """One campaign → (process CPU seconds, its stats), one update per
+    sweep as ``run_population_campaign``'s shard worker folds them."""
     cfg = CampaignConfig(
         n=N, samples=samples, block=block, engine=engine, source="lfsr"
     ).validated()
     stats = PopulationStats.fresh(cfg)
     t0 = time.process_time()
-    for perms in stream_blocks(cfg, range(cfg.total_blocks)):
-        stats.update(perms)
+    for rows in _sweeps(cfg, range(cfg.total_blocks)):
+        stats.update(rows)
     return time.process_time() - t0, stats
 
 

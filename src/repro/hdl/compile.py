@@ -167,12 +167,14 @@ class CompiledKernel:
     Attributes
     ----------
     leaves:
-        Wire indices the kernel reads externally (``INPUT`` and ``REG``
-        gates in the live cone, in wire order).  The callable's first
-        argument is a list of packed integers in exactly this order.
+        Wire indices the kernel reads externally: every register Q wire
+        in ``nl.registers`` order, then the ``INPUT`` (and unregistered
+        ``REG``) gates of the live cone in wire order.  The callable's
+        first argument is a list of packed integers in exactly this
+        order.
     returns:
-        Wire indices the kernel returns, in order: every output-bus wire
-        and every register D wire.
+        Wire indices the kernel returns, in order: every register's D
+        wire in ``nl.registers`` order, then every output-bus wire.
     layout:
         The :class:`LeafLayout` that maps the netlist's ports onto
         ``leaves`` and ``returns``.
@@ -226,19 +228,20 @@ class LeafLayout(NamedTuple):
     fills the leaf list and reads its results by position, without
     consulting the netlist: the combinational, prepared and sequential
     sweeps of :class:`~repro.hdl.simulator.PackedEngine` all go through
-    it.  A sequential simulator keeps its register state in the
-    register slots of one leaf list and writes each register's next
-    state straight back into its slot.
+    it.  Registers come first on both sides: register ``i``'s Q is leaf
+    ``i`` and its D is result ``i``, so a clock latches the state with
+    one slice, ``leaves[:R] = results[:R]``, and the output buses are
+    read from the results after the ``R`` register Ds.
     """
 
     #: per input bus: its name and each bit's leaf slot (``None`` for a
     #: bit outside the kernel's live cone)
     inputs: tuple[tuple[str, tuple[int | None, ...]], ...]
-    #: per register: the leaf slot of its Q wire, the Q wire, its init
-    #: value and the position of its D wire in the results
-    registers: tuple[tuple[int, Wire, bool, int], ...]
-    #: per output bus: its name and each bit's position in the results
-    outputs: tuple[tuple[str, tuple[int, ...]], ...]
+    #: per register, in leaf (and result) order: its Q wire and init value
+    registers: tuple[tuple[Wire, bool], ...]
+    #: output bus → each bit's position in the results after the
+    #: register Ds
+    outputs: dict[str, tuple[int, ...]]
     #: leaf wire → leaf slot
     slots: dict[Wire, int]
     #: input wires with a leaf slot that no input bus drives
@@ -249,21 +252,18 @@ def _leaf_layout(
     nl: Netlist, leaves: tuple[Wire, ...], returns: tuple[Wire, ...]
 ) -> LeafLayout:
     slots = {w: i for i, w in enumerate(leaves)}
-    index = {w: i for i, w in enumerate(returns)}
+    regs = len(nl.registers)
+    index = {w: i for i, w in enumerate(returns[regs:])}
     driven = {w for bus in nl.inputs.values() for w in bus}
     return LeafLayout(
         inputs=tuple(
             (name, tuple(slots.get(w) for w in bus))
             for name, bus in nl.inputs.items()
         ),
-        registers=tuple(
-            (slots[r.q], r.q, bool(r.init), index[r.d])
-            for r in nl.registers
-            if r.q in slots
-        ),
-        outputs=tuple(
-            (name, tuple(index[w] for w in bus)) for name, bus in nl.outputs.items()
-        ),
+        registers=tuple((r.q, bool(r.init)) for r in nl.registers),
+        outputs={
+            name: tuple(index[w] for w in bus) for name, bus in nl.outputs.items()
+        },
         slots=slots,
         undriven=tuple(
             w for w in leaves if nl.gates[w].op is Op.INPUT and w not in driven
@@ -293,9 +293,15 @@ def _live_cone(nl: Netlist) -> list[Wire]:
 def _generate(
     nl: Netlist, patchable: bool
 ) -> tuple[str, tuple[Wire, ...], tuple[Wire, ...]]:
-    """Emit kernel source plus leaf and return wire orders."""
+    """Emit kernel source plus leaf and return wire orders.
+
+    Register Q leaves come first, in ``nl.registers`` order, and so do
+    the register D returns; a netlist without registers keeps its leaves
+    and returns in wire and output order.
+    """
     live = _live_cone(nl)
-    leaves: list[Wire] = []
+    leaves = [r.q for r in nl.registers]
+    reg_slot = {q: slot for slot, q in enumerate(leaves)}
     lines = ["def _kernel(L, P, Z, N):"]
     if patchable:
         lines.append("    _g = P.get")
@@ -303,8 +309,11 @@ def _generate(
         g = nl.gates[w]
         op = g.op
         if op in (Op.INPUT, Op.REG):
-            expr = f"L[{len(leaves)}]"
-            leaves.append(w)
+            slot = reg_slot.get(w)
+            if slot is None:
+                slot = len(leaves)
+                leaves.append(w)
+            expr = f"L[{slot}]"
         elif op is Op.CONST0:
             expr = "Z"
         elif op is Op.CONST1:
@@ -339,11 +348,9 @@ def _generate(
         if patchable:
             lines.append(f"    m = _g({w})")
             lines.append(f"    if m is not None: v{w} = (v{w} & m[0]) | m[1]")
-    returns: list[Wire] = []
+    returns = [r.d for r in nl.registers]  # one per register, repeats kept
     seen_ret: set[Wire] = set()
-    for w in [w for bus in nl.outputs.values() for w in bus] + [
-        r.d for r in nl.registers
-    ]:
+    for w in [w for bus in nl.outputs.values() for w in bus]:
         if w not in seen_ret:
             seen_ret.add(w)
             returns.append(w)

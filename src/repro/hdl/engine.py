@@ -36,9 +36,11 @@ Resolution rules (the fallback matrix):
 * ``backend="auto"`` picks the highest-priority engine whose
   :meth:`Engine.accepts` admits the ``(probe, overlay)`` pair.  The
   built-in priorities keep the historical behaviour exactly: compiled
-  whenever it can serve, interpreter otherwise; the vector engine is an
-  explicit opt-in (``backend="vector"``) because its per-sweep NumPy
-  dispatch only pays off on wide batches.
+  whenever it can serve, interpreter otherwise.  The resolver never
+  picks the vector engine, whose per-sweep NumPy dispatch only pays off
+  on wide batches: callers name it (``backend="vector"``), as a fault
+  campaign's ``auto`` does for SEU passes whose C build binds
+  (:mod:`repro.robustness.campaign`).
 * An explicit backend that cannot serve the request (a probe on a
   packed engine, a bridging overlay) falls back to the fully-general
   engine — the interpreter — rather than failing, mirroring the

@@ -65,6 +65,7 @@ loading the same file from the cache.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import itertools
 import logging
@@ -74,6 +75,7 @@ import re
 import shutil
 import subprocess
 import threading
+from typing import Callable
 
 import numpy as np
 
@@ -89,6 +91,7 @@ __all__ = [
     "find_compiler",
     "library_path",
     "native_cache_dir",
+    "native_binding",
     "native_cache_info",
     "native_kernel",
 ]
@@ -191,23 +194,43 @@ class NativeKernel:
         """One sweep: ``leaves[i]`` holds leaf ``i``'s words, ``ones`` is
         the tail-masked all-ones constant; row ``j`` of the result holds
         the kernel's ``j``-th returned wire."""
-        words = ones.shape[0]
-        if (
-            ones.dtype != np.uint64
-            or ones.ndim != 1
-            or not ones.flags.c_contiguous
-            or leaves.dtype != np.uint64
-            or leaves.shape != (self.n_leaves, words)
-            or not leaves.flags.c_contiguous
-        ):
-            raise ValueError(
-                f"native kernel takes a C-contiguous uint64 ({self.n_leaves}, "
-                f"{words}) leaf matrix and ({words},) ones, got "
-                f"{leaves.dtype} {leaves.shape} and {ones.dtype} {ones.shape}"
-            )
-        out = np.empty((self.n_returns, words), dtype=np.uint64)
-        self._fn(words, leaves.ctypes.data, ones.ctypes.data, out.ctypes.data)
+        out = np.empty((self.n_returns, ones.shape[0]), dtype=np.uint64)
+        self.sweeper(leaves, ones, out)()
         return out
+
+    def sweeper(
+        self, leaves: np.ndarray, ones: np.ndarray, out: np.ndarray
+    ) -> Callable[[], None]:
+        """A call that sweeps ``leaves`` into ``out`` each time it runs.
+
+        The matrices are checked and their addresses taken once, so a
+        clocked pass, which rewrites one leaf matrix in place between
+        sweeps, pays only the foreign call per clock.  The caller keeps
+        the three arrays alive, at their addresses, while it uses the
+        call.
+        """
+        words = ones.shape[0]
+        for name, arr, rows in (
+            ("leaf", leaves, self.n_leaves),
+            ("result", out, self.n_returns),
+        ):
+            if (
+                arr.dtype != np.uint64
+                or arr.shape != (rows, words)
+                or not arr.flags.c_contiguous
+            ):
+                raise ValueError(
+                    f"native kernel takes C-contiguous uint64 ({rows}, {words}) "
+                    f"{name} matrices, got {arr.dtype} {arr.shape}"
+                )
+        if ones.dtype != np.uint64 or ones.ndim != 1 or not ones.flags.c_contiguous:
+            raise ValueError(
+                f"native kernel takes a C-contiguous uint64 ({words},) ones, "
+                f"got {ones.dtype} {ones.shape}"
+            )
+        return functools.partial(
+            self._fn, words, leaves.ctypes.data, ones.ctypes.data, out.ctypes.data
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -386,6 +409,17 @@ def native_kernel(kern: CompiledKernel) -> NativeKernel | None:
         if kern.fingerprint not in _BOUND:
             _BOUND[kern.fingerprint] = _bind(kern)
         return _BOUND[kern.fingerprint]
+
+
+def native_binding(kern: CompiledKernel) -> NativeKernel | None:
+    """The binding :func:`native_kernel` made for ``kern`` in this
+    process, or ``None``; never builds or loads a library.
+
+    How a sweep that cannot repay a build finds one made for it: a
+    campaign plan binds the kernel its clocked passes sweep, and each
+    clock of those passes only looks the binding up.
+    """
+    return _BOUND.get(kern.fingerprint)
 
 
 def evict_native(fingerprint: str) -> int:

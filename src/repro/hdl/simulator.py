@@ -35,12 +35,18 @@ the builtin engines; the third lives in :mod:`repro.hdl.vector`:
   any probe attached                    interpreter
   ====================================  ==================
 
+  The resolver never picks the vector engine.  A fault campaign's
+  ``engine="auto"`` makes its own choice for SEU passes: it names the
+  vector engine for a pass wider than one 64-lane word once the plain
+  kernel's C build binds, and that engine's clocked passes sweep it
+  (:mod:`repro.robustness.campaign`).
+
 The compiled and vector engines share one driver, :class:`PackedEngine`:
 input validation, leaf assembly, register state, fault masks, SEU flips,
-the held-input memo and the lazy outputs (:class:`PackedOutputs`) are
-written once over *packed lanes*, and each engine supplies only its lane
-format — one Python ``int`` per wire, or one ``uint64`` word array per
-wire — and its kernel choices.
+the one clocked loop of sequential passes and the lazy outputs
+(:class:`PackedOutputs`) are written once over *packed lanes*, and each
+engine supplies only its lane format — one Python ``int`` per wire, or
+one ``uint64`` word array per wire — and its kernel choices.
 
 Simulator classes:
 
@@ -96,7 +102,8 @@ from __future__ import annotations
 
 import operator
 from abc import abstractmethod
-from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence
+from itertools import repeat
+from typing import Any, ClassVar, Iterable, Iterator, Mapping, Sequence, cast
 
 import numpy as np
 
@@ -155,12 +162,19 @@ _SWEEP_LANES = _metrics.REGISTRY.histogram(
 def bits_from_ints(
     values: "Sequence[int] | np.ndarray", width: int
 ) -> list[np.ndarray]:
-    """Explode integers into ``width`` boolean lanes, LSB first.
+    """Explode integers into ``width`` boolean lanes, LSB first: the
+    columns of :func:`_bit_matrix`."""
+    return list(np.ascontiguousarray(_bit_matrix(values, width).T))
+
+
+def _bit_matrix(values: "Sequence[int] | np.ndarray", width: int) -> np.ndarray:
+    """Integers as a ``(len(values), width)`` boolean matrix: column
+    ``b`` holds bit ``b`` of every value.
 
     Batches whose values fit a machine word (``width <= 64``) are
-    exploded with vectorised ``uint64`` shifts; wider buses — the index
-    bus for n ≥ 21 exceeds 64 bits — fall back to object-dtype bigint
-    arithmetic.
+    exploded with one ``unpackbits`` over their little-endian bytes;
+    wider buses — the index bus for n ≥ 21 exceeds 64 bits — fall back
+    to object-dtype bigint arithmetic.
     """
     arr = np.asarray(values)
     if arr.ndim != 1:
@@ -177,16 +191,16 @@ def bits_from_ints(
         hi = int(arr.max())
         if hi.bit_length() > width:
             raise ValueError(f"value {hi} does not fit in {width} bits")
-        u = arr.astype(np.uint64)
-        one = np.uint64(1)
-        return [((u >> np.uint64(b)) & one).astype(bool) for b in range(width)]
+        raw = arr.astype("<u8").view(np.uint8).reshape(arr.size, 8)
+        return np.unpackbits(raw, axis=1, count=width, bitorder="little").view(bool)
     obj = arr.astype(object)
     for v in obj:
         if v < 0:
             raise ValueError("bus values must be non-negative")
         if int(v).bit_length() > width:
             raise ValueError(f"value {v} does not fit in {width} bits")
-    return [((obj >> b) & 1).astype(bool) for b in range(width)]
+    bits = np.array([((obj >> b) & 1).astype(bool) for b in range(width)])
+    return bits.reshape(width, arr.size).T
 
 
 def ints_from_bits(bits: Sequence[np.ndarray]) -> np.ndarray:
@@ -336,22 +350,34 @@ def read_buses(
     packed sweeps cross the lane boundary once: every named bus of every
     sweep (narrower ones padded with the zero lane) in one byte matrix,
     one ``unpackbits`` and one :func:`_fold_bits` (or, past 64 bits, one
-    :func:`ints_from_bits`).
+    :func:`ints_from_bits`).  Sweeps of one kernel whose results are
+    word matrices (the native kernel's) give that byte matrix in one
+    gather of their rows.
     """
     first = sweeps[0]
     if not isinstance(first, PackedOutputs):
         return np.array([[outs[name] for outs in sweeps] for name in names])
-    engine, lanes = first._engine, first._lanes
-    width = max(len(first._buses[name]) for name in names)
-    zero = engine.constants(lanes)[0]
-    values = []
-    for name in names:
-        for s in sweeps:
-            values += s._buses[name]
-            values += [zero] * (width - len(s._buses[name]))
-    rows = engine.unpack_rows(values, words_for(lanes))
+    engine, lanes, pos = first._engine, first._lanes, first._pos
+    width = max(len(pos[name]) for name in names)
+    words = words_for(lanes)
+    if isinstance(first._outs, np.ndarray) and all(s._pos is pos for s in sweeps):
+        index = np.array([pos[n] + (0,) * (width - len(pos[n])) for n in names])
+        picked = np.stack([s._outs for s in sweeps])[:, index]  # sweeps, names, bits
+        for k, name in enumerate(names):
+            if len(pos[name]) < width:
+                picked[:, k, len(pos[name]) :] = 0
+        rows = engine.unpack_rows(picked.swapaxes(0, 1).reshape(-1, words), words)
+    else:
+        zero = engine.constants(lanes)[0]
+        values = []
+        for name in names:
+            for s in sweeps:
+                bus = s._pos[name]
+                values += [s._outs[i] for i in bus]
+                values += [zero] * (width - len(bus))
+        rows = engine.unpack_rows(values, words)
     bits = np.unpackbits(rows, axis=1, bitorder="little")
-    bits = np.moveaxis(bits.reshape(len(names), len(sweeps), width, -1), 2, 0)
+    bits = bits.reshape(len(names), len(sweeps), width, -1).transpose(2, 0, 1, 3)
     if width > 64:  # the index bus past n = 20
         return ints_from_bits(list(bits[..., :lanes]))
     return _fold_bits(bits)[..., :lanes]
@@ -367,10 +393,10 @@ def unpack_buses(
     width's dtype: the buses of one width are one :func:`read_buses`.
     """
     first = sweeps[0]
-    names = list(first._buses) if names is None else names
+    names = list(first._pos) if names is None else names
     groups: dict[int, list[str]] = {}  # buses by width
     for name in names:
-        groups.setdefault(len(first._buses[name]), []).append(name)
+        groups.setdefault(len(first._pos[name]), []).append(name)
     out = {n: w for g in groups.values() for n, w in zip(g, read_buses(sweeps, g))}
     return {name: out[name] for name in names}
 
@@ -378,28 +404,35 @@ def unpack_buses(
 class PackedOutputs(Mapping[str, np.ndarray]):
     """Deferred bus materialisation for the packed engines.
 
-    Holds the per-wire lane values of every output bus and performs the
-    lane → per-lane-word boundary transpose (:func:`read_buses`) the
-    first time a bus is read by name, caching the result.  During
-    pipeline fill a batch sweep never looks at the outputs, and neither
-    a population nor a fault campaign reads the converter's 24-bit
-    ``word`` bus — deferring per bus makes those cost nothing.  A caller
-    that reads several buses passes the mapping to :func:`read_buses`,
-    which reads them, across one or more sweeps, in one transpose.
-    Reading any bus yields exactly the array eager materialisation
-    would have produced.
+    Holds a sweep's results — the lane values the kernel returned after
+    its register Ds — and each output bus's positions in them, and
+    performs the lane → per-lane-word boundary transpose
+    (:func:`read_buses`) the first time a bus is read by name, caching
+    the result.  During pipeline fill a batch sweep never looks at the
+    outputs, and neither a population nor a fault campaign reads the
+    converter's 24-bit ``word`` bus — deferring per bus makes those cost
+    nothing, and an output nobody reads costs no per-bus lists either.
+    A caller that reads several buses passes the mapping to
+    :func:`read_buses`, which reads them, across one or more sweeps, in
+    one transpose.  Reading any bus yields exactly the array eager
+    materialisation would have produced.
     """
 
-    __slots__ = ("_engine", "_buses", "_lanes", "_cache")
+    __slots__ = ("_engine", "_outs", "_pos", "_lanes", "_cache")
 
     def __init__(
         self,
         engine: "type[PackedEngine]",
-        buses: dict[str, list[Any]],
+        outs: Any,
+        positions: dict[str, tuple[int, ...]],
         lanes: int,
     ) -> None:
+        """Bus ``name`` is ``outs[i] for i in positions[name]``: a
+        kernel's results after its register Ds and its layout's output
+        positions."""
         self._engine = engine
-        self._buses = buses
+        self._outs = outs
+        self._pos = positions
         self._lanes = lanes
         self._cache: dict[str, np.ndarray] = {}
 
@@ -410,35 +443,45 @@ class PackedOutputs(Mapping[str, np.ndarray]):
         return arr
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._buses)
+        return iter(self._pos)
 
     def __len__(self) -> int:
-        return len(self._buses)
+        return len(self._pos)
+
+
+def _bus_values(
+    val: "int | Sequence[int] | np.ndarray",
+) -> "Sequence[int] | np.ndarray":
+    """One bus's input as a sequence of words: a scalar is one word, and
+    an ndarray batch is kept as it is (copying 10^4-lane sweeps into
+    Python lists would dominate the compiled kernel)."""
+    if isinstance(val, (int, np.integer)):
+        return [int(val)]
+    return val if isinstance(val, np.ndarray) else list(val)
+
+
+def _check_buses(nl: Netlist, inputs: Mapping[str, Any]) -> None:
+    """Refuse an input mapping that misses a bus or names an unknown one."""
+    if inputs.keys() != nl.inputs.keys():
+        missing = set(nl.inputs) - set(inputs)
+        if missing:
+            raise ValueError(f"missing inputs: {sorted(missing)}")
+        raise ValueError(f"unknown inputs: {sorted(set(inputs) - set(nl.inputs))}")
 
 
 def _coerce_inputs(
     nl: Netlist, inputs: Mapping[str, int | Sequence[int]]
 ) -> tuple[dict[str, "Sequence[int] | np.ndarray"], int]:
     """Validate an input mapping; return per-bus sequences and batch size."""
-    missing = set(nl.inputs) - set(inputs)
-    if missing:
-        raise ValueError(f"missing inputs: {sorted(missing)}")
-    extra = set(inputs) - set(nl.inputs)
-    if extra:
-        raise ValueError(f"unknown inputs: {sorted(extra)}")
+    _check_buses(nl, inputs)
     batch = 1
     seqs: dict[str, "Sequence[int] | np.ndarray"] = {}
     for name, val in inputs.items():
-        if isinstance(val, (int, np.integer)):
-            seqs[name] = [int(val)]
-        else:
-            # keep ndarray batches as-is: copying 10^4-lane sweeps into
-            # Python lists would dominate the compiled kernel
-            seqs[name] = val if isinstance(val, np.ndarray) else list(val)
-            if len(seqs[name]) != 1:
-                if batch != 1 and len(seqs[name]) != batch:
-                    raise ValueError("inconsistent batch sizes")
-                batch = max(batch, len(seqs[name]))
+        seqs[name] = _bus_values(val)
+        if len(seqs[name]) != 1:
+            if batch != 1 and len(seqs[name]) != batch:
+                raise ValueError("inconsistent batch sizes")
+            batch = max(batch, len(seqs[name]))
     return seqs, batch
 
 
@@ -673,14 +716,15 @@ class SequentialSimulator:
         # so the engine resolves once, here, through the registry.
         self.engine = resolve_backend(backend, probe=probe, overlay=overlay)
         self._bool_state: dict[int, np.ndarray] | None = {}
-        # packed engines: the kernel's leaf list (register state in its
-        # register slots, the last packed inputs in its input slots) and
-        # the kernel it is laid out for, the overlay's masks and upsets
-        # (converted once) and the (zero, ones) constants
-        self._leaf_values: list[Any] | None = None
+        # packed engines: the kernel's leaves (register state in its
+        # register slots, the last packed inputs after them; a list, or
+        # the vector format's word matrix) and the kernel they are laid
+        # out for, the overlay's masks and upsets (converted once) and
+        # the (zero, ones) constants
+        self._leaf_values: Any = None
         self._leaf_kern: CompiledKernel | None = None
         self._masks: Mapping[int, tuple[Any, Any]] | None = None
-        self._upsets: Mapping[int, Mapping[int, Any]] = {}
+        self._upsets: Mapping[int, tuple[Sequence[int], Sequence[Any]]] = {}
         self._zero: Any = None
         self._ones: Any = None
         self.reset()
@@ -717,8 +761,8 @@ class SequentialSimulator:
         the stored register state *before* evaluation; the corrupted
         value then propagates (and is re-latched downstream) exactly
         once — a transient upset, not a stuck bit.  A packed engine
-        returns the lazy :class:`PackedOutputs`, as :meth:`run_stream`
-        does with ``materialize=False``.
+        runs a one-cycle :meth:`run_stream` and returns the lazy
+        :class:`PackedOutputs`, as ``materialize=False`` does.
         """
         return self.engine.seq_step(self, inputs)
 
@@ -758,8 +802,10 @@ class SequentialSimulator:
         """Feed a sequence of per-cycle inputs; collect per-cycle outputs.
 
         Scratch buffers (wire table, packed state) are allocated once and
-        reused for every cycle.  Under a packed engine, an input bus fed
-        the *same object* on consecutive cycles is packed only once.
+        reused for every cycle.  Under a packed engine the whole stream
+        is checked and packed before the first clock: a bus given one
+        word per cycle is packed for every cycle at once, and a batch
+        fed as the *same object* on consecutive cycles is packed once.
 
         With ``materialize=False`` a packed engine defers the lane → word
         boundary transpose: each cycle's mapping converts a bus the
@@ -829,6 +875,59 @@ class InterpEngine(Engine):
         return {}
 
 
+class LeafList:
+    """A clocked pass's leaves as a list of lane values, swept by the
+    kernel function: how both lane formats' Python kernels run a pass.
+
+    Each :meth:`tick` writes a clock's inputs into the leaves after the
+    registers, calls the kernel once, latches the register Ds into the
+    register leaves with one slice (register ``i`` is leaf and result
+    ``i``) and returns the results after them, the output values of
+    that clock.  Lane values are never changed in place — a flip makes
+    a new value — so a clock's outputs stay as they were while later
+    clocks run.
+    """
+
+    __slots__ = ("leaves", "_fn", "_masks", "_zero", "_ones", "_regs")
+
+    def __init__(
+        self,
+        kern: CompiledKernel,
+        masks: Mapping[int, Any],
+        leaves: Sequence[Any] | None,
+        zero: Any,
+        ones: Any,
+    ) -> None:
+        if leaves is None:  # every register at its init value
+            leaves = PackedEngine._leaf_list(kern, {}, zero, ones)
+        self.leaves = leaves if isinstance(leaves, list) else list(leaves)
+        self._fn = kern.fn
+        self._masks = masks
+        self._zero, self._ones = zero, ones
+        self._regs = len(kern.layout.registers)
+
+    def rows(self, bits: np.ndarray) -> list[list[Any]]:
+        """Per cycle, the input leaves a ``(cycles, inputs)`` bit matrix
+        sets: each bit as the shared ``zero`` or ``ones``."""
+        pair = (self._zero, self._ones)
+        return [[pair[b] for b in row] for row in bits.tolist()]
+
+    def flip(self, slots: Sequence[int], values: Sequence[Any]) -> None:
+        """XOR ``values[k]`` into register leaf ``slots[k]``."""
+        leaves = self.leaves
+        for slot, value in zip(slots, values):
+            leaves[slot] = leaves[slot] ^ value
+
+    def tick(self, row: Sequence[Any]) -> Sequence[Any]:
+        """One clock on the input leaves ``row``: sweep, latch the
+        register Ds; the output values."""
+        leaves, regs = self.leaves, self._regs
+        leaves[regs:] = row
+        outs = self._fn(leaves, self._masks, self._zero, self._ones)
+        leaves[:regs] = outs[:regs]
+        return outs[regs:]
+
+
 class PackedEngine(Engine):
     """The packed-lane driver shared by the compiled and vector engines.
 
@@ -853,8 +952,9 @@ class PackedEngine(Engine):
       upsets in the format;
 
     and may override the kernel choices: :meth:`seq_kernel` for
-    sequential steps (both formats sweep the plain kernel, or the
-    patchable one under stuck-at masks) and :meth:`prepared_sweep` for
+    sequential passes (both formats sweep the plain kernel, or the
+    patchable one under stuck-at masks), :meth:`clock` for the leaves a
+    clocked pass keeps and :meth:`prepared_sweep` for
     :class:`BatchEntry` sweeps.
     """
 
@@ -895,17 +995,32 @@ class PackedEngine(Engine):
     @abstractmethod
     def fault_lanes(
         cls, plan: PackedFaultPlan, words: int
-    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+    ) -> tuple[Mapping[int, Any], Mapping[int, tuple[Sequence[int], Sequence[Any]]]]:
         """A fault plan's wire → ``(keep, force)`` masks and cycle →
-        register → flip upsets, each packed int (lane ``i`` at bit
-        ``i``) as a lane value."""
+        ``(register Qs, flips)`` upsets, each packed int (lane ``i`` at
+        bit ``i``) as a lane value."""
 
     # -- kernel choices ------------------------------------------------- #
 
     @classmethod
     def seq_kernel(cls, nl: Netlist, masks: Mapping[int, Any]) -> CompiledKernel:
-        """The kernel a sequential step sweeps."""
+        """The kernel a sequential pass sweeps."""
         return compile_netlist(nl, patchable=bool(masks))
+
+    @classmethod
+    def clock(
+        cls,
+        kern: CompiledKernel,
+        masks: Mapping[int, Any],
+        leaves: Sequence[Any] | None,
+        words: int,
+        zero: Any,
+        ones: Any,
+    ) -> Any:
+        """The leaves a clocked pass of ``kern`` keeps, starting from
+        ``leaves`` (``None``: every register at its init value), and
+        their sweep (:class:`LeafList`'s interface)."""
+        return LeafList(kern, masks, leaves, zero, ones)
 
     @classmethod
     def prepared_sweep(
@@ -934,7 +1049,7 @@ class PackedEngine(Engine):
     @classmethod
     def _overlay_lanes(
         cls, overlay: Any, batch: int, words: int, zero: Any, ones: Any
-    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+    ) -> tuple[Mapping[int, Any], Mapping[int, tuple[Sequence[int], Sequence[Any]]]]:
         """An accepted overlay's per-wire ``(keep, force)`` lane masks
         and, for a fault plan, its per-cycle register flips."""
         if overlay is None:
@@ -948,24 +1063,22 @@ class PackedEngine(Engine):
         stuck = overlay.stuck_assignments() or {}
         return {w: (zero, ones if v else zero) for w, v in stuck.items()}, {}
 
-    @classmethod
+    @staticmethod
+    def _check_driven(nl: Netlist, kern: CompiledKernel) -> None:
+        """Refuse a kernel whose leaves read an input no bus drives."""
+        if kern.layout.undriven:
+            w = kern.layout.undriven[0]
+            raise ValueError(f"input wire {w} ({nl.gates[w].name}) left undriven")
+
+    @staticmethod
     def _leaf_list(
-        cls,
-        nl: Netlist,
-        kern: CompiledKernel,
-        state: Mapping[int, Any],
-        zero: Any,
-        ones: Any,
+        kern: CompiledKernel, state: Mapping[int, Any], zero: Any, ones: Any
     ) -> list[Any]:
         """A leaf list for ``kern`` with each register at ``state[q]``
         (default: its init value); :meth:`_fill_inputs` fills the input
         slots."""
-        layout = kern.layout
-        if layout.undriven:
-            w = layout.undriven[0]
-            raise ValueError(f"input wire {w} ({nl.gates[w].name}) left undriven")
-        leaves = [zero] * len(layout.slots)
-        for slot, q, init, _ in layout.registers:
+        leaves = [zero] * len(kern.leaves)
+        for slot, (q, init) in enumerate(kern.layout.registers):
             value = state.get(q)
             leaves[slot] = (ones if init else zero) if value is None else value
         return leaves
@@ -979,33 +1092,25 @@ class PackedEngine(Engine):
         batch: int,
         zero: Any,
         ones: Any,
-        held: dict[str, Any] | None = None,
     ) -> None:
         """Pack each input bus into its leaf slots.
 
-        With ``held`` (bus → the value object it last packed), a bus fed
-        the same object again keeps the lanes already in its slots.
         Input bits outside the kernel's live cone have no slot; they are
         packed (validation is per bus) and then dropped.
         """
         words = words_for(batch)
         for name, slots in kern.layout.inputs:
-            val = seqs[name]
-            if held is not None and held.get(name) is val:
-                continue
-            packed = cls.pack(val, len(slots), batch, words, zero, ones)
+            packed = cls.pack(seqs[name], len(slots), batch, words, zero, ones)
             for slot, value in zip(slots, packed):
                 if slot is not None:
                     leaves[slot] = value
-            if held is not None:
-                held[name] = val
 
     @classmethod
     def _outputs(
         cls, kern: CompiledKernel, outs: Any, lanes: int, materialize: bool
     ) -> Mapping[str, np.ndarray]:
-        buses = {name: [outs[i] for i in pos] for name, pos in kern.layout.outputs}
-        lazy = cls.lazy_outputs(cls, buses, lanes)
+        regs = len(kern.layout.registers)
+        lazy = cls.lazy_outputs(cls, outs[regs:], kern.layout.outputs, lanes)
         if materialize:
             return {name: words[0] for name, words in unpack_buses([lazy]).items()}
         return lazy
@@ -1033,7 +1138,8 @@ class PackedEngine(Engine):
             q: cls._lane_from_bools(lane, batch, words)
             for q, lane in (reg_state or {}).items()
         }
-        leaves = cls._leaf_list(nl, kern, state, zero, ones)
+        cls._check_driven(nl, kern)
+        leaves = cls._leaf_list(kern, state, zero, ones)
         cls._fill_inputs(kern, leaves, seqs, batch, zero, ones)
         outs = kern.fn(leaves, masks, zero, ones)
         sim._wire_values = []  # a packed engine keeps no wire table
@@ -1049,7 +1155,8 @@ class PackedEngine(Engine):
         words = words_for(batch)
         zero, ones = cls.constants(batch)
         kern = entry.kernel
-        leaves = cls._leaf_list(entry.netlist, kern, {}, zero, ones)
+        cls._check_driven(entry.netlist, kern)
+        leaves = cls._leaf_list(kern, {}, zero, ones)
         cls._fill_inputs(kern, leaves, seqs, batch, zero, ones)
         outs = cls.prepared_sweep(kern, leaves, words, zero, ones)
         _observe_sweep(cls.name, batch)
@@ -1060,7 +1167,7 @@ class PackedEngine(Engine):
     @classmethod
     def seq_reset(cls, sim: Any) -> None:
         # constant init values are the shared constants directly — no
-        # boolean arrays, no bit shuffles; the next step lays them out
+        # boolean arrays, no bit shuffles; the next pass lays them out
         sim._zero, sim._ones = cls.constants(sim.batch)
         sim._leaf_values = None
         sim._bool_state = None
@@ -1076,81 +1183,164 @@ class PackedEngine(Engine):
             }
         return {
             q: cls.unpack_bools(leaves[slot], batch)
-            for slot, q, _, _ in sim._leaf_kern.layout.registers
+            for slot, (q, _) in enumerate(sim._leaf_kern.layout.registers)
         }
 
     @classmethod
     def seq_step(cls, sim: Any, inputs: Mapping[str, Any]) -> Mapping[str, Any]:
-        return cls._advance(sim, inputs, {}, materialize=False)
+        return cls.seq_run_stream(sim, [inputs], materialize=False)[0]
 
     @classmethod
     def seq_run_stream(
         cls, sim: Any, input_stream: Sequence[Mapping[str, Any]], materialize: bool
     ) -> list[Mapping[str, Any]]:
-        held: dict[str, Any] = {}
-        return [cls._advance(sim, inputs, held, materialize) for inputs in input_stream]
+        """The one clocked loop of both lane formats.
 
-    @classmethod
-    def _lay_out(cls, sim: Any, kern: CompiledKernel) -> list[Any]:
-        """A leaf list for ``kern`` holding the simulator's register
-        state: the previous kernel's register slots (after a netlist
-        edit), an assigned boolean state, or else the init values."""
-        old = sim._leaf_values
-        if old is not None:
-            state = {q: old[slot] for slot, q, _, _ in sim._leaf_kern.layout.registers}
-        else:
-            words = words_for(sim.batch)
-            state = {
-                q: cls._lane_from_bools(lane, sim.batch, words)
-                for q, lane in (sim._bool_state or {}).items()
-            }
-        sim._leaf_kern = kern
-        sim._leaf_values = cls._leaf_list(sim.netlist, kern, state, sim._zero, sim._ones)
-        return sim._leaf_values
-
-    @classmethod
-    def _advance(
-        cls, sim: Any, inputs: Mapping[str, Any], held: dict[str, Any], materialize: bool
-    ) -> Mapping[str, Any]:
-        """One clock tick: pack the inputs into the leaves, apply this
-        cycle's upsets, sweep, and write each register's next state
-        straight into its leaf slot.
-
-        A held input — the same object as the previous cycle's in one
-        stream, as when filling a pipeline with one batch (``held`` maps
-        each bus to it) — keeps its lanes and packs once.
+        The kernel, the overlay's masks and upsets (once per simulator)
+        and every cycle's packed inputs are resolved before the first
+        clock.  Each clock then XORs that cycle's upsets into the
+        register leaves, writes its inputs into the leaves after the
+        registers, and sweeps and latches once (the format's
+        :meth:`clock`); the outputs of each clock are its results after
+        the register Ds, so a clock nobody reads costs no bus lists.
         """
+        if not input_stream:
+            return []
         nl, batch = sim.netlist, sim.batch
-        seqs, in_batch = _coerce_inputs(nl, inputs)
-        if in_batch not in (1, batch):
-            raise ValueError("inconsistent batch sizes")
+        words = words_for(batch)
         zero, ones = sim._zero, sim._ones
-        masks = sim._masks
-        if masks is None:
-            masks, sim._upsets = cls._overlay_lanes(
-                sim.overlay, batch, words_for(batch), zero, ones
+        if sim._masks is None:
+            sim._masks, sim._upsets = cls._overlay_lanes(
+                sim.overlay, batch, words, zero, ones
             )
-            sim._masks = masks
-        kern = cls.seq_kernel(nl, masks)
+        kern = cls.seq_kernel(nl, sim._masks)
+        bits, fed = cls._stream_inputs(nl, kern, input_stream, batch, words, zero, ones)
         leaves = sim._leaf_values
         if leaves is None or sim._leaf_kern is not kern:
             leaves = cls._lay_out(sim, kern)
-            held.clear()
-        cls._fill_inputs(kern, leaves, seqs, batch, zero, ones, held)
-        overlay = sim.overlay
-        if overlay is not None:
-            slots = kern.layout.slots
-            for q, flip in sim._upsets.get(sim.cycle, {}).items():
-                leaves[slots[q]] = leaves[slots[q]] ^ flip
-            for q in overlay.seu(sim.cycle):
-                leaves[slots[q]] = leaves[slots[q]] ^ ones
-        outs = kern.fn(leaves, masks, zero, ones)
-        for slot, _, _, d in kern.layout.registers:
-            leaves[slot] = outs[d]
-        sim._bool_state = None
-        sim.cycle += 1
-        _observe_sweep(cls.name, batch)
-        return cls._outputs(kern, outs, batch, materialize)
+        clock = cls.clock(kern, sim._masks, leaves, words, zero, ones)
+        rows = clock.rows(bits)
+        for c, cols, values in fed:
+            row = rows[c]
+            for col, value in zip(cols, values):
+                row[col] = value
+        layout, upsets, overlay = kern.layout, sim._upsets, sim.overlay
+        slots = layout.slots
+        # a fault plan's upsets are all in sim._upsets; another overlay
+        # may flip whole registers (the classic protocol's seu hook)
+        seu = None
+        if overlay is not None and not isinstance(overlay, PackedFaultPlan):
+            seu = overlay.seu
+        kept = []
+        for row in rows:
+            flips = upsets.get(sim.cycle)
+            if flips is not None:
+                clock.flip([slots[q] for q in flips[0]], flips[1])
+            if seu is not None:
+                whole = seu(sim.cycle)
+                if whole:
+                    clock.flip([slots[q] for q in whole], [ones] * len(whole))
+            kept.append(clock.tick(row))
+            sim.cycle += 1
+        if _metrics.REGISTRY.enabled:
+            for _ in kept:
+                _observe_sweep(cls.name, batch)
+        sim._leaf_kern, sim._leaf_values, sim._bool_state = kern, clock.leaves, None
+        lazy = [cls.lazy_outputs(cls, outs, layout.outputs, batch) for outs in kept]
+        if not materialize:
+            return lazy
+        read = unpack_buses(lazy)
+        return [{name: w[c] for name, w in read.items()} for c in range(len(lazy))]
+
+    @classmethod
+    def _stream_inputs(
+        cls,
+        nl: Netlist,
+        kern: CompiledKernel,
+        stream: Sequence[Mapping[str, Any]],
+        batch: int,
+        words: int,
+        zero: Any,
+        ones: Any,
+    ) -> tuple[np.ndarray, list[tuple[int, list[int], list[Any]]]]:
+        """A stream's inputs, checked and packed before its first clock.
+
+        Returns ``(bits, fed)``.  ``bits[c, j]`` is the bit that a bus
+        given one word at cycle ``c`` puts on leaf ``R + j`` (``R``
+        registers): one :func:`_bit_matrix` per bus covers every
+        cycle.  ``fed`` holds ``(cycle, leaf columns, lane values)`` for
+        each bus given a batch, packed per cycle unless the batch is the
+        object the bus was given the cycle before (a pipeline filled
+        with one batch packs it once).  Bits outside the kernel's live
+        cone are checked with their bus and then dropped.
+        """
+        cls._check_driven(nl, kern)
+        keys = nl.inputs.keys()
+        for inputs in stream:
+            if inputs.keys() != keys:
+                _check_buses(nl, inputs)
+        # each bus's words and batches, every cycle's checked before any
+        # is packed
+        buses: dict[str, tuple[list[int], list[Any], list[tuple[int, Any]]]] = {}
+        for name in keys:
+            words_at: list[int] = []
+            given: list[Any] = []
+            batches: list[tuple[int, Any]] = []
+            for c, inputs in enumerate(stream):
+                val = inputs[name]
+                if not isinstance(val, (int, np.integer)):
+                    val = _bus_values(val)
+                    if len(val) != 1:
+                        if len(val) != batch:
+                            raise ValueError("inconsistent batch sizes")
+                        batches.append((c, val))
+                        continue
+                    val = val[0]
+                words_at.append(c)
+                given.append(val)
+            buses[name] = (words_at, given, batches)
+        regs = len(kern.layout.registers)
+        bits = np.zeros((len(stream), len(kern.layout.slots) - regs), dtype=bool)
+        fed: list[tuple[int, list[int], list[Any]]] = []
+        for name, slots in kern.layout.inputs:
+            words_at, given, batches = buses[name]
+            live = [b for b, slot in enumerate(slots) if slot is not None]
+            cols = [cast(int, slots[b]) - regs for b in live]
+            if words_at:
+                planes = _bit_matrix(given, len(slots))[:, live]
+                if len(words_at) == len(stream):
+                    bits[:, cols] = planes
+                else:
+                    bits[np.array(words_at)[:, None], cols] = planes
+            held, packed = None, []
+            for c, values in batches:
+                if values is not held:
+                    packed = cls.pack(values, len(slots), batch, words, zero, ones)
+                    held = values
+                fed.append((c, cols, [packed[b] for b in live]))
+        return bits, fed
+
+    @classmethod
+    def _lay_out(cls, sim: Any, kern: CompiledKernel) -> list[Any] | None:
+        """A leaf list for ``kern`` holding the simulator's register
+        state — the previous kernel's register slots (after a netlist
+        edit) or an assigned boolean state — or ``None`` when every
+        register holds its init value."""
+        old = sim._leaf_values
+        if old is not None:
+            state = {
+                q: old[slot]
+                for slot, (q, _) in enumerate(sim._leaf_kern.layout.registers)
+            }
+        elif sim._bool_state:
+            words = words_for(sim.batch)
+            state = {
+                q: cls._lane_from_bools(lane, sim.batch, words)
+                for q, lane in sim._bool_state.items()
+            }
+        else:
+            return None
+        return cls._leaf_list(kern, state, sim._zero, sim._ones)
 
 
 @register_engine
@@ -1188,7 +1378,7 @@ class CompiledEngine(PackedEngine):
         if words == 1:
             return np.array(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
         nbytes = words * 8
-        buf = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        buf = b"".join(map(int.to_bytes, values, repeat(nbytes), repeat("little")))
         return np.frombuffer(buf, dtype=np.uint8).reshape(len(values), nbytes)
 
     @classmethod
@@ -1202,6 +1392,10 @@ class CompiledEngine(PackedEngine):
     @classmethod
     def fault_lanes(
         cls, plan: PackedFaultPlan, words: int
-    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+    ) -> tuple[Mapping[int, Any], Mapping[int, tuple[Sequence[int], Sequence[Any]]]]:
         # a plan's packed ints are this format's lane values
-        return plan.masks, plan.upsets
+        upsets = {
+            cycle: (tuple(flips), tuple(flips.values()))
+            for cycle, flips in plan.upsets.items()
+        }
+        return plan.masks, upsets

@@ -32,17 +32,26 @@ one vectorised ufunc per gate:
 * Prepared sweeps (:class:`~repro.hdl.simulator.BatchEntry`, which
   ``repro validate`` and ``serve --engine vector`` use) run the
   kernel's C build from :mod:`repro.hdl.native` over the same words,
-  16–24× faster, when one can be built.  One-off, sequential and
-  fault-patched sweeps keep the NumPy kernel: a build costs 0.05–1.3 s
-  and cannot pay for one sweep.
+  16–24× faster, when one can be built.
+* Clocked passes (:meth:`~repro.hdl.simulator.SequentialSimulator.run_stream`
+  and ``step``) of the plain kernel sweep its C build too when this
+  process already holds a binding of it (:func:`~repro.hdl.native.native_binding`):
+  the leaves stay one ``(leaves × words)`` matrix for the whole stream
+  (:class:`LeafMatrix`).  A clocked step never starts a build; a fault
+  campaign's plan binds the kernel its SEU passes sweep.  One-off
+  combinational and fault-patched sweeps keep the NumPy kernel: a
+  build costs 0.05–1.3 s (1 s for the n = 8 pipelined converter) and
+  cannot pay for one sweep.
 
 The engine registers as ``backend="vector"`` with a
 4096-lane sweep quantum (:data:`VECTOR_SWEEP_LANES`): fault-parallel
 campaigns pack thousands of faults next to one golden slot per sweep
 (the compiled engine packs up to 511 per combinational pass at 64 test
-vectors), and the serving layer admits batches to match.  ``auto``
-never picks it — NumPy ufunc dispatch costs more than a one-word bigint
-op at small batches — it is an explicit opt-in for wide sweeps.
+vectors), and the serving layer admits batches to match.  The
+simulators' ``auto`` never picks it — NumPy ufunc dispatch costs more
+than a one-word bigint op at small batches — but a campaign's ``auto``
+runs its SEU passes on it whenever the native build binds and a pass
+spans more than one word (:mod:`repro.robustness.campaign`).
 """
 
 from __future__ import annotations
@@ -54,11 +63,18 @@ import numpy as np
 
 from repro.hdl.compile import CompiledKernel, PackedFaultPlan, words_for
 from repro.hdl.engine import EngineCapabilities, register_engine
-from repro.hdl.native import native_kernel
-from repro.hdl.simulator import PackedEngine, PackedOutputs, pack_bus
+from repro.hdl.native import NativeKernel, native_binding, native_kernel
+from repro.hdl.simulator import (
+    CompiledEngine,
+    LeafList,
+    PackedEngine,
+    PackedOutputs,
+    pack_bus,
+)
 
 __all__ = [
     "VECTOR_SWEEP_LANES",
+    "LeafMatrix",
     "VectorEngine",
     "VectorOutputs",
     "lanes_to_words",
@@ -151,6 +167,66 @@ def vec_from_ints(
     return pack_bus(VectorEngine, values, width, batch, words, zero, ones)
 
 
+class LeafMatrix:
+    """A clocked pass's leaves as one ``(leaves × words)`` word matrix,
+    swept by the kernel's native build: :class:`~repro.hdl.simulator.LeafList`'s
+    interface for the vector format's C kernel.
+
+    The matrix is the simulator's register state and stays at one
+    address for the pass, so each :meth:`tick` is one copy of the
+    clock's input rows, one foreign call
+    (:meth:`~repro.hdl.native.NativeKernel.sweeper`) into a reused
+    result matrix, one copy that latches the register Ds and one copy
+    of the output rows, which is all a clock keeps.
+    """
+
+    __slots__ = (
+        "leaves", "_zero", "_ones", "_sweep", "_inputs", "_state", "_next", "_outs"
+    )
+
+    def __init__(
+        self,
+        native: NativeKernel,
+        kern: CompiledKernel,
+        leaves: Sequence[Any] | None,
+        words: int,
+        zero: np.ndarray,
+        ones: np.ndarray,
+    ) -> None:
+        regs = len(kern.layout.registers)
+        if leaves is None:  # every register at its init value
+            matrix = np.zeros((len(kern.leaves), words), dtype=np.uint64)
+            inits = [init for _, init in kern.layout.registers]
+            matrix[:regs][np.array(inits, dtype=bool)] = ones
+        elif isinstance(leaves, np.ndarray):
+            matrix = leaves
+        else:
+            matrix = np.array(leaves, dtype=np.uint64).reshape(len(leaves), words)
+        out = np.empty((len(kern.returns), words), dtype=np.uint64)
+        self.leaves = matrix
+        self._zero, self._ones = zero, ones
+        self._sweep = native.sweeper(matrix, ones, out)
+        self._inputs, self._state = matrix[regs:], matrix[:regs]
+        self._next, self._outs = out[:regs], out[regs:]
+
+    def rows(self, bits: np.ndarray) -> np.ndarray:
+        """Per cycle, the input leaves a ``(cycles, inputs)`` bit matrix
+        sets, as one ``(cycles, inputs, words)`` block."""
+        return np.where(bits[..., None], self._ones, self._zero)
+
+    def flip(self, slots: Sequence[int], values: Any) -> None:
+        """XOR ``values[k]`` into register leaf ``slots[k]``, in place."""
+        self.leaves[np.array(slots, dtype=np.intp)] ^= values
+
+    def tick(self, row: np.ndarray) -> np.ndarray:
+        """One clock on the input rows ``row``: sweep, latch the
+        register Ds; the output rows."""
+        self._inputs[...] = row
+        self._sweep()
+        self._state[...] = self._next
+        return self._outs.copy()
+
+
 class VectorOutputs(PackedOutputs):
     """Lazy outputs of vector sweeps: the shared mapping.  The class
     binds ``__getitem__`` itself, so a tracer can time word-array reads
@@ -174,8 +250,10 @@ class VectorEngine(PackedEngine):
     Identical capability surface to the compiled engine (per-lane patch
     masks and SEU flips, no probes, no bridging overlays) but a 4096-lane
     sweep quantum.  ``auto_priority`` sits between compiled and interp:
-    auto never reaches it (compiled accepts the same requests at higher
-    priority) — wide-sweep callers opt in with ``backend="vector"``.
+    a simulator's auto never reaches it (compiled accepts the same
+    requests at higher priority).  Wide-sweep callers opt in with
+    ``backend="vector"``; a fault campaign's plan picks it for SEU
+    passes wider than one word that its native build serves.
     """
 
     name = "vector"
@@ -203,7 +281,7 @@ class VectorEngine(PackedEngine):
 
     @classmethod
     def unpack_rows(cls, values: Sequence[Any], words: int) -> np.ndarray:
-        stack = np.array(values, dtype=np.uint64)
+        stack = np.asarray(values, dtype=np.uint64)
         return stack.astype(_WORD_LE, copy=False).view(np.uint8)
 
     @classmethod
@@ -217,15 +295,22 @@ class VectorEngine(PackedEngine):
     @classmethod
     def fault_lanes(
         cls, plan: PackedFaultPlan, words: int
-    ) -> tuple[Mapping[int, Any], Mapping[int, Mapping[int, Any]]]:
+    ) -> tuple[Mapping[int, Any], Mapping[int, tuple[Sequence[int], Any]]]:
         masks = {
             w: (u64_from_int(keep, words), u64_from_int(force, words))
             for w, (keep, force) in plan.masks.items()
         }
-        upsets = {
-            cycle: {q: u64_from_int(flip, words) for q, flip in flips.items()}
-            for cycle, flips in plan.upsets.items()
-        }
+        # every flip of the plan crosses at once, as the bigint format
+        # reads its lane values (one bytes join): each cycle's flips are
+        # consecutive rows of one (flips × words) matrix
+        flips = [f for per_cycle in plan.upsets.values() for f in per_cycle.values()]
+        rows = CompiledEngine.unpack_rows(flips, words).view(_WORD_LE)
+        matrix = rows.astype(np.uint64, copy=False)
+        upsets: dict[int, tuple[tuple[int, ...], np.ndarray]] = {}
+        row = 0
+        for cycle, per_cycle in plan.upsets.items():
+            upsets[cycle] = (tuple(per_cycle), matrix[row : row + len(per_cycle)])
+            row += len(per_cycle)
         return masks, upsets
 
     @classmethod
@@ -235,7 +320,24 @@ class VectorEngine(PackedEngine):
         # vec_from_ints is the vector engine's named pack stage (hdl.pack)
         return vec_from_ints(values, width, batch, words, zero, ones)
 
-    # -- kernel choice -------------------------------------------------- #
+    # -- kernel choices ------------------------------------------------- #
+
+    @classmethod
+    def clock(
+        cls,
+        kern: CompiledKernel,
+        masks: Mapping[int, Any],
+        leaves: Sequence[Any] | None,
+        words: int,
+        zero: Any,
+        ones: Any,
+    ) -> Any:
+        # A clocked pass sweeps the plain kernel's C build when this
+        # process already holds one; it never starts a build.
+        native = None if masks else native_binding(kern)
+        if native is None:
+            return LeafList(kern, masks, leaves, zero, ones)
+        return LeafMatrix(native, kern, leaves, words, zero, ones)
 
     @classmethod
     def prepared_sweep(

@@ -36,8 +36,9 @@ import numpy as np
 from repro.analysis.faultcoverage import wilson_interval
 from repro.errors import CampaignConfigError
 from repro.core.factorial import factorial
-from repro.hdl.compile import PackedFaultPlan
+from repro.hdl.compile import PackedFaultPlan, compile_netlist
 from repro.hdl.engine import BACKENDS, engine_capability
+from repro.hdl.native import native_kernel
 from repro.hdl.netlist import Netlist
 from repro.hdl.simulator import (
     CombinationalSimulator,
@@ -124,7 +125,9 @@ class CampaignResult:
     examples: dict[str, list[str]] = field(default_factory=dict)
     failed_shards: int = 0
     engine: str = "auto"  #: backend that actually ran the campaign
-    sweeps: int = 0  #: combinational sweeps executed across all workers
+    #: kernel sweeps across all workers (a sequential pass sweeps once
+    #: per clock)
+    sweeps: int = 0
     wall_s: float = 0.0  #: end-to-end campaign wall time
 
     @property
@@ -279,7 +282,7 @@ def _plan(spec: CampaignSpec) -> _Plan:
         rng = np.random.default_rng(spec.seed)
         keep = rng.choice(len(sites), size=spec.samples, replace=False)
         sites = [sites[int(i)] for i in sorted(keep)]
-    return _Plan(nl, tuple(sites), indices, _Evaluator(spec, nl, indices))
+    return _Plan(nl, tuple(sites), indices, _Evaluator(spec, nl, indices, len(sites)))
 
 
 def fault_list(spec: CampaignSpec) -> list[Fault]:
@@ -299,9 +302,18 @@ def fault_list(spec: CampaignSpec) -> list[Fault]:
 #: the knee of the measured curve (DESIGN.md §6): a golden slot and one
 #: slot per fault, each as wide as the test vectors, in 32,768 lanes —
 #: 511 faults at 64 vectors, 5,460 at n = 3's six.  A sequential pass
-#: gives each slot one lane per cycle, 4,096 of them (4,095 faults).
+#: gives each slot one lane per clock, 4,096 of them (4,095 faults): the
+#: stuck-at passes of the shuffle circuit, and SEU passes wherever the
+#: native build does not bind (see :meth:`_Evaluator.bind`).
 _COMPILED_PASS_LANES = 32768
 _COMPILED_STREAM_LANES = 4096
+
+#: Largest SEU campaign that ``auto`` keeps on compiled bigints although
+#: the native build binds: its pass (a golden slot and one lane per
+#: fault) fits one 64-lane word, where a bigint sweep costs no more than
+#: the foreign call and the word-matrix stream's fixed cost loses
+#: (DESIGN.md §6).
+_ONE_WORD_FAULTS = 63
 
 #: Lanes per slot in the vector engine's combinational budget: its
 #: capability's slot count (4,096 faults + 1 golden) times this caps a
@@ -338,10 +350,14 @@ class _Evaluator:
     * **fault-parallel** (:meth:`run_packed`) — a mask-patching engine
       packs one fault per slot of bit-lanes next to a golden slot
       (:class:`~repro.hdl.compile.PackedFaultPlan`), so a single pass
-      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once:
-      ``spec.engine="vector"`` runs the passes on the wide-lane NumPy
-      engine, every other fault-parallel selection on the compiled
-      bigint engine (see :data:`_COMPILED_PASS_LANES` for the widths).
+      evaluates up to ``chunk_faults`` stuck-at/SEU sites at once.
+      ``spec.engine="vector"`` runs the passes on the wide-lane engine
+      and ``"compiled"`` on bigints.  Under ``"auto"`` stuck-at passes
+      run on compiled bigints, and SEU passes — the plain pipelined (or
+      shuffle) kernel, clocked once per cycle of the stream — on the
+      vector engine's native stream whenever they span more than one
+      64-lane word and :meth:`bind` binds that kernel's C build, else
+      on compiled (see :data:`_COMPILED_PASS_LANES` for the widths).
 
     Both produce bit-identical rows (the engines are equivalence-tested
     property-style), so campaign counts and example lists match exactly
@@ -353,10 +369,15 @@ class _Evaluator:
     """
 
     def __init__(
-        self, spec: CampaignSpec, netlist: Netlist, indices: tuple[int, ...]
+        self,
+        spec: CampaignSpec,
+        netlist: Netlist,
+        indices: tuple[int, ...],
+        faults: int,
     ) -> None:
         self.spec = spec
         self.netlist, self.indices = netlist, indices
+        self.faults = faults  #: fault sites of the campaign
         if spec.circuit == "converter":
             self.fill = (spec.n - 1) if spec.model == "seu" else 0
             stream = [{"index": i} for i in self.indices]
@@ -376,28 +397,63 @@ class _Evaluator:
             "seu",
         )
         self.chunk_faults = 1
-        if not self.fault_parallel:
-            self.backend = spec.engine
-        else:
+        self.backend = spec.engine
+        if self.fault_parallel:
             # the mask-patching engine that carries the packed passes:
             # vector when explicitly requested, else compiled bigints
-            self.backend = "vector" if spec.engine == "vector" else "compiled"
-            per_fault = max(1, len(self.indices))
-            if self.backend == "compiled":
-                if self.combinational:
-                    slots = max(2, _COMPILED_PASS_LANES // per_fault)
-                else:
-                    slots = _COMPILED_STREAM_LANES
-            else:
-                slots = engine_capability(self.backend).sweep_lanes + 1
-                if self.combinational:
-                    budget = _LANES_PER_SLOT * slots
-                    slots = max(2, min(slots, budget // per_fault))
-            self.chunk_faults = slots - 1
+            # until bind() finds the native build of an SEU pass
+            self._carry("vector" if spec.engine == "vector" else "compiled")
+        self._bound = False
         self._comb: CombinationalSimulator | None = None
         # the index bus outgrows a machine word at n >= 21: keep exact ints
         wide = spec.circuit == "converter" and netlist.inputs["index"].width > 64
         self._vectors = np.array(indices, dtype=object if wide else np.uint64)
+
+    def _carry(self, backend: str) -> None:
+        """Run the fault-parallel passes on ``backend``, at its width."""
+        self.backend = backend
+        per_fault = max(1, len(self.indices))
+        if backend == "compiled":
+            if self.combinational:
+                slots = max(2, _COMPILED_PASS_LANES // per_fault)
+            else:
+                slots = _COMPILED_STREAM_LANES
+        else:
+            slots = engine_capability(backend).sweep_lanes + 1
+            if self.combinational:
+                budget = _LANES_PER_SLOT * slots
+                slots = max(2, min(slots, budget // per_fault))
+        self.chunk_faults = slots - 1
+
+    def bind(self) -> None:
+        """Bind the native build that the campaign's SEU passes sweep.
+
+        An SEU plan carries upsets but no stuck-at masks, so its passes
+        sweep the plain kernel, whose C build
+        (:func:`~repro.hdl.native.native_kernel`) the vector engine's
+        clocked passes run when it is bound.  Under ``engine="auto"``
+        the passes move to vector when the build binds and stay on
+        compiled when it cannot (no ``cc``, a failed build, an unusable
+        cache), or when a pass fits one 64-lane word
+        (:data:`_ONE_WORD_FAULTS`, as at n = 3).  ``engine="vector"``
+        binds too and otherwise runs the NumPy kernel.  Called when
+        the campaign first runs — by :func:`run_campaign`, and by a
+        shard in a process that planned the campaign itself — never
+        while planning, so :func:`fault_list` starts no build.  The
+        first SEU campaign of each netlist builds its library once per
+        machine (its on-disk cache serves every later process).
+        """
+        if self._bound:
+            return
+        if self.fault_parallel and self.spec.model == "seu":
+            if self.spec.engine == "vector":
+                native_kernel(compile_netlist(self.netlist))
+            elif self.spec.engine == "auto" and self.faults > _ONE_WORD_FAULTS:
+                if native_kernel(compile_netlist(self.netlist)) is not None:
+                    self._carry("vector")
+        # marked only once decided: a thread that finds the plan bound
+        # reads the lane format the binding chose
+        self._bound = True
 
     def _comb_sim(self) -> CombinationalSimulator:
         if self._comb is None:
@@ -409,7 +465,7 @@ class _Evaluator:
         seq = SequentialSimulator(
             self.netlist, batch=batch, overlay=overlay, backend=self.backend
         )
-        sweeps = [seq.step(inputs) for inputs in self.stream]
+        sweeps = seq.run_stream(self.stream, materialize=False)
         return _frames(sweeps[self.fill :], self.spec.n, batch)
 
     def run(self, overlay: FaultOverlay | None) -> np.ndarray:
@@ -495,6 +551,7 @@ class _CampaignWork:
         plan = _plan(self.spec)
         faults = plan.faults[shard.start : shard.stop]
         ev = plan.evaluator
+        ev.bind()  # a no-op where run_campaign planned the campaign
         n = self.spec.n
         counts = {k: 0 for k in _CLASSES}
         examples: dict[str, list[str]] = {k: [] for k in _CLASSES}
@@ -564,6 +621,7 @@ def run_campaign(
     if not faults:
         raise ValueError(f"no {spec.model} fault sites in the {spec.circuit} netlist")
     ev = _plan(spec).evaluator
+    ev.bind()  # the lane format of SEU passes, before the shards are cut
     test_vectors = len(ev.indices) if spec.circuit == "converter" else spec.stream_length
     engine_used = ev.backend
     # Four shards per worker, but a fault-parallel campaign is cut on

@@ -20,3 +20,15 @@ settings.load_profile("repro")
 def rng() -> np.random.Generator:
     """A deterministic NumPy generator for sampling-based tests."""
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def fresh_native(monkeypatch, tmp_path):
+    """A private native-library cache and no bindings, before and after;
+    yields the cache directory (created by the first build)."""
+    from repro.hdl.native import clear_native_cache
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    clear_native_cache()
+    yield tmp_path / "cache" / "repro" / "native"
+    clear_native_cache()

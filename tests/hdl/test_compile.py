@@ -9,6 +9,8 @@ for hits on recompilation and invalidation after netlist mutation.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -459,8 +461,44 @@ def test_slotted_plan_rejects_chunks_that_do_not_fit():
 # per-kernel leaf layouts
 
 
+#: SHA-256 over the plain and patchable kernel sources of the converter
+#: at n = 2..12, computed from the kernels before registers moved to the
+#: front of the leaves and returns: a register-free kernel keeps its
+#: source, so the C libraries that validate and serving load keep their
+#: cache keys.
+CONVERTER_KERNELS_SHA256 = (
+    "17fb204740d4681bbf37be650564b655cdb0af16abfed47e7a567206472fd1e6"
+)
+
+
 class TestLeafLayout:
     """Every sweep fills its kernel's leaves from that kernel's layout."""
+
+    def test_register_free_kernels_keep_their_source(self):
+        from repro.flow import build_circuit
+
+        digest = hashlib.sha256()
+        for n in range(2, 13):
+            nl = build_circuit("converter", n)
+            for patchable in (False, True):
+                digest.update(compile_netlist(nl, patchable=patchable).source.encode())
+        assert digest.hexdigest() == CONVERTER_KERNELS_SHA256
+
+    def test_registers_lead_the_leaves_and_the_returns(self):
+        """Register i's Q is leaf i and its D is result i, so a clock
+        latches with one slice; the output positions count from the
+        first result after the register Ds."""
+        from repro.flow import build_circuit
+
+        nl = build_circuit("converter", 4, pipelined=True)
+        kern = compile_netlist(nl)
+        regs = len(nl.registers)
+        assert kern.leaves[:regs] == tuple(r.q for r in nl.registers)
+        assert kern.returns[:regs] == tuple(r.d for r in nl.registers)
+        assert kern.layout.registers == tuple((r.q, r.init) for r in nl.registers)
+        for name, bus in nl.outputs.items():
+            positions = kern.layout.outputs[name]
+            assert [kern.returns[regs + i] for i in positions] == list(bus)
 
     def test_incremental_and_patchable_kernels_interleaved(self):
         """One netlist's plain kernel (a stream without faults) and

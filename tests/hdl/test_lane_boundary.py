@@ -176,14 +176,12 @@ def _words(seed: int, lanes: int, width: int) -> list[int]:
 def _outputs(engine, buses: dict[str, list[int]], widths: dict[str, int], lanes: int):
     """A lazy output mapping holding each bus's words packed by ``engine``."""
     zero, ones = engine.constants(lanes)
-    return PackedOutputs(
-        engine,
-        {
-            name: pack_bus(engine, words, widths[name], lanes, words_for(lanes), zero, ones)
-            for name, words in buses.items()
-        },
-        lanes,
-    )
+    outs, positions = [], {}
+    for name, words in buses.items():
+        packed = pack_bus(engine, words, widths[name], lanes, words_for(lanes), zero, ones)
+        positions[name] = tuple(range(len(outs), len(outs) + len(packed)))
+        outs += packed
+    return PackedOutputs(engine, outs, positions, lanes)
 
 
 @given(st.sampled_from(LANE_COUNTS), st.integers(1, 64), st.integers(0, 2**32))

@@ -296,16 +296,9 @@ def _numpy_kernel():
 
 def _words(outs):
     """Every output bus's raw lane words, tail bits included."""
-    return {name: np.stack(words) for name, words in outs._buses.items()}
-
-
-@pytest.fixture
-def fresh_native(monkeypatch, tmp_path):
-    """A private library cache and no bindings, before and after."""
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    clear_native_cache()
-    yield tmp_path / "cache" / "repro" / "native"
-    clear_native_cache()
+    return {
+        name: np.stack([outs._outs[i] for i in pos]) for name, pos in outs._pos.items()
+    }
 
 
 @given(random_circuit(), st.sampled_from(NATIVE_LANES), st.integers(0, 2**32))
@@ -339,6 +332,43 @@ def test_native_converter_identical(n):
     with _numpy_kernel():
         assert got == _ints(entry.run({"index": idx}))
     assert got == _ints(BatchEntry(nl, backend="compiled").run({"index": idx}))
+
+
+@needs_cc
+@pytest.mark.parametrize("lanes", (1, 63, 64, 65, 130))
+def test_native_stream_matches_numpy_and_compiled(lanes):
+    """A clocked vector pass sweeps the plain kernel's C build once the
+    process holds a binding of it: outputs and register state match the
+    NumPy kernel and compiled bigints, upsets on both sides of a word
+    boundary included, and so does the next stream on the same state."""
+    from repro.flow import build_circuit
+    from repro.hdl.compile import compile_netlist
+
+    nl = build_circuit("converter", 4, pipelined=True)
+    assert native_kernel(compile_netlist(nl)) is not None
+    regs = [r.q for r in nl.registers]
+    plan = PackedFaultPlan(lanes)
+    for k in range(lanes):
+        plan.upset(regs[(7 * k) % len(regs)], k % 5, [k])
+    rng = np.random.default_rng(lanes)
+    streams = [
+        [{"index": rng.integers(0, 24, lanes)} for _ in range(6)],
+        [{"index": int(i)} for i in rng.integers(0, 24, 4)],
+    ]
+
+    def run(backend, numpy=False):
+        sim = SequentialSimulator(nl, batch=lanes, overlay=plan, backend=backend)
+        with mock.patch(
+            "repro.hdl.vector.native_binding",
+            return_value=None if numpy else native_kernel(compile_netlist(nl)),
+        ):
+            outs = [_ints(o) for s in streams for o in sim.run_stream(s)]
+        state = {q: list(v) for q, v in sim.state.items()}
+        return outs, state, type(sim._leaf_values)
+
+    native, numpy, compiled = run("vector"), run("vector", numpy=True), run("compiled")
+    assert native[:2] == numpy[:2] == compiled[:2]
+    assert native[2] is np.ndarray and numpy[2] is list  # the leaf matrix ran
 
 
 def test_no_compiler_runs_numpy_kernel(fresh_native, monkeypatch, tmp_path):

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ import pytest
 from repro import flow
 from repro.core.factorial import factorial
 from repro.errors import CampaignConfigError
+from repro.hdl.compile import compile_netlist
+from repro.hdl.native import find_compiler, native_binding, native_cache_info
+from repro.hdl.simulator import SequentialSimulator
 from repro.obs.events import CollectingSink
 from repro.robustness import campaign
 from repro.robustness.campaign import (
@@ -308,10 +312,85 @@ class TestEngineIdentity:
             if engine == "compiled":
                 assert res.sweeps == -(-ref.total // chunk) == 2, workers
 
+    @pytest.mark.parametrize("samples", [63, 64, 65, 127])
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"circuit": "converter", "n": 5, "test_count": 2},
+            {"circuit": "shuffle", "n": 4, "stream_length": 4},
+        ],
+        ids=["converter", "shuffle"],
+    )
+    def test_seu_passes_across_word_boundaries(self, config, samples):
+        """A golden slot and 63, 64, 65 or 127 SEU sites put an SEU
+        pass's last lane on either side of a 64-lane word boundary.
+        Every engine classifies them alike at 1 and 2 workers, and so
+        does the vector engine without its native stream.  (Short test
+        streams keep the per-fault interpreter quick; the boundaries
+        are in the lanes, one per fault.)"""
+        spec = CampaignSpec(model="seu", samples=samples, **config)
+
+        def run(engine, workers):
+            res = run_campaign(replace(spec, engine=engine), workers=workers)
+            return _signature(res)
+
+        ref = run("interp", 1)
+        assert ref[0] == samples
+        for engine in ("auto", "compiled", "vector", "interp"):
+            for workers in (1, 2):
+                assert run(engine, workers) == ref, (engine, workers)
+        with mock.patch("repro.hdl.vector.native_binding", return_value=None):
+            for workers in (1, 2):
+                assert run("vector", workers) == ref, ("numpy", workers)
+
     def test_auto_resolves_to_fault_parallel(self):
         res = run_campaign(CampaignSpec(n=4, model="stuck", samples=12))
         assert res.engine == "compiled"
         assert "faults/s" in res.render()
+
+    @pytest.fixture
+    def fresh_plans(self):
+        """No memoised campaign plan, before and after: a plan keeps the
+        lane format its first run chose."""
+        campaign._plan.cache_clear()
+        yield
+        campaign._plan.cache_clear()
+
+    @pytest.mark.skipif(find_compiler() is None, reason="no cc on PATH")
+    def test_auto_runs_seu_on_the_native_stream(self, fresh_plans):
+        seu = run_campaign(CampaignSpec(n=5, model="seu"))
+        stuck = run_campaign(CampaignSpec(n=5, model="stuck"))
+        assert (seu.engine, stuck.engine) == ("vector", "compiled")
+        assert native_binding(compile_netlist(campaign._plan(seu.spec).netlist))
+        # a pass of one 64-lane word (63 faults and the golden slot)
+        # stays on bigints, 64 faults take the native stream
+        one_word = run_campaign(CampaignSpec(n=5, model="seu", samples=63))
+        two_words = run_campaign(CampaignSpec(n=5, model="seu", samples=64))
+        assert (one_word.engine, two_words.engine) == ("compiled", "vector")
+
+    def test_auto_runs_seu_on_compiled_without_cc(
+        self, fresh_native, fresh_plans, monkeypatch, tmp_path
+    ):
+        spec = CampaignSpec(n=5, model="seu")
+        ref = run_campaign(replace(spec, engine="compiled"))
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc anywhere on it
+        res = run_campaign(spec)
+        assert res.engine == "compiled"
+        assert _signature(res) == _signature(ref) and res.sweeps == ref.sweeps
+        assert native_cache_info()["fallbacks"] == 1
+
+    def test_no_build_outside_a_plan(self, fresh_native, fresh_plans):
+        """Clocked steps only look a binding up: a vector step or stream
+        on a netlist nobody bound, and planning an SEU campaign, build
+        and load nothing."""
+        nl = flow.build_circuit("converter", 3, pipelined=True)
+        before = native_cache_info()
+        sim = SequentialSimulator(nl, batch=5, backend="vector")
+        sim.step({"index": [0, 1, 2, 3, 4]})
+        sim.run_stream([{"index": 5}] * 3)
+        fault_list(CampaignSpec(n=4, model="seu"))
+        assert native_cache_info() == before
+        assert native_binding(compile_netlist(nl)) is None
 
     def test_bridge_model_falls_back_to_interp(self):
         res = run_campaign(CampaignSpec(n=4, model="bridge", samples=12))
